@@ -196,7 +196,12 @@ def _cmd_decompose(args):
     k_max = args.k_max if args.k_max is not None else max(1, g.max_degree() + 1)
     solve = decomp.exact_min_partition if args.mode == decomp.PARTITION else decomp.exact_min_cover
     result = solve(g, k_max, node_budget=args.budget_nodes)
-    stats = {"strategy": "exact", "nodes": result.nodes, "k_max": k_max}
+    stats = {
+        "strategy": "exact",
+        "nodes": result.nodes,
+        "nodes_per_k": list(result.nodes_per_k),
+        "k_max": k_max,
+    }
     if result.status == decomp.SOLVED:
         payload = decomp.decomposition_to_json(result.decomposition)
         stats["k"] = result.decomposition.k

@@ -304,11 +304,14 @@ class P4Constraint:
     chord_edges: tuple[Edge, ...]
 
 
-def p4_constraints(g: Graph) -> list[P4Constraint]:
+def p4_constraints(g: Graph, limit: int | None = None) -> list[P4Constraint]:
     """One constraint per length-3 path (as a subgraph) of g.
 
     Paths are canonical a-b-c-d with a < d; chords record which of
-    ac, bd, ad exist in the host (possibly none).
+    ac, bd, ad exist in the host (possibly none).  With ``limit`` the
+    scan stops as soon as it holds limit + 1 constraints, so a longer
+    result than ``limit`` is a truncated prefix that only shows the
+    count is over it.
     """
     out = []
     for b, c in g.edges:
@@ -334,6 +337,8 @@ def p4_constraints(g: Graph) -> list[P4Constraint]:
                             chord_edges=chords,
                         )
                     )
+                    if limit is not None and len(out) > limit:
+                        return out
     return out
 
 
@@ -360,20 +365,37 @@ def search_assignments(
     symmetry: bool = True,
     prune: bool = True,
     node_budget: int | None = None,
+    constraints: list[P4Constraint] | None = None,
 ) -> SearchOutcome:
     """Backtracking search over per-edge class assignments.
 
     Partition mode assigns each edge one class (a singleton bitmask),
-    cover mode any non-empty subset of the k classes.  A monochromatic
-    path triple is pruned only once all of its host chords are assigned
-    and none shares the class; undecided chords defer the conflict,
-    which keeps the pruning sound (class graphs may lose paths when
-    edges join them later).
+    cover mode any non-empty subset of the k classes.  Search order:
+    edges by endpoint degree sum descending, candidate masks ascending.
+
+    With ``prune`` the induced-path constraints are propagated.  Each
+    unassigned edge keeps the classes it may not contain and the classes
+    it must contain.  After an assignment, every constraint of that edge
+    is examined: when two path edges share a class, the third is
+    unassigned and every chord is assigned outside that class, the third
+    edge is banned from it; when all three path edges share a class and
+    the assigned chords miss it, a conflict is reported if no chord is
+    open, and a single open chord is required to take the class.  An
+    emptied domain backtracks; a domain left with one mask is assigned
+    at once and propagated in turn.  Such implied edges are not search
+    nodes: when the search reaches one, it only applies the symmetry
+    test below to its mask.  Propagation only removes masks that cannot
+    be part of a solution, so the solutions and their order are exactly
+    those of the unpruned search (``prune=False``), which checks each
+    complete assignment instead.  ``nodes`` counts the candidate masks
+    actually tried.
 
     ``symmetry`` breaks class relabeling: a fresh class id may only be
     introduced as the next unused one.  ``forced`` pins host edges to
-    fixed bitmasks (only with ``symmetry=False``).  Search order: edges
-    by endpoint degree sum descending, candidate masks ascending.
+    fixed bitmasks (only with ``symmetry=False``).  ``constraints`` are
+    the host's ``p4_constraints`` when the caller already has them;
+    otherwise they are built here, and a budget smaller than their
+    count ends the search before it starts, as not completed.
     """
     if k < 1:
         raise ValueError(f"class count must be at least 1, got {k}")
@@ -386,27 +408,6 @@ def search_assignments(
     if m == 0:
         return SearchOutcome(solutions=[()], nodes=0, completed=True)
     eidx = {e: i for i, e in enumerate(edges)}
-    cons = []
-    for c in p4_constraints(host):
-        cons.append(
-            (
-                eidx[c.path_edges[0]],
-                eidx[c.path_edges[1]],
-                eidx[c.path_edges[2]],
-                tuple(eidx[ch] for ch in c.chord_edges),
-            )
-        )
-    cons_of: list[list[int]] = [[] for _ in range(m)]
-    for ci, (p1, p2, p3, chords) in enumerate(cons):
-        for e in {p1, p2, p3, *chords}:
-            cons_of[e].append(ci)
-
-    deg = [host.degree(v) for v in range(host.n)]
-    order = sorted(range(m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), edges[i]))
-    if mode == PARTITION:
-        domain = tuple(1 << c for c in range(k))
-    else:
-        domain = tuple(range(1, 1 << k))
     forced_mask = [0] * m
     for e, mask in (forced or {}).items():
         ce = _canon_edge(e)
@@ -417,30 +418,36 @@ def search_assignments(
         if mode == PARTITION and mask & (mask - 1):
             raise ValueError(f"forced mask {mask} is not a single class in partition mode")
         forced_mask[eidx[ce]] = mask
+    if constraints is None:
+        constraints = p4_constraints(host, node_budget)
+        if node_budget is not None and len(constraints) > node_budget:
+            return SearchOutcome(solutions=[], nodes=0, completed=False)
+    cons = [
+        (
+            eidx[c.path_edges[0]],
+            eidx[c.path_edges[1]],
+            eidx[c.path_edges[2]],
+            tuple(eidx[ch] for ch in c.chord_edges),
+        )
+        for c in constraints
+    ]
+
+    deg = [host.degree(v) for v in range(host.n)]
+    order = sorted(range(m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), edges[i]))
+    if mode == PARTITION:
+        domain = tuple(1 << c for c in range(k))
+    else:
+        domain = tuple(range(1, 1 << k))
+    if prune:
+        return _propagating_search(
+            order, cons, k, mode, domain, forced_mask, find_all, symmetry, node_budget
+        )
 
     assign = [0] * m
     solutions: list[tuple[int, ...]] = []
     nodes = 0
     out_of_budget = False
     stop = False
-
-    def consistent(e: int) -> bool:
-        for ci in cons_of[e]:
-            p1, p2, p3, chords = cons[ci]
-            common = assign[p1] & assign[p2] & assign[p3]
-            if not common:
-                continue
-            saved = 0
-            pending = False
-            for ch in chords:
-                a = assign[ch]
-                if a:
-                    saved |= a
-                else:
-                    pending = True
-            if common & ~saved and not pending:
-                return False
-        return True
 
     def full_check() -> bool:
         for p1, p2, p3, chords in cons:
@@ -456,7 +463,7 @@ def search_assignments(
     def dfs(pos: int, used: int) -> None:
         nonlocal nodes, stop, out_of_budget
         if pos == m:
-            if prune or full_check():
+            if full_check():
                 solutions.append(tuple(assign))
                 if not find_all:
                     stop = True
@@ -474,14 +481,175 @@ def search_assignments(
                 return
             nodes += 1
             assign[e] = mask
-            if not prune or consistent(e):
-                dfs(pos + 1, used | mask)
+            dfs(pos + 1, used | mask)
             assign[e] = 0
             if stop:
                 return
 
     dfs(0, 0)
     return SearchOutcome(solutions=solutions, nodes=nodes, completed=not out_of_budget)
+
+
+def _breaks_symmetry(mask: int, used: int) -> bool:
+    """True when mask introduces classes other than the next unused ids."""
+    fresh = mask & ~used
+    return bool(fresh) and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length()
+
+
+def _propagating_search(
+    order: list[int],
+    cons: list[tuple[int, int, int, tuple[int, ...]]],
+    k: int,
+    mode: str,
+    domain: tuple[int, ...],
+    forced_mask: list[int],
+    find_all: bool,
+    symmetry: bool,
+    node_budget: int | None,
+) -> SearchOutcome:
+    """The ``prune=True`` engine of ``search_assignments``, on an explicit
+    stack so that the depth of the search is not bounded by recursion."""
+    m = len(order)
+    full = (1 << k) - 1
+    partition = mode == PARTITION
+    cons_of: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in range(m)]
+    for con in cons:
+        p1, p2, p3, chords = con
+        for e in (p1, p2, p3, *chords):
+            cons_of[e].append(con)
+    assign = [0] * m
+    banned = [0] * m  # classes an unassigned edge may not contain
+    required = [0] * m  # classes an unassigned edge must contain
+    trail: list[tuple[int, int, int]] = []  # (edge, banned, required) before a change
+    queue: list[int] = []  # assigned edges whose constraints are still to examine
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e, b, r = trail.pop()
+            assign[e] = 0
+            banned[e] = b
+            required[e] = r
+
+    def restrict(e: int, ban: int, req: int) -> bool:
+        """Narrow an unassigned edge's domain; False when it empties."""
+        b = banned[e] | ban
+        r = required[e] | req
+        if b == banned[e] and r == required[e]:
+            return True
+        trail.append((e, banned[e], required[e]))
+        banned[e] = b
+        required[e] = r
+        allowed = full & ~b
+        if r & b or not allowed:
+            return False
+        if partition and r:
+            if r & (r - 1):
+                return False
+            allowed = r
+        elif allowed & (allowed - 1) and allowed != r:
+            return True
+        assign[e] = allowed
+        queue.append(e)
+        return True
+
+    def propagate() -> bool:
+        while queue:
+            for p1, p2, p3, chords in cons_of[queue.pop()]:
+                a1 = assign[p1]
+                a2 = assign[p2]
+                a3 = assign[p3]
+                if a1 and a2 and a3:
+                    bad = a1 & a2 & a3
+                    if not bad:
+                        continue
+                    open_chords = 0
+                    for ch in chords:
+                        a = assign[ch]
+                        if a:
+                            bad &= ~a
+                        else:
+                            open_chords += 1
+                            last = ch
+                    if not bad or open_chords > 1:
+                        continue
+                    if open_chords == 0 or not restrict(last, 0, bad):
+                        queue.clear()
+                        return False
+                    continue
+                if a1 and a2:
+                    bad, third = a1 & a2, p3
+                elif a1 and a3:
+                    bad, third = a1 & a3, p2
+                elif a2 and a3:
+                    bad, third = a2 & a3, p1
+                else:
+                    continue
+                for ch in chords:
+                    a = assign[ch]
+                    if not a:
+                        break  # an open chord may still break the path
+                    bad &= ~a
+                else:
+                    if bad and not restrict(third, bad, 0):
+                        queue.clear()
+                        return False
+        return True
+
+    for e, mask in enumerate(forced_mask):
+        if mask:
+            restrict(e, full & ~mask, mask)  # a valid mask is a one-mask domain
+    if not propagate():
+        return SearchOutcome(solutions=[], nodes=0, completed=True)
+
+    solutions: list[tuple[int, ...]] = []
+    nodes = 0
+    stack: list[list[int]] = []  # open positions: [pos, used, trail mark, next candidate]
+    pos = used = 0
+    while True:
+        # walk over implied edges up to the next open position or a dead end
+        while pos < m:
+            mask = assign[order[pos]]
+            if not mask or (symmetry and _breaks_symmetry(mask, used)):
+                break
+            used |= mask
+            pos += 1
+        if pos == m:
+            solutions.append(tuple(assign))
+            if not find_all:
+                break
+        elif not assign[order[pos]]:
+            stack.append([pos, used, len(trail), 0])
+        # next candidate of the innermost open position, backtracking as needed
+        while stack:
+            frame = stack[-1]
+            fpos, fused, mark, i = frame
+            undo(mark)
+            e = order[fpos]
+            b = banned[e]
+            r = required[e]
+            while i < len(domain):
+                mask = domain[i]
+                i += 1
+                if mask & b or mask & r != r or (symmetry and _breaks_symmetry(mask, fused)):
+                    continue
+                if node_budget is not None and nodes >= node_budget:
+                    return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+                nodes += 1
+                trail.append((e, b, r))
+                assign[e] = mask
+                queue.append(e)
+                if propagate():
+                    break
+                undo(mark)
+            else:
+                stack.pop()
+                continue
+            frame[3] = i
+            pos, used = fpos + 1, fused | mask
+            break
+        else:
+            break
+    return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
 
 
 SOLVED = "solved"
@@ -495,13 +663,15 @@ class SolveResult:
 
     ``infeasible_below`` is the largest k proven to admit no solution;
     on timeout it records how far the proof got (never reported as
-    infeasible).
+    infeasible).  ``nodes_per_k`` holds the search nodes of each k
+    searched, from k = 1 up; they sum to ``nodes``.
     """
 
     status: str
     decomposition: Decomposition | None
     nodes: int
     infeasible_below: int
+    nodes_per_k: tuple[int, ...] = ()
 
 
 def _masks_to_decomposition(g: Graph, masks: tuple[int, ...], k: int, mode: str) -> Decomposition:
@@ -518,19 +688,25 @@ def _exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> Solv
     if not g.edges:
         d = Decomposition(g, (frozenset(),), mode)
         return SolveResult(SOLVED, d, nodes=0, infeasible_below=0)
-    total = 0
+    constraints = p4_constraints(g, node_budget)
+    if node_budget is not None and len(constraints) > node_budget:
+        return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
+    per_k: list[int] = []
+
+    def result(status: str, proven: int, d: Decomposition | None = None) -> SolveResult:
+        return SolveResult(status, d, sum(per_k), proven, tuple(per_k))
+
     for k in range(1, k_max + 1):
-        remaining = None if node_budget is None else node_budget - total
+        remaining = None if node_budget is None else node_budget - sum(per_k)
         if remaining is not None and remaining <= 0:
-            return SolveResult(TIMEOUT, None, nodes=total, infeasible_below=k - 1)
-        out = search_assignments(g, k, mode, node_budget=remaining)
-        total += out.nodes
+            return result(TIMEOUT, k - 1)
+        out = search_assignments(g, k, mode, node_budget=remaining, constraints=constraints)
+        per_k.append(out.nodes)
         if out.solutions:
-            d = _masks_to_decomposition(g, out.solutions[0], k, mode)
-            return SolveResult(SOLVED, d, nodes=total, infeasible_below=k - 1)
+            return result(SOLVED, k - 1, _masks_to_decomposition(g, out.solutions[0], k, mode))
         if not out.completed:
-            return SolveResult(TIMEOUT, None, nodes=total, infeasible_below=k - 1)
-    return SolveResult(INFEASIBLE, None, nodes=total, infeasible_below=k_max)
+            return result(TIMEOUT, k - 1)
+    return result(INFEASIBLE, k_max)
 
 
 def exact_min_partition(g: Graph, k_max: int, node_budget: int | None = None) -> SolveResult:
@@ -538,8 +714,9 @@ def exact_min_partition(g: Graph, k_max: int, node_budget: int | None = None) ->
 
     Classes are tried in ascending k with relabeling symmetry broken, so
     the returned partition is the canonical first solution.  The budget
-    counts explored assignment nodes; exceeding it reports timeout,
-    never infeasibility.
+    counts explored assignment nodes, summed over k; the constraints are
+    built once, and more of them than the budget also reports timeout.
+    Exceeding it reports timeout, never infeasibility.
     """
     return _exact_min(g, k_max, node_budget, PARTITION)
 

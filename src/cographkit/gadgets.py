@@ -278,8 +278,9 @@ def enumerate_two_class_covers(
     """All valid two-class cover assignments of g (no symmetry breaking).
 
     Each edge takes a non-empty subset of {class 0, class 1}; the full
-    3^m space is searched, with sound chord-aware pruning unless
-    ``prune`` is off (then candidates are only checked at the leaves).
+    3^m space is searched, with the induced-path constraints propagated
+    unless ``prune`` is off (then candidates are only checked at the
+    leaves).
     """
     return search_assignments(
         g,

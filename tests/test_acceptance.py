@@ -47,7 +47,7 @@ from cographkit.gadgets import (
 from helpers import all_graphs, clique_with_pendant_path, cycle_graph
 
 # node budget for the clause-gadget infeasibility proof; the search is
-# deterministic and takes 11_880_585 nodes, so this has ample headroom
+# deterministic and takes 441 nodes, so this has ample headroom
 CLAUSE_GADGET_NODE_BUDGET = 30_000_000
 
 

@@ -218,6 +218,32 @@ def test_decompose_budget_timeout_exits_three():
     assert report_of(out)["verdict"] == "timeout"
 
 
+def test_decompose_constraint_budget_timeout_exits_three():
+    # about 10^8 length-3 paths; the budget also bounds building them
+    import random
+
+    from cographkit import random_graph
+
+    g = random_graph(300, 0.3, random.Random(300))
+    code, out, _ = run_cli(
+        ["decompose", "--strategy", "exact", "--budget-nodes", "100000", "-"],
+        stdin=format_edge_list(g),
+    )
+    assert code == 3
+    assert report_of(out)["verdict"] == "timeout"
+
+
+def test_decompose_exact_reports_nodes_per_k():
+    code, out, _ = run_cli(
+        ["decompose", "--strategy", "exact", "--k-max", "3", "-"],
+        stdin="5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n",
+    )
+    assert code == 0
+    stats = report_of(out)["stats"]
+    assert len(stats["nodes_per_k"]) == 2
+    assert sum(stats["nodes_per_k"]) == stats["nodes"]
+
+
 def test_decompose_greedy_coarsens():
     code, out, _ = run_cli(["decompose", "--strategy", "greedy", "-"], stdin=K3_TEXT)
     assert code == 0

@@ -358,6 +358,73 @@ def test_symmetry_breaking_is_complete():
                     assert sym.solutions[0] in free.solutions
 
 
+def test_propagating_search_matches_unpruned_oracle():
+    # propagation may only drop masks that lead to no solution, so the
+    # solution list, order included, is the one of the unpruned search
+    from cographkit.decomp import search_assignments
+
+    def agree(g, k, mode, symmetry, find_all):
+        fast = search_assignments(g, k, mode, symmetry=symmetry, find_all=find_all)
+        slow = search_assignments(
+            g, k, mode, symmetry=symmetry, find_all=find_all, prune=False
+        )
+        assert fast.completed and slow.completed
+        assert fast.solutions == slow.solutions, (g.edges, k, mode, symmetry, find_all)
+        assert fast.nodes <= slow.nodes
+
+    flags = [(s, f) for s in (True, False) for f in (True, False)]
+    for n in range(1, 5):
+        for g in all_graphs(n):
+            for symmetry, find_all in flags:
+                for k in (1, 2, 3):
+                    agree(g, k, PARTITION, symmetry, find_all)
+                for k in (1, 2):
+                    agree(g, k, COVER, symmetry, find_all)
+    for g in all_graphs(5):
+        for symmetry, find_all in flags:
+            agree(g, 2, PARTITION, symmetry, find_all)
+
+
+def test_long_path_solves_without_recursion():
+    g = path_graph(10_001)
+    result = exact_min_partition(g, 2, node_budget=50_000)
+    assert result.status == SOLVED
+    assert result.decomposition.k == 2
+    assert validate(result.decomposition) is None
+
+
+def test_constraint_building_counts_against_budget():
+    # about 10^8 length-3 paths: building them all would not finish, so
+    # the build stops once the constraints outnumber the node budget
+    import time
+
+    g = random_graph(300, 0.3, random.Random(300))
+    start = time.perf_counter()
+    result = exact_min_partition(g, 2, node_budget=100_000)
+    assert time.perf_counter() - start < 10.0
+    assert result.status == TIMEOUT
+    assert result.decomposition is None
+    assert result.nodes == sum(result.nodes_per_k)
+
+
+def test_nodes_per_k_sums_to_nodes():
+    solved = exact_min_partition(cycle_graph(7), 3)
+    assert solved.status == SOLVED
+    assert len(solved.nodes_per_k) == solved.decomposition.k
+    infeasible = exact_min_cover(cycle_graph(5), 1)
+    assert infeasible.status == INFEASIBLE
+    assert len(infeasible.nodes_per_k) == 1
+    # the clause gadget's 210 constraints fit the budget; its 2-cover
+    # search does not
+    from cographkit import clause_gadget
+
+    timeout = exact_min_cover(clause_gadget().graph, 3, node_budget=500)
+    assert timeout.status == TIMEOUT
+    assert len(timeout.nodes_per_k) == 2
+    for result in (solved, infeasible, timeout):
+        assert sum(result.nodes_per_k) == result.nodes
+
+
 def test_solver_solutions_always_validate():
     rng = random.Random(35)
     for _ in range(25):
