@@ -332,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k-max", type=int, default=None, help="largest k to try (default: max degree + 1)")
     p.add_argument("--budget-nodes", type=int, default=10_000_000, help="search node budget")
-    p.add_argument("--jobs", type=int, default=1, help="reserved; the solver is single-threaded")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("coarsen", help="merge decomposition classes while unions stay cographs")
@@ -369,9 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     started = time.perf_counter()
     try:
         code, verdict, payload, stats, summary = args.handler(args)

@@ -21,7 +21,6 @@ __all__ = [
     "Cotree",
     "recognize",
     "cotree_to_graph",
-    "lca_label",
     "check_structure",
     "to_newick",
     "parse_newick",
@@ -242,15 +241,6 @@ def cotree_to_graph(t: Cotree) -> Graph:
 
     leaves_below(0)
     return Graph(n, edges)
-
-
-def lca_label(t: Cotree, x: int, y: int) -> int | None:
-    """Label of the lowest common ancestor of leaf vertices x and y.
-
-    Returns None (the empty symbol) exactly when x == y; unknown
-    vertices are rejected.
-    """
-    return t.lca_label(x, y)
 
 
 def to_newick(t: Cotree) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Sequence
 
 from .cotree import recognize
 from .graph import Graph, P4Witness, _bits, hypercube
@@ -148,9 +149,6 @@ def vizing_partition(g: Graph) -> Decomposition:
     color: dict[Edge, int] = {}
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]
 
-    def key(u: int, v: int) -> Edge:
-        return (u, v) if u < v else (v, u)
-
     def free_color(v: int) -> int:
         for c in range(1, palette + 1):
             if c not in at[v]:
@@ -158,7 +156,7 @@ def vizing_partition(g: Graph) -> Decomposition:
         raise AssertionError("palette exhausted")
 
     def assign(u: int, v: int, c: int) -> None:
-        e = key(u, v)
+        e = _canon_edge((u, v))
         old = color.get(e)
         if old is not None:
             del at[u][old]
@@ -168,8 +166,7 @@ def vizing_partition(g: Graph) -> Decomposition:
         at[v][c] = u
 
     def unassign(u: int, v: int) -> None:
-        e = key(u, v)
-        c = color.pop(e)
+        c = color.pop(_canon_edge((u, v)))
         del at[u][c]
         del at[v][c]
 
@@ -208,13 +205,13 @@ def vizing_partition(g: Graph) -> Decomposition:
         # first fan vertex with d free, over a prefix that is still a fan
         j = None
         for i, w in enumerate(fan):
-            if i > 0 and color[key(u, fan[i])] in at[fan[i - 1]]:
+            if i > 0 and color[_canon_edge((u, fan[i]))] in at[fan[i - 1]]:
                 break
             if d not in at[w]:
                 j = i
                 break
         assert j is not None, "fan rotation target must exist"
-        shifted = [color[key(u, fan[i])] for i in range(1, j + 1)]
+        shifted = [color[_canon_edge((u, fan[i]))] for i in range(1, j + 1)]
         for i in range(1, j + 1):
             unassign(u, fan[i])
         for i in range(j):
@@ -238,6 +235,20 @@ def greedy_partition(g: Graph) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
+def _first_cograph_union(
+    n: int, classes: Sequence[frozenset[Edge]]
+) -> tuple[tuple[int, ...], frozenset[Edge]] | None:
+    """First subset of two or more classes whose union is induced-path
+    free, smallest subsets first and lexicographic within a size, with
+    that union; None when there is none.  Walks up to all 2^k subsets."""
+    for size in range(2, len(classes) + 1):
+        for subset in combinations(range(len(classes)), size):
+            union = frozenset().union(*(classes[i] for i in subset))
+            if _is_cograph(n, union):
+                return subset, union
+    return None
+
+
 def coarsen(d: Decomposition) -> Decomposition:
     """Merge classes while some union of classes stays induced-path free.
 
@@ -250,15 +261,7 @@ def coarsen(d: Decomposition) -> Decomposition:
         raise ValueError(f"cannot coarsen an invalid decomposition: {fault}")
     classes = list(d.classes)
     while len(classes) > 1:
-        merged = None
-        for size in range(2, len(classes) + 1):
-            for subset in combinations(range(len(classes)), size):
-                union = frozenset().union(*(classes[i] for i in subset))
-                if _is_cograph(d.host.n, union):
-                    merged = (subset, union)
-                    break
-            if merged:
-                break
+        merged = _first_cograph_union(d.host.n, classes)
         if merged is None:
             break
         subset, union = merged
@@ -278,12 +281,7 @@ def is_coarsest(d: Decomposition) -> bool:
         raise ValueError(f"cannot test an invalid decomposition: {fault}")
     if d.k > 20:
         raise ValueError(f"subset scan limited to 20 classes, got {d.k}")
-    for size in range(2, d.k + 1):
-        for subset in combinations(range(d.k), size):
-            union = frozenset().union(*(d.classes[i] for i in subset))
-            if _is_cograph(d.host.n, union):
-                return False
-    return True
+    return _first_cograph_union(d.host.n, d.classes) is None
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +469,8 @@ def search_assignments(
         e = order[pos]
         candidates = (forced_mask[e],) if forced_mask[e] else domain
         for mask in candidates:
-            if symmetry:
-                fresh = mask & ~used
-                if fresh and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length():
-                    continue
+            if symmetry and _breaks_symmetry(mask, used):
+                continue
             if node_budget is not None and nodes >= node_budget:
                 out_of_budget = True
                 stop = True

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .decomp import (
-    COVER,
     PARTITION,
     Decomposition,
     SearchOutcome,
     search_assignments,
     validate,
 )
-from .graph import Graph
+from .graph import Graph, _read_rows
 
 __all__ = [
     "NaeFormula",
@@ -36,8 +35,7 @@ __all__ = [
     "eval_nae",
     "partition_from_assignment",
     "assignment_from_partition",
-    "enumerate_two_class_covers",
-    "enumerate_two_class_partitions",
+    "enumerate_two_class_assignments",
     "parse_formula",
     "format_formula",
 ]
@@ -268,44 +266,26 @@ def assignment_from_partition(f: NaeFormula, d: Decomposition) -> tuple[bool, ..
     return result
 
 
-def enumerate_two_class_covers(
+def enumerate_two_class_assignments(
     g: Graph,
+    mode: str,
     *,
     forced: dict[Edge, int] | None = None,
     node_budget: int | None = None,
     prune: bool = True,
 ) -> SearchOutcome:
-    """All valid two-class cover assignments of g (no symmetry breaking).
+    """All valid two-class assignments of g (no symmetry breaking).
 
-    Each edge takes a non-empty subset of {class 0, class 1}; the full
-    3^m space is searched, with the induced-path constraints propagated
+    In ``"cover"`` mode each edge takes a non-empty subset of
+    {class 0, class 1}, a 3^m space; in ``"partition"`` mode exactly one
+    class, a 2^m space.  The induced-path constraints are propagated
     unless ``prune`` is off (then candidates are only checked at the
     leaves).
     """
     return search_assignments(
         g,
         2,
-        COVER,
-        forced=forced,
-        find_all=True,
-        symmetry=False,
-        prune=prune,
-        node_budget=node_budget,
-    )
-
-
-def enumerate_two_class_partitions(
-    g: Graph,
-    *,
-    forced: dict[Edge, int] | None = None,
-    node_budget: int | None = None,
-    prune: bool = True,
-) -> SearchOutcome:
-    """All valid two-class partition assignments of g (2^m space)."""
-    return search_assignments(
-        g,
-        2,
-        PARTITION,
+        mode,
         forced=forced,
         find_all=True,
         symmetry=False,
@@ -316,21 +296,9 @@ def enumerate_two_class_partitions(
 
 def parse_formula(text: str) -> NaeFormula:
     """Read the ``v c`` / three-ids-per-line clause format."""
-    header: tuple[int, int] | None = None
+    (num_vars, num_clauses), rows = _read_rows(text, "v c")
     clauses: list[tuple[int, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected header 'v c', got {raw!r}")
-            try:
-                header = (int(fields[0]), int(fields[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: header values must be integers") from None
-            continue
+    for lineno, raw, fields in rows:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected three variable ids, got {raw!r}")
         try:
@@ -338,9 +306,6 @@ def parse_formula(text: str) -> NaeFormula:
         except ValueError:
             raise ValueError(f"line {lineno}: variable ids must be integers") from None
         clauses.append((a, b, c))
-    if header is None:
-        raise ValueError("line 1: missing 'v c' header")
-    num_vars, num_clauses = header
     if len(clauses) != num_clauses:
         raise ValueError(f"declared {num_clauses} clauses but found {len(clauses)}")
     return NaeFormula(num_vars, tuple(clauses))

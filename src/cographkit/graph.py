@@ -247,35 +247,48 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+def _read_rows(
+    text: str, header_names: str
+) -> tuple[tuple[int, int], Iterator[tuple[int, str, list[str]]]]:
+    """Header and body rows of the line formats (edge list, formula, map).
+
+    Blank lines and lines starting with ``#`` are skipped.  The first
+    remaining line is the header of two integers named ``header_names``
+    (for example ``'n m'``); the rows after it come lazily as
+    ``(lineno, raw line, fields)``, so the text is read in one pass.
+    """
+    rows = (
+        (lineno, raw, line.split())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    )
+    first = next(rows, None)
+    if first is None:
+        raise ValueError(f"line 1: missing '{header_names}' header")
+    lineno, raw, fields = first
+    if len(fields) != 2:
+        raise ValueError(f"line {lineno}: expected header '{header_names}', got {raw!r}")
+    try:
+        header = (int(fields[0]), int(fields[1]))
+    except ValueError:
+        raise ValueError(f"line {lineno}: header values must be integers") from None
+    return header, rows
+
+
 def parse_edge_list(text: str) -> Graph:
     """Read the ``n m`` / ``u v`` edge-list format; ``#`` starts a comment line."""
-    header: tuple[int, int] | None = None
+    (n, m), rows = _read_rows(text, "n m")
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected header 'n m', got {raw!r}")
-            try:
-                header = (int(fields[0]), int(fields[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: header values must be integers") from None
-            continue
+    for lineno, raw, fields in rows:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected an edge 'u v', got {raw!r}")
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be integers") from None
-        if len(edges) >= (header[1] if header else 0):
-            raise ValueError(f"line {lineno}: more edge lines than the declared count {header[1]}")
+        if len(edges) >= m:
+            raise ValueError(f"line {lineno}: more edge lines than the declared count {m}")
         edges.append((u, v))
-    if header is None:
-        raise ValueError("line 1: missing 'n m' header")
-    n, m = header
     if len(edges) != m:
         raise ValueError(f"declared {m} edges but found {len(edges)}")
     return Graph(n, edges)

@@ -13,11 +13,11 @@ disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 from .cotree import Cotree, check_structure, recognize
-from .graph import Graph, P4Witness, _bits
+from .graph import Graph, P4Witness, _bits, _component_masks, _read_rows
 
 __all__ = [
     "SymbolicMap",
@@ -43,49 +43,33 @@ def _pair_index(n: int, u: int, v: int) -> int:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
-# The six ways to split the six pairs of a 4-set into two complementary
-# 3-edge spanning paths; a quadruple violates U3 exactly when some split
-# is monochromatic on both sides with two different symbols.
-_QUAD_SPLITS = (
-    (((0, 1), (1, 2), (2, 3)), ((0, 2), (0, 3), (1, 3))),
-    (((0, 1), (1, 3), (2, 3)), ((0, 2), (0, 3), (1, 2))),
-    (((0, 2), (1, 2), (1, 3)), ((0, 1), (0, 3), (2, 3))),
-    (((0, 2), (2, 3), (1, 3)), ((0, 1), (0, 3), (1, 2))),
-    (((0, 3), (1, 3), (1, 2)), ((0, 1), (0, 2), (2, 3))),
-    (((0, 3), (2, 3), (1, 2)), ((0, 1), (0, 2), (1, 3))),
-)
+def _row_offsets(n: int) -> list[int]:
+    """Per-row offsets: for u < v, offsets[u] + v == _pair_index(n, u, v)."""
+    return [u * n - u * (u + 1) // 2 - u - 1 for u in range(n)]
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(n: int):
-    """Precomputed pair list plus triple/quadruple index patterns for size n."""
-    pairs = tuple((u, v) for u in range(n) for v in range(u + 1, n))
-    triples = tuple(
-        (
-            _pair_index(n, x, y),
-            _pair_index(n, x, z),
-            _pair_index(n, y, z),
-            (x, y, z),
-        )
-        for x in range(n)
-        for y in range(x + 1, n)
-        for z in range(y + 1, n)
-    )
-    quads = []
-    for w in range(n):
-        for x in range(w + 1, n):
-            for y in range(x + 1, n):
-                for z in range(y + 1, n):
-                    q = (w, x, y, z)
-                    splits = tuple(
-                        (
-                            tuple(_pair_index(n, q[i], q[j]) for i, j in side_a),
-                            tuple(_pair_index(n, q[i], q[j]) for i, j in side_b),
-                        )
-                        for side_a, side_b in _QUAD_SPLITS
-                    )
-                    quads.append((splits, q))
-    return pairs, triples, tuple(quads)
+def _splits_u3(wx: int, wy: int, wz: int, xy: int, xz: int, yz: int) -> bool:
+    """U3 on a quadruple w, x, y, z given its six pair symbols.
+
+    The quadruple violates U3 when its pairs split into two
+    complementary 3-edge paths, one under a single symbol and the other
+    under a different single symbol.  Each such path holds one of the
+    perfect matchings {wx, yz}, {wy, xz}, {wz, xy} whole and one pair of
+    the third, so the test is: two matchings are monochromatic in two
+    different symbols, and the third carries both of them.
+    """
+    if wx == yz:
+        if wy == xz:
+            a, b, c, d = wx, wy, wz, xy
+        elif wz == xy:
+            a, b, c, d = wx, wz, wy, xz
+        else:
+            return False
+    elif wy == xz and wz == xy:
+        a, b, c, d = wy, wz, wx, yz
+    else:
+        return False
+    return a != b and (c == a and d == b or c == b and d == a)
 
 
 class SymbolicMap:
@@ -106,10 +90,9 @@ class SymbolicMap:
         expected = n * (n - 1) // 2
         if len(pair_symbols) != expected:
             raise ValueError(f"expected {expected} pair symbols, got {len(pair_symbols)}")
-        for idx, s in enumerate(pair_symbols):
+        for pair, s in zip(combinations(range(n), 2), pair_symbols):
             if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < num_symbols:
-                pairs, _, _ = _pair_tables(n)
-                raise ValueError(f"pair {pairs[idx]} carries invalid symbol {s!r}")
+                raise ValueError(f"pair {pair} carries invalid symbol {s!r}")
         self.n = n
         self.num_symbols = num_symbols
         self.pair_symbols = tuple(pair_symbols)
@@ -118,9 +101,8 @@ class SymbolicMap:
     def from_pairs(
         cls, n: int, num_symbols: int, assignment: Mapping[tuple[int, int], int]
     ) -> "SymbolicMap":
-        pairs, _, _ = _pair_tables(n)
         symbols = []
-        for u, v in pairs:
+        for u, v in combinations(range(n), 2):
             if (u, v) in assignment:
                 symbols.append(assignment[(u, v)])
             elif (v, u) in assignment:
@@ -138,8 +120,7 @@ class SymbolicMap:
         return self.pair_symbols[_pair_index(self.n, x, y)]
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
-        pairs, _, _ = _pair_tables(self.n)
-        for (u, v), s in zip(pairs, self.pair_symbols):
+        for (u, v), s in zip(combinations(range(self.n), 2), self.pair_symbols):
             yield u, v, s
 
     def __eq__(self, other: object) -> bool:
@@ -178,18 +159,7 @@ class AxiomViolation:
             x, y, z = self.vertices
             return len({d.value(x, y), d.value(x, z), d.value(y, z)}) == 3
         if self.axiom == "U3":
-            idx = {v: i for i, v in enumerate(self.vertices)}
-            vals = {
-                (i, j): d.value(self.vertices[i], self.vertices[j])
-                for i in range(4)
-                for j in range(i + 1, 4)
-            }
-            for side_a, side_b in _QUAD_SPLITS:
-                a_vals = {vals[p] for p in side_a}
-                b_vals = {vals[p] for p in side_b}
-                if len(a_vals) == 1 and len(b_vals) == 1 and a_vals != b_vals:
-                    return True
-            return False
+            return _splits_u3(*(d.value(x, y) for x, y in combinations(self.vertices, 2)))
         if self.axiom == "U3'":
             assert self.symbol is not None and self.p4 is not None
             return self.p4.holds_in(color_graph(d, self.symbol))
@@ -204,27 +174,56 @@ class NotUltrametricError(ValueError):
         self.violation = violation
 
 
+def _first_u2(symbols: Sequence[int], n: int) -> tuple[int, int, int] | None:
+    """Lexicographically first vertex triple whose three pairs carry
+    three different symbols, else None."""
+    off = _row_offsets(n)
+    for x in range(n):
+        ox = off[x]
+        for y in range(x + 1, n):
+            oy = off[y]
+            a = symbols[ox + y]
+            for z in range(y + 1, n):
+                b = symbols[ox + z]
+                if b != a:
+                    c = symbols[oy + z]
+                    if c != a and c != b:
+                        return (x, y, z)
+    return None
+
+
+def _first_u3(symbols: Sequence[int], n: int) -> tuple[int, int, int, int] | None:
+    """Lexicographically first vertex quadruple violating U3, else None."""
+    off = _row_offsets(n)
+    for w in range(n):
+        ow = off[w]
+        for x in range(w + 1, n):
+            ox = off[x]
+            wx = symbols[ow + x]
+            for y in range(x + 1, n):
+                oy = off[y]
+                wy = symbols[ow + y]
+                xy = symbols[ox + y]
+                for z in range(y + 1, n):
+                    if _splits_u3(wx, wy, symbols[ow + z], xy, symbols[ox + z], symbols[oy + z]):
+                        return (w, x, y, z)
+    return None
+
+
 def _find_violation(symbols: Sequence[int], n: int):
     """Shared scan used by both the axiom checker and the partition oracle.
 
     Returns ("U2", triple) or ("U3", quadruple) for the
-    lexicographically first failing vertex tuple, else None.
+    lexicographically first failing vertex tuple, else None; every
+    triple comes before every quadruple.  Nothing is precomputed, so
+    the scan needs O(n) memory beyond the map.
     """
-    _, triples, quads = _pair_tables(n)
-    for i, j, k, verts in triples:
-        a, b, c = symbols[i], symbols[j], symbols[k]
-        if a != b and b != c and a != c:
-            return ("U2", verts)
-    for splits, verts in quads:
-        for side_a, side_b in splits:
-            a0 = symbols[side_a[0]]
-            if symbols[side_a[1]] != a0 or symbols[side_a[2]] != a0:
-                continue
-            b0 = symbols[side_b[0]]
-            if b0 == a0:
-                continue
-            if symbols[side_b[1]] == b0 and symbols[side_b[2]] == b0:
-                return ("U3", verts)
+    triple = _first_u2(symbols, n)
+    if triple is not None:
+        return ("U2", triple)
+    quad = _first_u3(symbols, n)
+    if quad is not None:
+        return ("U3", quad)
     return None
 
 
@@ -255,12 +254,9 @@ def check_via_graphs(d: SymbolicMap) -> AxiomViolation | None:
     symbol.  U3': every symbol graph is a cograph (checked through the
     recognizer, which supplies the induced-path witness on failure).
     """
-    _, triples, _ = _pair_tables(d.n)
-    symbols = d.pair_symbols
-    for i, j, k, verts in triples:
-        a, b, c = symbols[i], symbols[j], symbols[k]
-        if a != b and b != c and a != c:
-            return AxiomViolation(axiom="U2'", vertices=verts)
+    triple = _first_u2(d.pair_symbols, d.n)
+    if triple is not None:
+        return AxiomViolation(axiom="U2'", vertices=triple)
     if d.n >= 1:
         for m in range(d.num_symbols):
             result = recognize(color_graph(d, m))
@@ -296,7 +292,7 @@ def build_representation(d: SymbolicMap) -> Cotree:
                     if symbols[_pair_index(n, u, v)] != m:
                         adj[ai] |= 1 << local[v]
                         adj[local[v]] |= 1 << ai
-            comps = _mask_components(adj)
+            comps = _component_masks(adj, (1 << len(vertices)) - 1, False)
             if len(comps) > 1:
                 children = [
                     split(tuple(vertices[i] for i in _bits(comp))) for comp in comps
@@ -305,24 +301,6 @@ def build_representation(d: SymbolicMap) -> Cotree:
         raise AssertionError("no splitting symbol found for a representable map")
 
     return Cotree(split(tuple(range(n))))
-
-
-def _mask_components(adj: list[int]) -> list[int]:
-    full = (1 << len(adj)) - 1
-    comps = []
-    rest = full
-    while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                grow |= adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
-    return comps
 
 
 def tree_to_map(t: Cotree, num_symbols: int | None = None) -> SymbolicMap:
@@ -357,7 +335,7 @@ def delta_from_graph(g: Graph) -> SymbolicMap:
 
     It is tree-representable exactly when g is a cograph.
     """
-    pairs, _, _ = _pair_tables(g.n)
+    pairs = combinations(range(g.n), 2)
     return SymbolicMap(g.n, 2, [1 if g.has_edge(u, v) else 0 for u, v in pairs])
 
 
@@ -421,7 +399,7 @@ def search_separating_delta(
     """
     if g.n > 6:
         raise ValueError(f"exhaustive search is limited to 6 vertices, got {g.n}")
-    pairs, _, _ = _pair_tables(g.n)
+    pairs = list(combinations(range(g.n), 2))
     edge_positions = [i for i, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
     non_positions = [i for i, (u, v) in enumerate(pairs) if not g.has_edge(u, v)]
     if stats is not None:
@@ -457,30 +435,12 @@ def parse_symbolic_map(text: str) -> SymbolicMap:
     The diagonal must be ``-`` and symbols are tokens ``s0`` .. ``s(k-1)``;
     symmetry is validated, not assumed.
     """
-    lines = text.splitlines()
-    rows: list[tuple[int, list[str]]] = []
-    header: tuple[int, int] | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            fields = line.split()
-            if len(fields) != 2:
-                raise ValueError(f"line {lineno}: expected header 'n k', got {raw!r}")
-            try:
-                header = (int(fields[0]), int(fields[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: header values must be integers") from None
-            continue
-        rows.append((lineno, line.split()))
-    if header is None:
-        raise ValueError("line 1: missing 'n k' header")
-    n, k = header
+    (n, k), body = _read_rows(text, "n k")
+    rows = list(body)
     if len(rows) != n:
         raise ValueError(f"expected {n} matrix rows, found {len(rows)}")
     table: list[list[int | None]] = []
-    for x, (lineno, fields) in enumerate(rows):
+    for lineno, _, fields in rows:
         if len(fields) != n:
             raise ValueError(f"line {lineno}: expected {n} tokens, got {len(fields)}")
         row: list[int | None] = []
@@ -503,8 +463,7 @@ def parse_symbolic_map(text: str) -> SymbolicMap:
                 raise ValueError(f"off-diagonal entry ({x},{y}) must carry a symbol")
             if table[x][y] != table[y][x]:
                 raise ValueError(f"entries ({x},{y}) and ({y},{x}) are not symmetric")
-    pairs, _, _ = _pair_tables(n)
-    return SymbolicMap(n, k, [table[u][v] for u, v in pairs])
+    return SymbolicMap(n, k, [table[u][v] for u, v in combinations(range(n), 2)])
 
 
 def format_symbolic_map(d: SymbolicMap) -> str:

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 from cographkit import (
+    COVER,
     Cotree,
     Decomposition,
     Graph,
@@ -38,7 +39,7 @@ from cographkit import (
     vizing_partition,
 )
 from cographkit.gadgets import (
-    enumerate_two_class_covers,
+    enumerate_two_class_assignments,
     extended_literal_graph,
     extended_literal_partition,
     literal_graph,
@@ -165,11 +166,11 @@ def test_06_literal_gadgets_unique_two_cover():
         }
 
         # full 3^12 space, checked without pruning as the independent baseline
-        unpruned = enumerate_two_class_covers(lit, prune=False)
+        unpruned = enumerate_two_class_assignments(lit, COVER, prune=False)
         assert unpruned.completed
         assert set(unpruned.solutions) == expected
 
-        pruned = enumerate_two_class_covers(lit)
+        pruned = enumerate_two_class_assignments(lit, COVER)
         assert pruned.completed
         assert sorted(pruned.solutions) == sorted(unpruned.solutions)
 
@@ -188,7 +189,7 @@ def test_06_literal_gadgets_unique_two_cover():
                 for e in ext.edges
             ),
         }
-        ext_out = enumerate_two_class_covers(ext)
+        ext_out = enumerate_two_class_assignments(ext, COVER)
         assert ext_out.completed
         assert set(ext_out.solutions) == ext_expected
 
@@ -222,8 +223,8 @@ def test_07_clause_gadget_patterns_and_infeasibility():
         for j in range(3):
             for u, v in [(0, 1), (1, 2), (0, 2)]:
                 forced[(u + 9 * j, v + 9 * j)] = 1
-        out = enumerate_two_class_covers(
-            g, forced=forced, node_budget=CLAUSE_GADGET_NODE_BUDGET
+        out = enumerate_two_class_assignments(
+            g, COVER, forced=forced, node_budget=CLAUSE_GADGET_NODE_BUDGET
         )
         assert out.completed, "node budget must cover the full refutation"
         assert out.solutions == []

@@ -341,11 +341,3 @@ def test_bad_solver_parameters_exit_two():
     assert code == 2
     assert out == ""
     assert "k_max" in err
-
-
-def test_jobs_flag_accepted_and_validated():
-    code, _, _ = run_cli(["decompose", "--strategy", "exact", "--jobs", "1", "-"], stdin=K3_TEXT)
-    assert code == 0
-    code, _, err = run_cli(["decompose", "--jobs", "0", "-"], stdin=K3_TEXT)
-    assert code == 2
-    assert "--jobs" in err

@@ -13,7 +13,6 @@ from cographkit import (
     complement,
     cotree_to_graph,
     enumerate_induced_p4,
-    lca_label,
     parse_newick,
     random_cotree,
     recognize,
@@ -108,18 +107,18 @@ def test_complement_duality_flips_labels():
 
 def test_lca_label_of_identical_vertices_is_empty():
     t = recognize(complete_graph(3))
-    assert lca_label(t, 1, 1) is None
+    assert t.lca_label(1, 1) is None
 
 
 def test_lca_label_rejects_unknown_vertex():
     t = recognize(complete_graph(3))
     with pytest.raises(ValueError, match="unknown vertex 7"):
-        lca_label(t, 7, 1)
+        t.lca_label(7, 1)
 
 
 def test_lca_label_complete_graph_all_ones():
     t = recognize(complete_graph(3))
-    assert all(lca_label(t, x, y) == 1 for x in range(3) for y in range(3) if x != y)
+    assert all(t.lca_label(x, y) == 1 for x in range(3) for y in range(3) if x != y)
 
 
 def test_lca_label_agrees_with_reconstructed_edges():
@@ -130,7 +129,7 @@ def test_lca_label_agrees_with_reconstructed_edges():
         for x in range(g.n):
             for y in range(g.n):
                 expected = None if x == y else int(g.has_edge(x, y))
-                assert lca_label(t, x, y) == expected
+                assert t.lca_label(x, y) == expected
 
 
 def test_newick_worked_example():

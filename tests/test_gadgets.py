@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from cographkit import (
+    COVER,
     Decomposition,
     Graph,
     NaeFormula,
@@ -25,8 +26,7 @@ from cographkit import (
     validate,
 )
 from cographkit.gadgets import (
-    enumerate_two_class_covers,
-    enumerate_two_class_partitions,
+    enumerate_two_class_assignments,
     extended_literal_partition,
     literal_partition,
 )
@@ -125,7 +125,7 @@ def test_literal_exact_minimum_is_the_canonical_split():
 
 
 def test_literal_two_cover_solutions_are_the_split_and_its_swap():
-    out = enumerate_two_class_covers(literal_graph().graph)
+    out = enumerate_two_class_assignments(literal_graph().graph, COVER)
     assert out.completed
     expected = {masks_of(literal_partition()), masks_of(swap_classes(literal_partition()))}
     assert set(out.solutions) == expected
@@ -144,8 +144,8 @@ def test_literal_minimum_cover_is_the_partition():
 
 def test_literal_pruned_and_unpruned_enumerations_agree():
     g = literal_graph().graph
-    pruned = enumerate_two_class_covers(g)
-    unpruned = enumerate_two_class_covers(g, prune=False)
+    pruned = enumerate_two_class_assignments(g, COVER)
+    unpruned = enumerate_two_class_assignments(g, COVER, prune=False)
     assert sorted(pruned.solutions) == sorted(unpruned.solutions)
     assert unpruned.nodes > pruned.nodes
 
@@ -169,7 +169,7 @@ def test_extended_partition_validates_and_is_minimal():
 
 
 def test_extended_two_cover_solutions_are_unique_up_to_swap():
-    out = enumerate_two_class_covers(extended_literal_graph().graph)
+    out = enumerate_two_class_assignments(extended_literal_graph().graph, COVER)
     assert out.completed
     d = extended_literal_partition()
     assert set(out.solutions) == {masks_of(d), masks_of(swap_classes(d))}
@@ -218,13 +218,13 @@ def test_clause_forced_all_equal_triangles_has_no_completion():
     for j in range(3):
         for u, v in [(0, 1), (1, 2), (0, 2)]:
             forced[(u + 9 * j, v + 9 * j)] = 1
-    out = enumerate_two_class_covers(g, forced=forced, node_budget=30_000_000)
+    out = enumerate_two_class_assignments(g, COVER, forced=forced, node_budget=30_000_000)
     assert out.completed
     assert out.solutions == []
 
 
 def test_clause_partitions_put_exactly_two_triangles_together():
-    out = enumerate_two_class_partitions(clause_gadget().graph, node_budget=30_000_000)
+    out = enumerate_two_class_assignments(clause_gadget().graph, PARTITION, node_budget=30_000_000)
     assert out.completed
     assert len(out.solutions) == 6
     g = clause_gadget().graph

@@ -2,7 +2,8 @@
 and the exhaustive separating-map search."""
 
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, permutations
 
 import pytest
 
@@ -45,6 +46,22 @@ def forbidden_quadruple_map():
         (1, 3): 1,
     }
     return SymbolicMap.from_pairs(4, 2, assignment)
+
+
+def first_violation_by_brute_force(d):
+    """The first triple with three symbols, else the first quadruple
+    whose pairs split into two complementary 3-edge paths under two
+    different symbols, both in lexicographic order."""
+    for x, y, z in combinations(range(d.n), 3):
+        if len({d.value(x, y), d.value(x, z), d.value(y, z)}) == 3:
+            return AxiomViolation(axiom="U2", vertices=(x, y, z))
+    for quad in combinations(range(d.n), 4):
+        for a, b, c, e in permutations(quad):
+            path = {d.value(a, b), d.value(b, c), d.value(c, e)}
+            rest = {d.value(a, c), d.value(b, e), d.value(a, e)}
+            if len(path) == len(rest) == 1 and path != rest:
+                return AxiomViolation(axiom="U3", vertices=quad)
+    return None
 
 
 def test_map_construction_validates_length():
@@ -132,10 +149,27 @@ def test_color_graphs_partition_the_pairs():
 
 
 def test_checkers_agree_on_random_maps():
+    # two-symbol maps never break U2, so they reach the quadruple scan
     rng = random.Random(22)
-    for _ in range(3000):
-        d = SymbolicMap(6, 3, [rng.randrange(3) for _ in range(15)])
-        assert (check_axioms(d) is None) == (check_via_graphs(d) is None)
+    for k, count in ((3, 3000), (2, 1000)):
+        for _ in range(count):
+            d = SymbolicMap(6, k, [rng.randrange(k) for _ in range(15)])
+            violation = check_axioms(d)
+            assert (violation is None) == (check_via_graphs(d) is None)
+            assert violation == first_violation_by_brute_force(d)
+            assert violation is None or violation.recheck(d)
+
+
+def test_axiom_scan_builds_no_tables():
+    # a table of every quadruple at this size takes about 200 MB
+    d = tree_to_map(random_labeled_tree(40, 3, random.Random(26)))
+    tracemalloc.start()
+    try:
+        assert check_axioms(d) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_check_via_graphs_flags_forbidden_pattern():
