@@ -189,9 +189,10 @@ def _cmd_ultrametric_represent(args):
 def _cmd_decompose(args):
     g = _read_graph(args.graph)
     if args.strategy in ("vizing", "greedy"):
-        d = decomp.vizing_partition(g) if args.strategy == "vizing" else decomp.greedy_partition(g)
+        merging: dict = {}
+        d = decomp.vizing_partition(g) if args.strategy == "vizing" else decomp.greedy_partition(g, merging)
         payload = decomp.decomposition_to_json(d)
-        stats = {"strategy": args.strategy, "k": d.k, "nodes": 0}
+        stats = {"strategy": args.strategy, "k": d.k, "nodes": 0, **merging}
         return EXIT_OK, "decomposed", payload, stats, f"{args.strategy}: k={d.k}"
     k_max = args.k_max if args.k_max is not None else max(1, g.max_degree() + 1)
     solve = decomp.exact_min_partition if args.mode == decomp.PARTITION else decomp.exact_min_cover
@@ -230,9 +231,10 @@ def _cmd_coarsen(args):
     if fault is not None:
         payload = {"kind": fault.kind, "detail": fault.detail or str(fault)}
         return EXIT_NEGATIVE, "invalid", payload, {}, f"input decomposition invalid: {fault.kind}"
-    coarse = decomp.coarsen(d)
+    merging: dict = {}
+    coarse = decomp.coarsen(d, merging)
     payload = decomp.decomposition_to_json(coarse)
-    return EXIT_OK, "coarsened", payload, {"k": coarse.k}, f"coarsened to k={coarse.k}"
+    return EXIT_OK, "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
 
 
 def _gadget_payload(gg: gadgets.GadgetGraph) -> dict:

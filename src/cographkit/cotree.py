@@ -171,39 +171,49 @@ def check_structure(t: Cotree, binary: bool = False) -> None:
                 raise ValueError(f"inner node {ch} repeats its parent's label {lab}")
 
 
-class _FoundP4(Exception):
-    def __init__(self, witness: P4Witness) -> None:
-        self.witness = witness
+class _Prime(Exception):
+    """Raised by ``_split`` on a vertex set of two or more vertices that is
+    connected in both the graph and its complement."""
+
+    def __init__(self, mask: int) -> None:
+        self.mask = mask
+
+
+def _split(adj, mask: int) -> Nested:
+    """Nested cotree of the subgraph induced on ``mask``.
+
+    ``adj[v]`` is the adjacency bitmask of each vertex v in ``mask`` (a
+    list, a tuple or a dict).  A disconnected part becomes a 0-node over
+    its components, a part with disconnected complement a 1-node over its
+    co-components; a part that is neither raises ``_Prime``, since such a
+    part contains an induced P4.  An empty mask raises nothing.
+    """
+    if mask & (mask - 1) == 0:
+        return mask.bit_length() - 1
+    comps = _component_masks(adj, mask, in_complement=False)
+    if len(comps) > 1:
+        return (0, [_split(adj, c) for c in comps])
+    cocomps = _component_masks(adj, mask, in_complement=True)
+    if len(cocomps) > 1:
+        return (1, [_split(adj, c) for c in cocomps])
+    raise _Prime(mask)
 
 
 def recognize(g: Graph) -> Cotree | P4Witness:
     """Canonical cotree of g, or an induced-path witness if g is not a cograph.
 
-    Recursive split: a disconnected graph becomes a 0-node over its
-    components, a graph with disconnected complement a 1-node over its
-    co-components; a graph that is neither (with more than one vertex)
-    contains an induced P4, extracted by brute force on exactly that
-    irreducible part.
+    Recursive split (``_split``): a disconnected graph becomes a 0-node
+    over its components, a graph with disconnected complement a 1-node
+    over its co-components; a graph that is neither (with more than one
+    vertex) contains an induced P4, extracted by brute force on exactly
+    that irreducible part.
     """
     if g.n == 0:
         raise ValueError("recognition needs at least one vertex")
-    adj = g._adj
-
-    def split(mask: int) -> Nested:
-        if mask & (mask - 1) == 0:
-            return mask.bit_length() - 1
-        comps = _component_masks(adj, mask, in_complement=False)
-        if len(comps) > 1:
-            return (0, [split(c) for c in comps])
-        cocomps = _component_masks(adj, mask, in_complement=True)
-        if len(cocomps) > 1:
-            return (1, [split(c) for c in cocomps])
-        raise _FoundP4(_witness_in(g, mask))
-
     try:
-        return Cotree(split((1 << g.n) - 1))
-    except _FoundP4 as hit:
-        return hit.witness
+        return Cotree(_split(g._adj, (1 << g.n) - 1))
+    except _Prime as hit:
+        return _witness_in(g, hit.mask)
 
 
 def _witness_in(g: Graph, mask: int) -> P4Witness:

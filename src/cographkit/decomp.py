@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .cotree import recognize
-from .graph import Graph, P4Witness, _bits, hypercube
+from .cotree import _Prime, _split, recognize
+from .graph import Graph, P4Witness, hypercube
 
 __all__ = [
     "PARTITION",
@@ -125,15 +125,15 @@ def validate(d: Decomposition) -> ValidationFault | None:
     return None
 
 
-def _is_cograph(n: int, edges) -> bool:
-    if n == 0:
-        return True
-    return not isinstance(recognize(Graph(n, edges)), P4Witness)
-
-
 # ---------------------------------------------------------------------------
 # proper edge coloring (fan rotation / alternating path recoloring)
 # ---------------------------------------------------------------------------
+
+
+def _free_color(taken: int) -> int:
+    """Smallest color c >= 1 whose bit is clear in ``taken``."""
+    taken |= 1
+    return (~taken & (taken + 1)).bit_length() - 1
 
 
 def vizing_partition(g: Graph) -> Decomposition:
@@ -142,92 +142,95 @@ def vizing_partition(g: Graph) -> Decomposition:
     Uses the Misra-Gries fan/rotation scheme, so the bound holds for
     every input; each color class is a matching and therefore a cograph.
     An edgeless graph yields the single empty class, keeping k total.
+    Classes come out in ascending color order.
     """
     if not g.edges:
         return Decomposition(g, (frozenset(),), PARTITION)
     palette = g.max_degree() + 1
-    color: dict[Edge, int] = {}
-    at: list[dict[int, int]] = [dict() for _ in range(g.n)]
-
-    def free_color(v: int) -> int:
-        for c in range(1, palette + 1):
-            if c not in at[v]:
-                return c
-        raise AssertionError("palette exhausted")
-
-    def assign(u: int, v: int, c: int) -> None:
-        e = _canon_edge((u, v))
-        old = color.get(e)
-        if old is not None:
-            del at[u][old]
-            del at[v][old]
-        color[e] = c
-        at[u][c] = v
-        at[v][c] = u
-
-    def unassign(u: int, v: int) -> None:
-        c = color.pop(_canon_edge((u, v)))
-        del at[u][c]
-        del at[v][c]
+    at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # color -> neighbor
+    used = [0] * g.n  # bit c set when color c (1..palette) is taken at v
 
     for u, v in g.edges:
         # maximal fan of u starting at v: each next fan edge's color is
-        # free at the previous fan vertex
-        fan = [v]
-        in_fan = {v}
+        # free at the previous fan vertex; the lowest such color wins
+        at_u = at[u]
+        fan_colors = [0]  # fan_colors[i] is the color of edge u-fan[i], i > 0
+        avail = used[u]
+        last = v
         while True:
-            last = fan[-1]
-            nxt = None
-            for c in sorted(at[u]):
-                w = at[u][c]
-                if w not in in_fan and c not in at[last]:
-                    nxt = w
-                    break
-            if nxt is None:
+            cand = avail & ~used[last]
+            if not cand:
                 break
-            fan.append(nxt)
-            in_fan.add(nxt)
-        c = free_color(u)
-        d = free_color(fan[-1])
-        if d != c and d in at[u]:
-            # invert the maximal alternating d/c path starting at u
+            low = cand & -cand
+            avail ^= low
+            col = low.bit_length() - 1
+            fan_colors.append(col)
+            last = at_u[col]
+        c = _free_color(used[u])
+        d = _free_color(used[last])
+        assert max(c, d) <= palette, "palette exhausted"
+        if d != c and used[u] >> d & 1:
+            # swap d and c on the maximal alternating d/c path starting at u
             path = []
             x, col = u, d
             while col in at[x]:
                 y = at[x][col]
                 path.append((x, y, col))
                 x, col = y, (c if col == d else d)
-            for x, y, _ in path:
-                unassign(x, y)
+            # interior path vertices keep both colors; the two ends swap one
+            used[u] ^= 1 << c | 1 << d
+            used[x] ^= 1 << c | 1 << d
             for x, y, col in path:
-                assign(x, y, c if col == d else d)
-            assert d not in at[u]
+                del at[x][col]
+                del at[y][col]
+            for x, y, col in path:
+                col = c if col == d else d
+                at[x][col] = y
+                at[y][col] = x
+            assert not used[u] >> d & 1
+            # of the edges at u, only its former d-edge changed color
+            if d in fan_colors:
+                fan_colors[fan_colors.index(d)] = c
         # first fan vertex with d free, over a prefix that is still a fan
+        fan = [v]
         j = None
-        for i, w in enumerate(fan):
-            if i > 0 and color[_canon_edge((u, fan[i]))] in at[fan[i - 1]]:
-                break
-            if d not in at[w]:
+        for i, col in enumerate(fan_colors):
+            if i > 0:
+                if used[fan[-1]] >> col & 1:
+                    break
+                fan.append(at_u[col])
+            if not used[fan[-1]] >> d & 1:
                 j = i
                 break
         assert j is not None, "fan rotation target must exist"
-        shifted = [color[_canon_edge((u, fan[i]))] for i in range(1, j + 1)]
+        # rotate: edge u-fan[i] takes the color of u-fan[i + 1], u-fan[j] takes d
         for i in range(1, j + 1):
-            unassign(u, fan[i])
-        for i in range(j):
-            assign(u, fan[i], shifted[i])
-        assign(u, fan[j], d)
+            col = fan_colors[i]
+            w, prev = fan[i], fan[i - 1]
+            at_u[col] = prev
+            at[prev][col] = u
+            used[prev] |= 1 << col
+            del at[w][col]
+            used[w] ^= 1 << col
+        w = fan[j]
+        at_u[d] = w
+        at[w][d] = u
+        used[w] |= 1 << d
+        used[u] |= 1 << d
 
-    used = sorted(set(color.values()))
-    classes = tuple(
-        frozenset(e for e, c in color.items() if c == want) for want in used
-    )
+    buckets: dict[int, list[Edge]] = {}
+    for x in range(g.n):
+        for col, y in at[x].items():
+            if x < y:
+                buckets.setdefault(col, []).append((x, y))
+    classes = tuple(frozenset(buckets[col]) for col in sorted(buckets))
     return Decomposition(g, classes, PARTITION)
 
 
-def greedy_partition(g: Graph) -> Decomposition:
-    """Proper-coloring partition coarsened by greedy class merging."""
-    return coarsen(vizing_partition(g))
+def greedy_partition(g: Graph, stats: dict | None = None) -> Decomposition:
+    """Proper-coloring partition coarsened by greedy class merging;
+    ``stats`` is handed to ``coarsen``."""
+    return coarsen(vizing_partition(g), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -236,38 +239,72 @@ def greedy_partition(g: Graph) -> Decomposition:
 
 
 def _first_cograph_union(
-    n: int, classes: Sequence[frozenset[Edge]]
+    classes: Sequence[frozenset[Edge]], stats: dict | None = None
 ) -> tuple[tuple[int, ...], frozenset[Edge]] | None:
     """First subset of two or more classes whose union is induced-path
     free, smallest subsets first and lexicographic within a size, with
-    that union; None when there is none.  Walks up to all 2^k subsets."""
+    that union; None when there is none.  Walks up to all 2^k subsets.
+
+    Each class becomes a ``{vertex: adjacency mask}`` map once; a subset
+    ORs the maps of its classes and recognizes the union on the vertices
+    it touches (an isolated vertex lies on no induced path).  ``stats``,
+    when given, has its ``unions_tested`` count raised once per subset.
+    """
+    adjs: list[dict[int, int]] = []
+    touched: list[int] = []
+    for cls in classes:
+        adj: dict[int, int] = {}
+        for u, v in cls:
+            adj[u] = adj.get(u, 0) | 1 << v
+            adj[v] = adj.get(v, 0) | 1 << u
+        adjs.append(adj)
+        touched.append(sum(1 << v for v in adj))
     for size in range(2, len(classes) + 1):
         for subset in combinations(range(len(classes)), size):
-            union = frozenset().union(*(classes[i] for i in subset))
-            if _is_cograph(n, union):
-                return subset, union
+            if stats is not None:
+                stats["unions_tested"] += 1
+            union = adjs[subset[0]].copy()
+            mask = touched[subset[0]]
+            for i in subset[1:]:
+                mask |= touched[i]
+                for v, nb in adjs[i].items():
+                    union[v] = union.get(v, 0) | nb
+            try:
+                _split(union, mask)
+            except _Prime:
+                continue
+            return subset, frozenset().union(*(classes[i] for i in subset))
     return None
 
 
-def coarsen(d: Decomposition) -> Decomposition:
+def coarsen(d: Decomposition, stats: dict | None = None) -> Decomposition:
     """Merge classes while some union of classes stays induced-path free.
 
     Repeatedly replaces the lexicographically first mergeable subset
     (smallest subsets first) by its union, so the result is coarsest and
-    deterministic.  Invalid input is rejected.
+    deterministic.  Invalid input is rejected.  Unlike ``is_coarsest``
+    there is no limit on k: each merge round may walk all 2^k subsets.
+
+    ``stats``, when given, receives ``unions_tested`` (class subsets whose
+    union was recognized) and ``merges`` (subsets replaced by their union).
     """
     fault = validate(d)
     if fault is not None:
         raise ValueError(f"cannot coarsen an invalid decomposition: {fault}")
+    if stats is not None:
+        stats["unions_tested"] = 0
+        stats["merges"] = 0
     classes = list(d.classes)
     while len(classes) > 1:
-        merged = _first_cograph_union(d.host.n, classes)
+        merged = _first_cograph_union(classes, stats)
         if merged is None:
             break
         subset, union = merged
         keep = [cls for i, cls in enumerate(classes) if i not in subset]
         keep.insert(subset[0], union)
         classes = keep
+        if stats is not None:
+            stats["merges"] += 1
     return Decomposition(d.host, tuple(classes), d.mode)
 
 
@@ -281,7 +318,7 @@ def is_coarsest(d: Decomposition) -> bool:
         raise ValueError(f"cannot test an invalid decomposition: {fault}")
     if d.k > 20:
         raise ValueError(f"subset scan limited to 20 classes, got {d.k}")
-    return _first_cograph_union(d.host.n, d.classes) is None
+    return _first_cograph_union(d.classes) is None
 
 
 # ---------------------------------------------------------------------------
@@ -759,26 +796,41 @@ def decomposition_to_json(d: Decomposition) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decomposition:
     """Rebuild a decomposition; without an explicit host the vertex count
-
     comes from "n" and the host edges are the union of the classes.
+
+    Malformed input raises ValueError: "classes" must be a list of
+    classes, each a list of [u, v] integer pairs, and "n" must be an
+    integer.
     """
     if not isinstance(obj, dict):
         raise ValueError("decomposition JSON must be an object")
     for field in ("mode", "k", "classes"):
         if field not in obj:
             raise ValueError(f"decomposition JSON is missing {field!r}")
-    classes = tuple(
-        frozenset(_canon_edge((int(u), int(v))) for u, v in cls) for cls in obj["classes"]
-    )
+    raw = obj["classes"]
+    if not isinstance(raw, (list, tuple)) or not all(
+        isinstance(cls, (list, tuple))
+        and all(isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) for e in cls)
+        for cls in raw
+    ):
+        raise ValueError("decomposition JSON \"classes\" must be a list of lists of [u, v] integer pairs")
+    classes = tuple(frozenset(_canon_edge((u, v)) for u, v in cls) for cls in raw)
     if obj["k"] != len(classes):
         raise ValueError(f"declared k={obj['k']} but found {len(classes)} classes")
+    n = obj.get("n")
+    if "n" in obj and not _is_int(n):
+        raise ValueError(f"decomposition JSON \"n\" must be an integer, got {n!r}")
     if host is None:
-        if "n" not in obj:
+        if n is None:
             raise ValueError("decomposition JSON needs \"n\" when no host graph is given")
         union = sorted(set().union(*classes)) if classes else []
-        host = Graph(int(obj["n"]), union)
-    elif "n" in obj and int(obj["n"]) != host.n:
-        raise ValueError(f"declared n={obj['n']} does not match the host graph ({host.n})")
+        host = Graph(n, union)
+    elif n is not None and n != host.n:
+        raise ValueError(f"declared n={n} does not match the host graph ({host.n})")
     return Decomposition(host, classes, obj["mode"])

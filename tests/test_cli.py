@@ -250,6 +250,14 @@ def test_decompose_greedy_coarsens():
     assert report_of(out)["payload"]["k"] == 1
 
 
+def test_decompose_greedy_reports_coarsening_counts():
+    # the three color classes of a triangle merge pairwise in two rounds
+    code, out, _ = run_cli(["decompose", "--strategy", "greedy", "-"], stdin=K3_TEXT)
+    assert code == 0
+    stats = report_of(out)["stats"]
+    assert (stats["unions_tested"], stats["merges"]) == (2, 2)
+
+
 def test_coarsen_decomposition_json():
     # two singleton classes of a triangle merge into one
     obj = {
@@ -261,6 +269,42 @@ def test_coarsen_decomposition_json():
     code, out, _ = run_cli(["coarsen", "-"], stdin=json.dumps(obj))
     assert code == 0
     assert report_of(out)["payload"]["k"] == 1
+
+
+def test_coarsen_reports_unions_tested_and_merges():
+    obj = {"mode": "partition", "k": 3, "n": 4, "classes": [[[0, 1]], [[1, 2]], [[2, 3]]]}
+    code, out, _ = run_cli(["coarsen", "-"], stdin=json.dumps(obj))
+    assert code == 0
+    doc = report_of(out)
+    # 01+12 merge; the path 01+12+23 is not a cograph, so the scan stops
+    assert doc["payload"]["k"] == 2
+    assert (doc["stats"]["unions_tested"], doc["stats"]["merges"]) == (2, 1)
+
+
+MALFORMED_DECOMPOSITIONS = [
+    {"mode": "partition", "k": 1, "n": 3, "classes": [5]},
+    {"mode": "partition", "k": 1, "n": None, "classes": [[[0, 1]]]},
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_DECOMPOSITIONS)
+def test_coarsen_malformed_decomposition_exits_two(obj):
+    code, out, err = run_cli(["coarsen", "-"], stdin=json.dumps(obj))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("obj", MALFORMED_DECOMPOSITIONS)
+def test_reduce_from_partition_malformed_decomposition_exits_two(tmp_path, obj):
+    formula = tmp_path / "f.nae"
+    formula.write_text("3 1\n0 1 2\n")
+    code, out, err = run_cli(
+        ["reduce", "from-partition", "--formula", str(formula), "-"], stdin=json.dumps(obj)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_coarsen_invalid_decomposition_exits_one():

@@ -32,7 +32,16 @@ from cographkit import (
     validate,
     vizing_partition,
 )
-from helpers import all_graphs, clique_with_pendant_path, complete_graph, cycle_graph, path_graph
+from helpers import (
+    all_graphs,
+    clique_with_pendant_path,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_coarsen,
+    reference_first_cograph_union,
+    reference_vizing_partition,
+)
 
 
 def single_class(g: Graph, mode=PARTITION) -> Decomposition:
@@ -172,6 +181,17 @@ def test_vizing_random_graphs_proper_and_bounded():
         assert validate(d) is None
 
 
+def test_vizing_matches_sorted_fan_reference():
+    # the bitset fan scan must pick the same fan vertices, free colors and
+    # rotations as the sorted scan, so the classes are equal, not just valid
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    rng = random.Random(33)
+    graphs += [random_graph(rng.randint(1, 40), rng.uniform(0.05, 0.9), rng) for _ in range(300)]
+    graphs.append(random_graph(120, 0.3, rng))
+    for g in graphs:
+        assert vizing_partition(g).classes == reference_vizing_partition(g).classes, g.edges
+
+
 # ---------------------------------------------------------------------------
 # coarsening
 # ---------------------------------------------------------------------------
@@ -205,6 +225,39 @@ def test_coarsen_output_is_coarsest():
         coarse = coarsen(vizing_partition(g))
         assert validate(coarse) is None
         assert is_coarsest(coarse)
+
+
+def _coarsening_inputs():
+    """Vizing and singleton partitions of every graph on at most 5 vertices
+    and of seeded random graphs on at most 8 vertices."""
+    rng = random.Random(34)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(rng.randint(1, 8), rng.uniform(0.1, 0.9), rng) for _ in range(300)]
+    for g in graphs:
+        yield vizing_partition(g)
+        if 2 <= g.m <= 12:
+            yield Decomposition(g, tuple(frozenset([e]) for e in g.edges), PARTITION)
+
+
+def test_coarsen_matches_graph_building_reference():
+    for d in _coarsening_inputs():
+        coarse = coarsen(d)
+        assert coarse.classes == reference_coarsen(d).classes, d.classes
+        assert is_coarsest(d) == (reference_first_cograph_union(d.host.n, d.classes) is None)
+        assert is_coarsest(coarse)
+
+
+def test_coarsen_stats_count_unions_and_merges():
+    g = complete_graph(4)
+    d = Decomposition(g, tuple(frozenset([e]) for e in g.edges), PARTITION)
+    stats = {}
+    assert coarsen(d, stats).k == 1
+    # every pair of single edges is a cograph, so each round merges the
+    # first pair it tests: six classes take five rounds of one union each
+    assert stats == {"unions_tested": 5, "merges": 5}
+    stats = {}
+    assert coarsen(layers_partition(2), stats).k == 2
+    assert stats == {"unions_tested": 1, "merges": 0}
 
 
 def test_greedy_partition_is_coarsened_coloring():
@@ -520,6 +573,13 @@ def test_decomposition_json_with_explicit_host():
         ({"mode": PARTITION, "classes": []}, "missing 'k'"),
         ({"mode": PARTITION, "k": 2, "classes": [[[0, 1]]]}, "declared k=2"),
         ({"mode": PARTITION, "k": 1, "classes": [[[0, 1]]]}, 'needs "n"'),
+        ({"mode": PARTITION, "k": 1, "n": 3, "classes": [5]}, "list of lists of"),
+        ({"mode": PARTITION, "k": 1, "n": 3, "classes": [[[0, 1, 2]]]}, "list of lists of"),
+        ({"mode": PARTITION, "k": 1, "n": 3, "classes": 7}, "list of lists of"),
+        ({"mode": PARTITION, "k": 1, "n": 3, "classes": [[[0, None]]]}, "integer pairs"),
+        ({"mode": PARTITION, "k": 1, "n": 3, "classes": [[[0.9, 1.7]]]}, "integer pairs"),
+        ({"mode": PARTITION, "k": 1, "n": None, "classes": [[[0, 1]]]}, '"n" must be an integer'),
+        ({"mode": PARTITION, "k": 1, "n": "3", "classes": [[[0, 1]]]}, '"n" must be an integer'),
     ],
 )
 def test_decomposition_json_errors(obj, match):
