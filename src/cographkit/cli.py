@@ -4,7 +4,7 @@ Every invocation prints exactly one JSON report on stdout (command echo,
 verdict, payload, statistics) and a short human summary on stderr.
 Exit codes: 0 positive verdict / success, 1 negative verdict (not a
 cograph, infeasible, failed certificate extraction), 2 usage or input
-error, 3 node budget exhausted.
+error, 3 node budget exhausted, 4 internal error (no report is written).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -39,12 +40,6 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _unwrap_payload(doc):
-    if isinstance(doc, dict) and "payload" in doc:
-        return doc["payload"]
-    return doc
-
-
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "m": len(g.edges), "edges": [[u, v] for u, v in g.edges]}
 
@@ -53,33 +48,34 @@ def graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InputError("graph JSON needs \"n\" and \"edges\"")
     try:
-        return Graph(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
+        return Graph(obj["n"], obj["edges"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad graph JSON: {exc}") from exc
 
 
+def _json_payload(path: str, text: str):
+    """Decoded JSON text; the ``payload`` when it is a report of this CLI."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    if isinstance(doc, dict) and "payload" in doc:
+        return doc["payload"]
+    return doc
+
+
 def _read_graph(path: str) -> Graph:
     text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-        return graph_from_json(_unwrap_payload(doc))
+    if text.lstrip().startswith("{"):
+        return graph_from_json(_json_payload(path, text))
     try:
         return parse_edge_list(text)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _read_json(path: str) -> dict:
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return _unwrap_payload(doc)
+def _read_json(path: str):
+    return _json_payload(path, _read_text(path))
 
 
 def _witness_payload(witness: P4Witness) -> dict:
@@ -376,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     report = {
         "command": args.command,
         "argv": argv,

@@ -3,7 +3,8 @@
 A tree here is a rooted structure whose leaves are bound one-to-one to
 graph vertices and whose inner nodes carry small integer labels.
 Cographs use the binary alphabet (0 = disjoint union, 1 = join); the
-symbolic-map machinery reuses the same structure with larger alphabets.
+symbolic-map machinery reuses the same structure and split (``_split``)
+with larger alphabets.  No code here recurses: trees of any depth work.
 
 Canonical form: no inner node repeats its parent's label, every inner
 node has at least two children, and children are ordered by their
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Union
 
-from .graph import Graph, P4Witness, _bits, _component_masks, first_induced_p4
+from .graph import Graph, P4Witness, _first_component, first_induced_p4
 
 __all__ = [
     "Cotree",
@@ -47,12 +48,16 @@ class Cotree:
         label: list[int | None] = []
         leaf_vertex: list[int | None] = []
         depth: list[int] = []
-
-        def build(node: Nested, par: int, dep: int) -> int:
+        # popping children in order numbers the nodes in preorder
+        stack: list[tuple[Nested, int, int]] = [(nested, -1, 0)]
+        while stack:
+            node, par, dep = stack.pop()
             idx = len(parent)
             parent.append(par)
-            children.append(())
+            children.append([])
             depth.append(dep)
+            if par >= 0:
+                children[par].append(idx)
             if isinstance(node, int) and not isinstance(node, bool):
                 label.append(None)
                 leaf_vertex.append(node)
@@ -64,15 +69,11 @@ class Cotree:
             ):
                 label.append(node[0])
                 leaf_vertex.append(None)
-                kids = [build(ch, idx, dep + 1) for ch in node[1]]
-                children[idx] = tuple(kids)
+                stack.extend((ch, idx, dep + 1) for ch in reversed(list(node[1])))
             else:
                 raise ValueError(f"malformed tree node {node!r}")
-            return idx
-
-        build(nested, -1, 0)
         self.parent = tuple(parent)
-        self.children = tuple(children)
+        self.children = tuple(map(tuple, children))
         self.label = tuple(label)
         self.leaf_vertex = tuple(leaf_vertex)
         self._depth = tuple(depth)
@@ -122,14 +123,6 @@ class Cotree:
             return None
         return self.label[self.lca(x, y)]
 
-    def to_nested(self) -> Nested:
-        def rebuild(idx: int) -> Nested:
-            if self.leaf_vertex[idx] is not None:
-                return self.leaf_vertex[idx]
-            return (self.label[idx], [rebuild(c) for c in self.children[idx]])
-
-        return rebuild(0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cotree):
             return NotImplemented
@@ -172,46 +165,66 @@ def check_structure(t: Cotree, binary: bool = False) -> None:
 
 
 class _Prime(Exception):
-    """Raised by ``_split`` on a vertex set of two or more vertices that is
-    connected in both the graph and its complement."""
+    """Raised by ``_split`` on a part of two or more vertices that no
+    splitter divides (for a cograph test: an induced P4 lies in it)."""
 
     def __init__(self, mask: int) -> None:
         self.mask = mask
 
 
-def _split(adj, mask: int) -> Nested:
-    """Nested cotree of the subgraph induced on ``mask``.
+def _split(splitters, mask: int) -> Nested:
+    """Nested tree of the part ``mask``, split top-down on an explicit stack.
 
-    ``adj[v]`` is the adjacency bitmask of each vertex v in ``mask`` (a
-    list, a tuple or a dict).  A disconnected part becomes a 0-node over
-    its components, a part with disconnected complement a 1-node over its
-    co-components; a part that is neither raises ``_Prime``, since such a
-    part contains an induced P4.  An empty mask raises nothing.
+    ``splitters`` lists ``(label, adj, in_complement)`` in the order tried,
+    with ``adj[v]`` the adjacency bitmask of each v in ``mask``.  A part
+    becomes a node labeled by the first splitter whose graph (or its
+    complement) disconnects it, over its components, each split before the
+    next is found, lowest vertex first, without retrying that splitter.
+    A part no splitter divides raises ``_Prime``; an empty mask raises nothing.
     """
-    if mask & (mask - 1) == 0:
-        return mask.bit_length() - 1
-    comps = _component_masks(adj, mask, in_complement=False)
-    if len(comps) > 1:
-        return (0, [_split(adj, c) for c in comps])
-    cocomps = _component_masks(adj, mask, in_complement=True)
-    if len(cocomps) > 1:
-        return (1, [_split(adj, c) for c in cocomps])
-    raise _Prime(mask)
+    stack: list[list] = []  # open nodes: [splitter index, rest of the part, children]
+    part, skip = mask, -1
+    while True:
+        if part & (part - 1):
+            for i, (_, adj, in_complement) in enumerate(splitters):
+                if i != skip:
+                    comp = _first_component(adj, part, in_complement)
+                    if comp != part:
+                        break
+            else:
+                raise _Prime(part)
+            stack.append([i, part ^ comp, []])
+            part, skip = comp, i
+            continue
+        node: Nested = part.bit_length() - 1
+        while stack:
+            i, rest, kids = top = stack[-1]
+            kids.append(node)
+            if rest:
+                _, adj, in_complement = splitters[i]
+                part = _first_component(adj, rest, in_complement)
+                top[1] = rest ^ part
+                skip = i
+                break
+            stack.pop()
+            node = (splitters[i][0], kids)
+        else:
+            return node
 
 
 def recognize(g: Graph) -> Cotree | P4Witness:
     """Canonical cotree of g, or an induced-path witness if g is not a cograph.
 
-    Recursive split (``_split``): a disconnected graph becomes a 0-node
-    over its components, a graph with disconnected complement a 1-node
-    over its co-components; a graph that is neither (with more than one
-    vertex) contains an induced P4, extracted by brute force on exactly
-    that irreducible part.
+    ``_split`` with the graph as splitter 0 and its complement as
+    splitter 1: a disconnected part becomes a 0-node over its components,
+    a part with disconnected complement a 1-node over its co-components;
+    a part that is neither (with more than one vertex) contains an
+    induced P4, extracted by brute force on the first such part.
     """
     if g.n == 0:
         raise ValueError("recognition needs at least one vertex")
     try:
-        return Cotree(_split(g._adj, (1 << g.n) - 1))
+        return Cotree(_split(((0, g._adj, False), (1, g._adj, True)), (1 << g.n) - 1))
     except _Prime as hit:
         return _witness_in(g, hit.mask)
 
@@ -226,6 +239,19 @@ def _witness_in(g: Graph, mask: int) -> P4Witness:
     return witness
 
 
+def _leaf_groups(t: Cotree) -> Iterator[tuple[int, list[list[int]]]]:
+    """Yield ``(label, leaves under each child)`` for every inner node,
+    children before parents: preorder ids read backwards."""
+    below: dict[int, list[int]] = {}
+    for idx in range(t.num_nodes - 1, -1, -1):
+        if t.leaf_vertex[idx] is not None:
+            below[idx] = [t.leaf_vertex[idx]]
+            continue
+        groups = [below.pop(c) for c in t.children[idx]]
+        yield t.label[idx], groups
+        below[idx] = [v for grp in groups for v in grp]
+
+
 def cotree_to_graph(t: Cotree) -> Graph:
     """Graph whose edges are the leaf pairs whose lca is labeled 1.
 
@@ -238,31 +264,24 @@ def cotree_to_graph(t: Cotree) -> Graph:
     if verts != tuple(range(n)):
         raise ValueError(f"leaf vertices must be exactly 0..{n - 1}, got {verts}")
     edges: list[tuple[int, int]] = []
-
-    def leaves_below(idx: int) -> list[int]:
-        if t.leaf_vertex[idx] is not None:
-            return [t.leaf_vertex[idx]]
-        groups = [leaves_below(c) for c in t.children[idx]]
-        if t.label[idx] == 1:
+    for lab, groups in _leaf_groups(t):
+        if lab == 1:
             for i in range(len(groups)):
                 for j in range(i + 1, len(groups)):
                     edges.extend((x, y) for x in groups[i] for y in groups[j])
-        return [v for grp in groups for v in grp]
-
-    leaves_below(0)
     return Graph(n, edges)
 
 
 def to_newick(t: Cotree) -> str:
     """Serialize: leaves as vertex ids, inner nodes as ``(...)label``, final ``;``."""
-
-    def render(idx: int) -> str:
+    text: dict[int, str] = {}
+    for idx in range(t.num_nodes - 1, -1, -1):
         if t.leaf_vertex[idx] is not None:
-            return str(t.leaf_vertex[idx])
-        inner = ",".join(render(c) for c in t.children[idx])
-        return f"({inner}){t.label[idx]}"
-
-    return render(0) + ";"
+            text[idx] = str(t.leaf_vertex[idx])
+        else:
+            inner = ",".join([text.pop(c) for c in t.children[idx]])
+            text[idx] = f"({inner}){t.label[idx]}"
+    return text[0] + ";"
 
 
 def parse_newick(text: str) -> Cotree:
@@ -282,27 +301,30 @@ def parse_newick(text: str) -> Cotree:
             raise fail("expected an integer")
         return int(s[start:pos])
 
-    def read_node() -> Nested:
-        nonlocal pos
+    open_kids: list[list[Nested]] = []  # children read so far of each open '('
+    while True:
         if pos < len(s) and s[pos] == "(":
             pos += 1
-            kids = [read_node()]
-            while pos < len(s) and s[pos] == ",":
+            open_kids.append([])
+            continue
+        node: Nested = read_int()
+        while open_kids:
+            open_kids[-1].append(node)
+            if pos < len(s) and s[pos] == ",":
                 pos += 1
-                kids.append(read_node())
+                break
             if pos >= len(s) or s[pos] != ")":
                 raise fail("expected ')'")
             pos += 1
-            return (read_int(), kids)
-        return read_int()
-
-    nested = read_node()
+            node = (read_int(), open_kids.pop())
+        else:
+            break
     if pos >= len(s) or s[pos] != ";":
         raise fail("expected ';'")
     pos += 1
     if pos != len(s):
         raise fail("trailing characters after ';'")
-    return Cotree(nested)
+    return Cotree(node)
 
 
 def random_labeled_tree(num_leaves: int, num_symbols: int, rng: random.Random) -> Cotree:

@@ -270,7 +270,7 @@ def _first_cograph_union(
                 for v, nb in adjs[i].items():
                     union[v] = union.get(v, 0) | nb
             try:
-                _split(union, mask)
+                _split(((0, union, False), (1, union, True)), mask)
             except _Prime:
                 continue
             return subset, frozenset().union(*(classes[i] for i in subset))

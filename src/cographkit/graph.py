@@ -210,30 +210,27 @@ def first_induced_p4(g: Graph) -> P4Witness | None:
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:
     """Vertex sets of the connected components, each sorted, ordered by minimum."""
-    return [tuple(_bits(m)) for m in _component_masks(g._adj, (1 << g.n) - 1, False)]
-
-
-def _component_masks(adj: tuple[int, ...] | list[int], subset: int, in_complement: bool) -> list[int]:
-    """Connected components of the subgraph induced on ``subset``, as bitmasks.
-
-    With ``in_complement`` the complement adjacency (within the subset)
-    is used instead.  Components come out ordered by lowest vertex.
-    """
     comps = []
-    rest = subset
+    rest = (1 << g.n) - 1
     while rest:
-        comp = rest & -rest
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in _bits(frontier):
-                nb = ~adj[v] & ~(1 << v) if in_complement else adj[v]
-                grow |= nb & subset
-            frontier = grow & ~comp
-            comp |= frontier
-        comps.append(comp)
-        rest &= ~comp
+        comp = _first_component(g._adj, rest, False)
+        comps.append(tuple(_bits(comp)))
+        rest ^= comp
     return comps
+
+
+def _first_component(adj, subset: int, in_complement: bool) -> int:
+    """Bitmask of the component of the lowest vertex of ``subset`` in the
+    subgraph induced on ``subset``, or in its complement with ``in_complement``;
+    ``adj[v]`` is the adjacency bitmask of each v in ``subset`` (list, tuple or dict)."""
+    comp = frontier = subset & -subset
+    while frontier:
+        grow = 0
+        for v in _bits(frontier):
+            grow |= ~adj[v] if in_complement else adj[v]
+        frontier = grow & subset & ~comp
+        comp |= frontier
+    return comp
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -12,12 +12,13 @@ disjoint.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
-from .cotree import Cotree, check_structure, recognize
-from .graph import Graph, P4Witness, _bits, _component_masks, _read_rows
+from .cotree import Cotree, _leaf_groups, _Prime, _split, check_structure, recognize
+from .graph import Graph, P4Witness, _read_rows
 
 __all__ = [
     "SymbolicMap",
@@ -270,37 +271,25 @@ def build_representation(d: SymbolicMap) -> Cotree:
 
     At each step the smallest symbol m whose complement graph (pairs
     with any other symbol) is disconnected becomes the root label, and
-    the connected components become the children.  A non-representable
-    map is rejected with the violation attached.
+    the connected components become the children: ``cotree._split`` with
+    one splitter per symbol that occurs, the symbol graph taken in
+    complement.  A non-representable map is rejected with the violation
+    attached.
     """
     if d.n < 1:
         raise ValueError("representation needs at least one vertex")
     violation = check_axioms(d)
     if violation is not None:
         raise NotUltrametricError(violation)
-    n = d.n
-    symbols = d.pair_symbols
-
-    def split(vertices: tuple[int, ...]):
-        if len(vertices) == 1:
-            return vertices[0]
-        local = {v: i for i, v in enumerate(vertices)}
-        for m in range(d.num_symbols):
-            adj = [0] * len(vertices)
-            for ai, u in enumerate(vertices):
-                for v in vertices[ai + 1 :]:
-                    if symbols[_pair_index(n, u, v)] != m:
-                        adj[ai] |= 1 << local[v]
-                        adj[local[v]] |= 1 << ai
-            comps = _component_masks(adj, (1 << len(vertices)) - 1, False)
-            if len(comps) > 1:
-                children = [
-                    split(tuple(vertices[i] for i in _bits(comp))) for comp in comps
-                ]
-                return (m, children)
-        raise AssertionError("no splitting symbol found for a representable map")
-
-    return Cotree(split(tuple(range(n))))
+    adjs: dict[int, list[int]] = defaultdict(lambda: [0] * d.n)
+    for u, v, m in d.pairs():
+        adj = adjs[m]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    try:
+        return Cotree(_split([(m, adjs[m], True) for m in sorted(adjs)], (1 << d.n) - 1))
+    except _Prime:
+        raise AssertionError("no splitting symbol found for a representable map") from None
 
 
 def tree_to_map(t: Cotree, num_symbols: int | None = None) -> SymbolicMap:
@@ -313,20 +302,12 @@ def tree_to_map(t: Cotree, num_symbols: int | None = None) -> SymbolicMap:
         labels = [lab for lab in t.label if lab is not None]
         num_symbols = max(labels) + 1 if labels else 1
     symbols = [0] * (n * (n - 1) // 2)
-
-    def walk(idx: int) -> list[int]:
-        if t.leaf_vertex[idx] is not None:
-            return [t.leaf_vertex[idx]]
-        groups = [walk(c) for c in t.children[idx]]
-        lab = t.label[idx]
+    for lab, groups in _leaf_groups(t):
         for i in range(len(groups)):
             for j in range(i + 1, len(groups)):
                 for x in groups[i]:
                     for y in groups[j]:
                         symbols[_pair_index(n, x, y)] = lab
-        return [v for grp in groups for v in grp]
-
-    walk(0)
     return SymbolicMap(n, num_symbols, symbols)
 
 

@@ -8,7 +8,10 @@ import sys
 from itertools import combinations
 from typing import Iterator
 
-from cographkit import PARTITION, Decomposition, Graph, P4Witness, recognize, validate
+from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, recognize, validate
+from cographkit.cotree import _Prime
+from cographkit.graph import _bits
+from cographkit.symbolic import NotUltrametricError, _pair_index, check_axioms
 
 
 def path_graph(n: int) -> Graph:
@@ -34,6 +37,26 @@ def clique_with_pendant_path(k: int) -> Graph:
     """Complete graph on 0..k-1 plus the pendant path (k-1)-k-(k+1)."""
     edges = list(combinations(range(k), 2)) + [(k - 1, k), (k, k + 1)]
     return Graph(k + 2, edges)
+
+
+def alternating_threshold(order: list[int]) -> tuple[Graph, Cotree]:
+    """Threshold graph in which ``order[i]`` joins every earlier vertex for
+    odd i and none for even i, with its canonical cotree (depth n - 1)."""
+    edges = [(order[j], order[i]) for i in range(1, len(order), 2) for j in range(i)]
+    tree, low = order[0], order[0]
+    for i, v in enumerate(order[1:], start=1):
+        tree = (i % 2, [tree, v] if low < v else [v, tree])
+        low = min(low, v)
+    return Graph(len(order), edges), Cotree(tree)
+
+
+def caterpillar_newick(n: int) -> str:
+    """Newick of the alternating caterpillar on leaves 0..n-1 (depth n - 1):
+    leaf y joins the tree of the leaves below it under label y % 2."""
+    text = "0"
+    for y in range(1, n):
+        text = f"({text},{y}){y % 2}"
+    return text + ";"
 
 
 def run_cli(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
@@ -181,3 +204,91 @@ def reference_coarsen(d):
         keep.insert(subset[0], union)
         classes = keep
     return Decomposition(d.host, tuple(classes), d.mode)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the recursive split shared by recognition and
+# coarsening, and the per-node split of build_representation, kept verbatim
+# as oracles for cotree._split
+# ---------------------------------------------------------------------------
+
+
+def reference_component_masks(adj: tuple[int, ...] | list[int], subset: int, in_complement: bool) -> list[int]:
+    """Connected components of the subgraph induced on ``subset``, as bitmasks.
+
+    With ``in_complement`` the complement adjacency (within the subset)
+    is used instead.  Components come out ordered by lowest vertex.
+    """
+    comps = []
+    rest = subset
+    while rest:
+        comp = rest & -rest
+        frontier = comp
+        while frontier:
+            grow = 0
+            for v in _bits(frontier):
+                nb = ~adj[v] & ~(1 << v) if in_complement else adj[v]
+                grow |= nb & subset
+            frontier = grow & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def reference_split(adj, mask: int):
+    """Nested cotree of the subgraph induced on ``mask``.
+
+    ``adj[v]`` is the adjacency bitmask of each vertex v in ``mask`` (a
+    list, a tuple or a dict).  A disconnected part becomes a 0-node over
+    its components, a part with disconnected complement a 1-node over its
+    co-components; a part that is neither raises ``_Prime``, since such a
+    part contains an induced P4.  An empty mask raises nothing.
+    """
+    if mask & (mask - 1) == 0:
+        return mask.bit_length() - 1
+    comps = reference_component_masks(adj, mask, in_complement=False)
+    if len(comps) > 1:
+        return (0, [reference_split(adj, c) for c in comps])
+    cocomps = reference_component_masks(adj, mask, in_complement=True)
+    if len(cocomps) > 1:
+        return (1, [reference_split(adj, c) for c in cocomps])
+    raise _Prime(mask)
+
+
+def reference_build_representation(d):
+    """Labeled tree whose lca labels reproduce the map on every pair.
+
+    At each step the smallest symbol m whose complement graph (pairs
+    with any other symbol) is disconnected becomes the root label, and
+    the connected components become the children.  A non-representable
+    map is rejected with the violation attached.
+    """
+    if d.n < 1:
+        raise ValueError("representation needs at least one vertex")
+    violation = check_axioms(d)
+    if violation is not None:
+        raise NotUltrametricError(violation)
+    n = d.n
+    symbols = d.pair_symbols
+
+    def split(vertices: tuple[int, ...]):
+        if len(vertices) == 1:
+            return vertices[0]
+        local = {v: i for i, v in enumerate(vertices)}
+        for m in range(d.num_symbols):
+            adj = [0] * len(vertices)
+            for ai, u in enumerate(vertices):
+                for v in vertices[ai + 1 :]:
+                    if symbols[_pair_index(n, u, v)] != m:
+                        adj[ai] |= 1 << local[v]
+                        adj[local[v]] |= 1 << ai
+            comps = reference_component_masks(adj, (1 << len(vertices)) - 1, False)
+            if len(comps) > 1:
+                children = [
+                    split(tuple(vertices[i] for i in _bits(comp))) for comp in comps
+                ]
+                return (m, children)
+        raise AssertionError("no splitting symbol found for a representable map")
+
+    return Cotree(split(tuple(range(n))))

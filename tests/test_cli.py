@@ -2,6 +2,7 @@
 and byte-exact artifact round trips."""
 
 import json
+import random
 
 import pytest
 
@@ -13,8 +14,9 @@ from cographkit import (
     parse_newick,
     to_newick,
 )
+from cographkit import cli
 from cographkit.cli import graph_from_json, graph_to_json
-from helpers import run_cli
+from helpers import alternating_threshold, caterpillar_newick, run_cli
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 K3_TEXT = "3 3\n0 1\n1 2\n0 2\n"
@@ -68,6 +70,46 @@ def test_recognize_malformed_file_reports_line(tmp_path):
     code, _, err = run_cli(["recognize", str(path)])
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3.9, "edges": [[0, 2.5]]}',
+        '{"n": "3", "edges": [[0, true]]}',
+        '{"n": 1e400, "edges": []}',
+    ],
+)
+def test_non_integer_graph_json_exits_two(text):
+    code, out, err = run_cli(["recognize", "-"], stdin=text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_internal_error_exits_four_without_report(monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_recognize", broken)
+    code, out, err = run_cli(["recognize", "-"], stdin=K3_TEXT)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_recognize_threshold_graph_of_600_vertices():
+    g, tree = alternating_threshold(random.Random(67).sample(range(600), 600))
+    code, out, _ = run_cli(["recognize", "-"], stdin=format_edge_list(g))
+    assert code == 0
+    assert report_of(out)["payload"]["newick"] == to_newick(tree)
+
+
+def test_cotree_of_depth_700():
+    code, out, _ = run_cli(["cotree", "-"], stdin=caterpillar_newick(701) + "\n")
+    assert code == 0
+    want = Graph(701, [(x, y) for y in range(1, 701, 2) for x in range(y)])
+    assert report_of(out)["payload"]["edge_list"] == format_edge_list(want)
 
 
 def test_usage_error_exits_two():

@@ -1,6 +1,7 @@
 """Cograph recognition, cotree evaluation, and newick serialization."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +12,30 @@ from cographkit import (
     Graph,
     P4Witness,
     complement,
+    connected_components,
     cotree_to_graph,
     enumerate_induced_p4,
     parse_newick,
     random_cotree,
+    random_graph,
     recognize,
     to_newick,
+    tree_to_map,
 )
-from helpers import all_graphs, complete_graph, cycle_graph, path_graph
+from cographkit import decomp
+from cographkit.cotree import _Prime, _split
+from cographkit.decomp import PARTITION, Decomposition, coarsen
+from cographkit.graph import _bits
+from helpers import (
+    all_graphs,
+    alternating_threshold,
+    caterpillar_newick,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_component_masks,
+    reference_split,
+)
 
 
 def test_single_vertex_is_a_leaf():
@@ -195,3 +212,96 @@ def test_cycles_of_length_five_and_more_are_not_cographs():
     for n in (5, 6, 7):
         assert isinstance(recognize(cycle_graph(n)), P4Witness)
     assert isinstance(recognize(cycle_graph(4)), Cotree)
+
+
+# ---------------------------------------------------------------------------
+# the stack-based split against the recursive reference, and trees deeper
+# than the interpreter's recursion limit
+# ---------------------------------------------------------------------------
+
+
+def _split_outcome(split, *args):
+    """The nested tree a split returns, or the part it rejects as prime."""
+    try:
+        return split(*args)
+    except _Prime as hit:
+        return ("prime", hit.mask)
+
+
+def _cograph_split(adj, mask):
+    return _split(((0, adj, False), (1, adj, True)), mask)
+
+
+def test_split_matches_recursive_reference():
+    # the same tree, or the same first prime part and hence the same witness;
+    # cographs with a few pairs flipped put that part below the root
+    rng = random.Random(41)
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    for _ in range(150):
+        graphs.append(random_graph(rng.randint(1, 40), rng.uniform(0.05, 0.95), rng))
+        n = rng.randint(2, 40)
+        flips = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2))}
+        edges = set(cotree_to_graph(random_cotree(n, rng)).edges) ^ flips
+        graphs.append(Graph(n, edges))
+    for g in graphs:
+        full = (1 << g.n) - 1
+        want = _split_outcome(reference_split, g._adj, full)
+        assert _split_outcome(_cograph_split, g._adj, full) == want, g.edges
+        comps = reference_component_masks(g._adj, full, False)
+        assert connected_components(g) == [tuple(_bits(c)) for c in comps]
+
+
+def test_split_matches_recursive_reference_on_coarsen_unions(monkeypatch):
+    # every pair of the six rigid classes shares an induced path a-b-c-d
+    # (ab and cd in one class, bc in the other), so most unions are prime
+    # in some component; the two free matchings merge into rigid classes
+    rng = random.Random(43)
+    classes = [[] for _ in range(8)]
+    nxt = 0
+    for i, j in combinations(range(6), 2):
+        a, b, c, d = range(nxt, nxt + 4)
+        nxt += 4
+        classes[i] += [(a, b), (c, d)]
+        classes[j].append((b, c))
+    for f in (6, 7):
+        for _ in range(3):
+            classes[f].append((nxt, nxt + 1))
+            nxt += 2
+    relabel = rng.sample(range(nxt), nxt)
+    classes = [frozenset(tuple(sorted((relabel[u], relabel[v]))) for u, v in cls) for cls in classes]
+    rng.shuffle(classes)
+    host = Graph(nxt, [e for cls in classes for e in cls])
+    unions = []
+
+    def recording(splitters, mask):
+        unions.append((splitters[0][1], mask))
+        return _split(splitters, mask)
+
+    monkeypatch.setattr(decomp, "_split", recording)
+    assert coarsen(Decomposition(host, tuple(classes), PARTITION)).k == 6
+    primes = 0
+    for adj, mask in unions:
+        want = _split_outcome(reference_split, adj, mask)
+        assert _split_outcome(_cograph_split, adj, mask) == want
+        primes += want[0] == "prime"
+    assert 0 < primes < len(unions)
+
+
+def test_recognize_threshold_graph_of_depth_two_thousand():
+    order = random.Random(47).sample(range(2000), 2000)
+    g, want = alternating_threshold(order)
+    assert recognize(g) == want
+
+
+def test_newick_of_depth_ten_thousand_round_trips_bytes():
+    text = caterpillar_newick(10_001)
+    assert to_newick(parse_newick(text)) == text
+
+
+def test_deep_caterpillar_evaluates_to_graph_and_map():
+    n = 1_501
+    t = parse_newick(caterpillar_newick(n))
+    # the lca of x < y is the node where y joins, labeled y % 2
+    pairs = list(combinations(range(n), 2))
+    assert cotree_to_graph(t).edges == tuple((x, y) for x, y in pairs if y % 2)
+    assert tree_to_map(t).pair_symbols == tuple(y % 2 for _, y in pairs)

@@ -27,7 +27,13 @@ from cographkit import (
 )
 from cographkit.cotree import Cotree
 from cographkit.symbolic import bell_number, set_partitions
-from helpers import all_graphs, complete_graph, cycle_graph, path_graph
+from helpers import (
+    all_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_build_representation,
+)
 
 
 def constant_map(n, symbol=0, num_symbols=1):
@@ -234,6 +240,24 @@ def test_representation_of_cograph_map_is_its_cotree():
         g = cotree_to_graph(t)
         rep = build_representation(delta_from_graph(g))
         assert rep == t
+
+
+def test_representation_matches_per_node_split_reference():
+    # symbols that label no node (unused ids below the largest) are skipped
+    # by the one split and tried by the reference; the trees must agree
+    rng = random.Random(59)
+    maps = [
+        tree_to_map(random_labeled_tree(rng.randint(1, 12), rng.randint(1, 5), rng))
+        for _ in range(300)
+    ]
+    maps += [
+        delta_from_graph(g)
+        for n in range(1, 6)
+        for g in all_graphs(n)
+        if isinstance(recognize(g), Cotree)
+    ]
+    for d in maps:
+        assert build_representation(d) == reference_build_representation(d), d.pair_symbols
 
 
 def test_representation_rejects_bad_map_with_violation():
