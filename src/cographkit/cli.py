@@ -17,7 +17,15 @@ from typing import NoReturn
 
 from . import decomp, gadgets, symbolic
 from .cotree import cotree_to_graph, parse_newick, recognize, to_newick
-from .graph import Graph, P4Witness, enumerate_induced_p4, format_edge_list, hypercube, parse_edge_list
+from .graph import (
+    Graph,
+    P4Witness,
+    _check_vertex_count,
+    enumerate_induced_p4,
+    format_edge_list,
+    hypercube,
+    parse_edge_list,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -48,16 +56,18 @@ def graph_from_json(obj) -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InputError("graph JSON needs \"n\" and \"edges\"")
     try:
+        _check_vertex_count(obj["n"])
         return Graph(obj["n"], obj["edges"])
     except (TypeError, ValueError) as exc:
         raise InputError(f"bad graph JSON: {exc}") from exc
 
 
 def _json_payload(path: str, text: str):
-    """Decoded JSON text; the ``payload`` when it is a report of this CLI."""
+    """Decoded JSON text; the ``payload`` when it is a report of this CLI.
+    Nesting too deep for the decoder is an input error like bad syntax."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(doc, dict) and "payload" in doc:
         return doc["payload"]

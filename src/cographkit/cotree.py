@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Union
 
-from .graph import Graph, P4Witness, _first_component, first_induced_p4
+from .graph import Graph, P4Witness, _first_component, _p4_scan
 
 __all__ = [
     "Cotree",
@@ -219,24 +219,24 @@ def recognize(g: Graph) -> Cotree | P4Witness:
     splitter 1: a disconnected part becomes a 0-node over its components,
     a part with disconnected complement a 1-node over its co-components;
     a part that is neither (with more than one vertex) contains an
-    induced P4, extracted by brute force on the first such part.
+    induced P4; the witness is the lexicographically first one inside the
+    first such part.
     """
     if g.n == 0:
         raise ValueError("recognition needs at least one vertex")
     try:
         return Cotree(_split(((0, g._adj, False), (1, g._adj, True)), (1 << g.n) - 1))
     except _Prime as hit:
-        return _witness_in(g, hit.mask)
+        return _witness_in(g._adj, hit.mask)
 
 
-def _witness_in(g: Graph, mask: int) -> P4Witness:
-    induced = Graph(
-        g.n, [(u, v) for u, v in g.edges if mask >> u & 1 and mask >> v & 1]
-    )
-    witness = first_induced_p4(induced)
-    if witness is None:
+def _witness_in(adj, part: int) -> P4Witness:
+    """Lexicographically first induced path inside a part ``_split``
+    rejected, scanned on the part's adjacency masks."""
+    found = _p4_scan(adj, part, stop_at_first=True)
+    if not found:
         raise AssertionError("irreducible subgraph without an induced path")
-    return witness
+    return found[0]
 
 
 def _leaf_groups(t: Cotree) -> Iterator[tuple[int, list[list[int]]]]:

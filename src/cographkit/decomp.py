@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .cotree import _Prime, _split, recognize
-from .graph import Graph, P4Witness, hypercube
+from .cotree import _Prime, _split, _witness_in, recognize
+from .graph import Graph, P4Witness, _bits, _check_vertex_count, hypercube
 
 __all__ = [
     "PARTITION",
@@ -238,29 +238,77 @@ def greedy_partition(g: Graph, stats: dict | None = None) -> Decomposition:
 # ---------------------------------------------------------------------------
 
 
+def _open_subsets(k: int, size: int, nogoods: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """The ``size``-subsets of ``range(k)`` in lexicographic order, minus those
+    a nogood rules out.
+
+    A nogood ``(S, H)`` of class bitmasks rules out every subset that
+    contains S and avoids H.  The subsets are built depth first, and a prefix
+    p is dropped with its whole subtree once a nogood has S within p and H
+    within {0..last(p)} minus p, since no completion of p can meet H.  Each
+    open prefix keeps its armed nogoods (S within p, H avoiding p); a nogood
+    is armed when the prefix takes the highest class of its S.  ``nogoods``
+    is read once, before the first subset is yielded.
+    """
+    by_top: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for s, h in nogoods:
+        by_top[s.bit_length() - 1].append((s, h))
+    stack: list[list] = [[0, 0, []]]  # open prefixes: [next index, prefix mask, armed nogoods]
+    while stack:
+        top = stack[-1]
+        i, pmask, armed = top
+        depth = pmask.bit_count()
+        if k - i < size - depth:
+            stack.pop()
+            continue
+        top[0] = i + 1
+        bit = 1 << i
+        mask = pmask | bit
+        armed = [(s, h) for s, h in armed if not h & bit]
+        armed += [(s, h) for s, h in by_top[i] if not s & ~mask and not h & mask]
+        if depth + 1 == size:
+            if not armed:
+                yield tuple(_bits(mask))
+            continue
+        low = (bit << 1) - 1
+        if any(not h & ~low for _, h in armed):
+            continue
+        stack.append([i + 1, mask, armed])
+
+
 def _first_cograph_union(
     classes: Sequence[frozenset[Edge]], stats: dict | None = None
 ) -> tuple[tuple[int, ...], frozenset[Edge]] | None:
     """First subset of two or more classes whose union is induced-path
     free, smallest subsets first and lexicographic within a size, with
-    that union; None when there is none.  Walks up to all 2^k subsets.
+    that union; None when there is none.
 
     Each class becomes a ``{vertex: adjacency mask}`` map once; a subset
     ORs the maps of its classes and recognizes the union on the vertices
-    it touches (an isolated vertex lies on no induced path).  ``stats``,
-    when given, has its ``unions_tested`` count raised once per subset.
+    it touches (an isolated vertex lies on no induced path).  A failing
+    subset S yields an induced path a-b-c-d of its union and the set H of
+    classes holding one of the chords ac, bd, ad.  Every superset of S that
+    avoids H keeps that path induced, so ``_open_subsets`` never hands it
+    out, and the first union found is the one the full scan would find.
+    A nogood of one size rules out no other subset of that size, so each
+    size's scan reads the nogoods of the smaller sizes only.
+    ``stats``, when given, has its ``unions_tested`` count raised once per
+    subset recognized.
     """
     adjs: list[dict[int, int]] = []
     touched: list[int] = []
-    for cls in classes:
+    holders: dict[Edge, int] = {}
+    for i, cls in enumerate(classes):
         adj: dict[int, int] = {}
         for u, v in cls:
             adj[u] = adj.get(u, 0) | 1 << v
             adj[v] = adj.get(v, 0) | 1 << u
+            holders[u, v] = holders.get((u, v), 0) | 1 << i
         adjs.append(adj)
         touched.append(sum(1 << v for v in adj))
+    nogoods: list[tuple[int, int]] = []
     for size in range(2, len(classes) + 1):
-        for subset in combinations(range(len(classes)), size):
+        for subset in _open_subsets(len(classes), size, nogoods):
             if stats is not None:
                 stats["unions_tested"] += 1
             union = adjs[subset[0]].copy()
@@ -271,7 +319,12 @@ def _first_cograph_union(
                     union[v] = union.get(v, 0) | nb
             try:
                 _split(((0, union, False), (1, union, True)), mask)
-            except _Prime:
+            except _Prime as hit:
+                a, b, c, d = _witness_in(union, hit.mask)
+                chords = 0
+                for e in ((a, c), (b, d), (a, d)):
+                    chords |= holders.get(_canon_edge(e), 0)
+                nogoods.append((sum(1 << i for i in subset), chords))
                 continue
             return subset, frozenset().union(*(classes[i] for i in subset))
     return None
@@ -282,8 +335,11 @@ def coarsen(d: Decomposition, stats: dict | None = None) -> Decomposition:
 
     Repeatedly replaces the lexicographically first mergeable subset
     (smallest subsets first) by its union, so the result is coarsest and
-    deterministic.  Invalid input is rejected.  Unlike ``is_coarsest``
-    there is no limit on k: each merge round may walk all 2^k subsets.
+    deterministic.  Invalid input is rejected.  Each round skips the
+    subsets an induced path of a smaller failing union already rules out
+    (see ``_first_cograph_union``).  Unlike ``is_coarsest`` there is no
+    limit on k, and no budget: the skipping leaves the worst case of a
+    round exponential in k.
 
     ``stats``, when given, receives ``unions_tested`` (class subsets whose
     union was recognized) and ``merges`` (subsets replaced by their union).
@@ -311,7 +367,10 @@ def coarsen(d: Decomposition, stats: dict | None = None) -> Decomposition:
 def is_coarsest(d: Decomposition) -> bool:
     """True when no union of two or more classes is induced-path free.
 
-    Guarded to k <= 20 because the scan walks all class subsets.
+    Guarded to k <= 20: the scan skips the subsets that induced paths of
+    smaller unions rule out, but a class holding a chord of each such path
+    keeps its supersets open, so a scan may still visit up to 2^k subsets,
+    and no budget bounds it yet.
     """
     fault = validate(d)
     if fault is not None:
@@ -806,7 +865,7 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
 
     Malformed input raises ValueError: "classes" must be a list of
     classes, each a list of [u, v] integer pairs, and "n" must be an
-    integer.
+    integer of at most ``graph.MAX_VERTICES``.
     """
     if not isinstance(obj, dict):
         raise ValueError("decomposition JSON must be an object")
@@ -826,6 +885,7 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
     n = obj.get("n")
     if "n" in obj and not _is_int(n):
         raise ValueError(f"decomposition JSON \"n\" must be an integer, got {n!r}")
+    _check_vertex_count(n)
     if host is None:
         if n is None:
             raise ValueError("decomposition JSON needs \"n\" when no host graph is given")

@@ -23,7 +23,14 @@ __all__ = [
     "random_graph",
     "parse_edge_list",
     "format_edge_list",
+    "MAX_VERTICES",
 ]
+
+MAX_VERTICES = 100_000
+"""Largest vertex count the readers accept (edge lists, graph and
+decomposition JSON).  ``Graph`` allocates a slot per declared vertex, and
+an adjacency mask is up to n bits wide, so the bitset work of recognition
+grows with n^2 even on an edgeless graph."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -173,17 +180,17 @@ def hypercube(d: int) -> Graph:
     return Graph(n, edges)
 
 
-def _p4_scan(g: Graph, stop_at_first: bool) -> list[P4Witness]:
-    # Lexicographic scan over canonical quadruples (a, b, c, d) with a < d.
-    adj = g._adj
-    n = g.n
+def _p4_scan(adj, part: int, stop_at_first: bool) -> list[P4Witness]:
+    """Induced paths a-b-c-d of the subgraph induced on the bitmask ``part``,
+    as canonical quadruples with a < d in lexicographic order; ``adj[v]`` is
+    the adjacency bitmask of each v in ``part`` (list, tuple or dict)."""
     found = []
-    for a in range(n):
-        for b in _bits(adj[a]):
+    for a in _bits(part):
+        for b in _bits(adj[a] & part):
             # c adjacent to b, not adjacent or equal to a
-            for c in _bits(adj[b] & ~adj[a] & ~(1 << a)):
+            for c in _bits(adj[b] & part & ~adj[a] & ~(1 << a)):
                 # d adjacent to c, independent of a and b, with a < d
-                dmask = adj[c] & ~adj[b] & ~adj[a] & ~(1 << b)
+                dmask = adj[c] & part & ~adj[b] & ~adj[a] & ~(1 << b)
                 dmask &= -1 << (a + 1)
                 for d in _bits(dmask):
                     found.append(P4Witness(a, b, c, d))
@@ -199,12 +206,12 @@ def enumerate_induced_p4(g: Graph) -> list[P4Witness]:
     ab, bc, cd are edges and ac, bd, ad are not, sorted lexicographically.
     The list is empty exactly when g is a cograph.
     """
-    return sorted(_p4_scan(g, stop_at_first=False))
+    return sorted(_p4_scan(g._adj, (1 << g.n) - 1, stop_at_first=False))
 
 
 def first_induced_p4(g: Graph) -> P4Witness | None:
     """Lexicographically smallest induced-path witness, or None."""
-    found = _p4_scan(g, stop_at_first=True)
+    found = _p4_scan(g._adj, (1 << g.n) - 1, stop_at_first=True)
     return found[0] if found else None
 
 
@@ -272,9 +279,17 @@ def _read_rows(
     return header, rows
 
 
+def _check_vertex_count(n) -> None:
+    """Reject a declared vertex count above ``MAX_VERTICES``."""
+    if isinstance(n, int) and n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Read the ``n m`` / ``u v`` edge-list format; ``#`` starts a comment line."""
+    """Read the ``n m`` / ``u v`` edge-list format; ``#`` starts a comment line.
+    At most ``MAX_VERTICES`` vertices."""
     (n, m), rows = _read_rows(text, "n m")
+    _check_vertex_count(n)
     edges: list[tuple[int, int]] = []
     for lineno, raw, fields in rows:
         if len(fields) != 2:

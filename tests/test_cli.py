@@ -12,10 +12,13 @@ from cographkit import (
     decomposition_to_json,
     format_edge_list,
     parse_newick,
+    random_graph,
     to_newick,
+    validate,
 )
 from cographkit import cli
 from cographkit.cli import graph_from_json, graph_to_json
+from cographkit.graph import MAX_VERTICES
 from helpers import alternating_threshold, caterpillar_newick, run_cli
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
@@ -85,6 +88,29 @@ def test_non_integer_graph_json_exits_two(text):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_deeply_nested_graph_json_exits_two():
+    text = '{"n": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}'
+    code, out, err = run_cli(["recognize", "-"], stdin=text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1000000000000 0\n", '{"n": 1000000000000, "edges": []}', f"{MAX_VERTICES + 1} 0\n"],
+)
+def test_vertex_count_above_limit_exits_two(text):
+    code, out, err = run_cli(["recognize", "-"], stdin=text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
+def test_graph_json_vertex_limit():
+    assert graph_from_json({"n": MAX_VERTICES, "edges": []}).n == MAX_VERTICES
+    with pytest.raises(cli.InputError, match="exceeds the limit"):
+        graph_from_json({"n": MAX_VERTICES + 1, "edges": []})
 
 
 def test_internal_error_exits_four_without_report(monkeypatch):
@@ -298,6 +324,14 @@ def test_decompose_greedy_reports_coarsening_counts():
     assert code == 0
     stats = report_of(out)["stats"]
     assert (stats["unions_tested"], stats["merges"]) == (2, 2)
+
+
+def test_decompose_greedy_on_dense_forty_vertex_graph():
+    g = random_graph(40, 0.5, random.Random(1))
+    code, out, _ = run_cli(["decompose", "--strategy", "greedy", "-"], stdin=format_edge_list(g))
+    assert code == 0
+    d = decomposition_from_json(report_of(out)["payload"], host=g)
+    assert validate(d) is None
 
 
 def test_coarsen_decomposition_json():

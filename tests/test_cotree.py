@@ -25,7 +25,7 @@ from cographkit import (
 from cographkit import decomp
 from cographkit.cotree import _Prime, _split
 from cographkit.decomp import PARTITION, Decomposition, coarsen
-from cographkit.graph import _bits
+from cographkit.graph import _bits, first_induced_p4
 from helpers import (
     all_graphs,
     alternating_threshold,
@@ -232,23 +232,46 @@ def _cograph_split(adj, mask):
     return _split(((0, adj, False), (1, adj, True)), mask)
 
 
-def test_split_matches_recursive_reference():
-    # the same tree, or the same first prime part and hence the same witness;
-    # cographs with a few pairs flipped put that part below the root
+def _seeded_split_graphs() -> list[Graph]:
+    """150 G(n, p) and 150 random cographs with 0-2 flipped pairs, n <= 40;
+    the flipped pairs put the first prime part below the root."""
     rng = random.Random(41)
-    graphs = [g for n in range(1, 6) for g in all_graphs(n)]
+    graphs = []
     for _ in range(150):
         graphs.append(random_graph(rng.randint(1, 40), rng.uniform(0.05, 0.95), rng))
         n = rng.randint(2, 40)
         flips = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2))}
         edges = set(cotree_to_graph(random_cotree(n, rng)).edges) ^ flips
         graphs.append(Graph(n, edges))
+    return graphs
+
+
+def test_split_matches_recursive_reference():
+    # the same tree, or the same first prime part and hence the same witness
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)] + _seeded_split_graphs()
     for g in graphs:
         full = (1 << g.n) - 1
         want = _split_outcome(reference_split, g._adj, full)
         assert _split_outcome(_cograph_split, g._adj, full) == want, g.edges
         comps = reference_component_masks(g._adj, full, False)
         assert connected_components(g) == [tuple(_bits(c)) for c in comps]
+
+
+def test_witness_is_first_induced_path_of_the_prime_part():
+    # recognize scans the prime part's masks; the oracle builds the induced
+    # subgraph of that part and runs the whole-graph brute force on it
+    graphs = [g for n in range(1, 7) for g in all_graphs(n)] + _seeded_split_graphs()
+    primes = 0
+    for g in graphs:
+        outcome = _split_outcome(_cograph_split, g._adj, (1 << g.n) - 1)
+        if isinstance(outcome, tuple) and outcome[0] == "prime":
+            part = outcome[1]
+            induced = Graph(g.n, [(u, v) for u, v in g.edges if part >> u & 1 and part >> v & 1])
+            assert recognize(g) == first_induced_p4(induced), g.edges
+            primes += 1
+        else:
+            assert isinstance(recognize(g), Cotree)
+    assert primes == 28_038  # the non-cographs among the graphs
 
 
 def test_split_matches_recursive_reference_on_coarsen_unions(monkeypatch):

@@ -32,6 +32,9 @@ from cographkit import (
     validate,
     vizing_partition,
 )
+import helpers
+from cographkit.decomp import _first_cograph_union
+from cographkit.graph import MAX_VERTICES
 from helpers import (
     all_graphs,
     clique_with_pendant_path,
@@ -258,6 +261,93 @@ def test_coarsen_stats_count_unions_and_merges():
     stats = {}
     assert coarsen(layers_partition(2), stats).k == 2
     assert stats == {"unions_tested": 1, "merges": 0}
+
+
+def _cover_inputs():
+    """Cover decompositions with overlapping classes: the Vizing or the
+    singleton classes of a graph, plus up to three random cograph classes of
+    two to four edges placed among them, so a chord may sit in several classes."""
+    rng = random.Random(35)
+    graphs = [g for g in all_graphs(5) if g.m >= 3]
+    graphs += [random_graph(rng.randint(4, 8), rng.uniform(0.3, 0.9), rng) for _ in range(200)]
+    for g in graphs:
+        extra, want = [], rng.randint(1, 3)
+        while len(extra) < want:
+            cls = rng.sample(g.edges, min(g.m, rng.randint(2, 4)))
+            if not isinstance(recognize(Graph(g.n, cls)), P4Witness):
+                extra.append(frozenset(cls))
+        for base in (vizing_partition(g).classes, [frozenset([e]) for e in g.edges]):
+            if len(base) + len(extra) <= 14:
+                classes = list(base)
+                for cls in extra:
+                    classes.insert(rng.randint(0, len(classes)), cls)
+                yield Decomposition(g, tuple(classes), COVER)
+
+
+def test_coarsen_matches_reference_on_overlapping_covers():
+    count = 0
+    for d in _cover_inputs():
+        assert validate(d) is None
+        coarse = coarsen(d)
+        assert coarse.classes == reference_coarsen(d).classes, d.classes
+        assert is_coarsest(d) == (reference_first_cograph_union(d.host.n, d.classes) is None)
+        assert is_coarsest(coarse)
+        count += 1
+    assert count > 1_000, count
+
+
+def test_coarsen_keeps_every_holder_of_a_chord():
+    # every pair of classes fails; the path 0-1-3-2 of classes 0 and 1 has
+    # its chord 02 in classes 2 and 3, and classes 0, 1 and 2 form the first
+    # cograph union, the 4-cycle 0-1-3-2-0, which a nogood naming only one
+    # holder of the chord would skip
+    g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    classes = ([(1, 3), (2, 3)], [(0, 1)], [(0, 2), (1, 3)], [(0, 2), (2, 3)])
+    d = Decomposition(g, tuple(map(frozenset, classes)), COVER)
+    assert _first_cograph_union(d.classes) == reference_first_cograph_union(4, d.classes)
+    assert _first_cograph_union(d.classes)[0] == (0, 1, 2)
+
+
+def _planted_rigid_classes(r: int, rng: random.Random) -> Decomposition:
+    """``r`` matching classes in which every pair i < j shares an isolated
+    induced path a-b-c-d: ab and cd in class i, bc in class j."""
+    classes = [[] for _ in range(r)]
+    nxt = 0
+    for i, j in combinations(range(r), 2):
+        a, b, c, d = range(nxt, nxt + 4)
+        nxt += 4
+        classes[i] += [(a, b), (c, d)]
+        classes[j].append((b, c))
+    relabel = rng.sample(range(nxt), nxt)
+    classes = [frozenset(tuple(sorted((relabel[u], relabel[v]))) for u, v in cls) for cls in classes]
+    rng.shuffle(classes)
+    return Decomposition(Graph(nxt, [e for cls in classes for e in cls]), tuple(classes), PARTITION)
+
+
+def test_coarsen_skips_every_superset_of_a_chordless_failing_pair(monkeypatch):
+    # each pair's union holds its shared path, which has no chord in the
+    # host, so the 28 failing pairs rule out all 219 larger subsets; the
+    # unpruned reference recognizes all 2^8 - 1 - 8 = 247 unions
+    d = _planted_rigid_classes(8, random.Random(44))
+    stats = {}
+    assert coarsen(d, stats).classes == d.classes
+    assert stats == {"unions_tested": 28, "merges": 0}
+    calls = []
+    is_cograph = helpers._is_cograph
+    monkeypatch.setattr(helpers, "_is_cograph", lambda n, edges: calls.append(1) or is_cograph(n, edges))
+    assert reference_coarsen(d).classes == d.classes
+    assert len(calls) == 247
+
+
+def test_greedy_partition_of_dense_forty_vertex_graph():
+    # the Vizing partition of G(40, 0.5) has 27 classes; the unpruned scan
+    # did not finish a round of its 2^27 subsets, the pruned one tests 949
+    g = random_graph(40, 0.5, random.Random(1))
+    assert vizing_partition(g).k == 27
+    stats = {}
+    d = greedy_partition(g, stats)
+    assert validate(d) is None
+    assert stats["unions_tested"] < 10_000
 
 
 def test_greedy_partition_is_coarsened_coloring():
@@ -585,3 +675,11 @@ def test_decomposition_json_with_explicit_host():
 def test_decomposition_json_errors(obj, match):
     with pytest.raises(ValueError, match=match):
         decomposition_from_json(obj)
+
+
+def test_decomposition_json_vertex_limit():
+    obj = {"mode": PARTITION, "k": 0, "n": MAX_VERTICES, "classes": []}
+    assert decomposition_from_json(obj).host.n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 10**12):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            decomposition_from_json({**obj, "n": n})

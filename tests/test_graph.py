@@ -18,6 +18,7 @@ from cographkit import (
     parse_edge_list,
     random_graph,
 )
+from cographkit.graph import MAX_VERTICES
 from helpers import all_graphs, complete_graph, cycle_graph, path_graph
 
 
@@ -245,3 +246,10 @@ def test_edge_list_accepts_comments():
 def test_edge_list_parse_errors(text, match):
     with pytest.raises(ValueError, match=match):
         parse_edge_list(text)
+
+
+def test_edge_list_vertex_limit():
+    assert parse_edge_list(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 10**12):
+        with pytest.raises(ValueError, match=f"vertex count {n} exceeds the limit of {MAX_VERTICES}"):
+            parse_edge_list(f"{n} 0\n")
