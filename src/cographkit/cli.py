@@ -18,6 +18,7 @@ from typing import NoReturn
 from . import decomp, gadgets, symbolic
 from .cotree import cotree_to_graph, parse_newick, recognize, to_newick
 from .graph import (
+    MAX_VERTICES,
     Graph,
     P4Witness,
     _check_vertex_count,
@@ -107,11 +108,7 @@ def _violation_payload(v: symbolic.AxiomViolation) -> dict:
 
 
 def _cmd_recognize(args):
-    g = _read_graph(args.graph)
-    try:
-        result = recognize(g)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = recognize(_read_graph(args.graph))
     if isinstance(result, P4Witness):
         return (
             EXIT_NEGATIVE,
@@ -125,11 +122,7 @@ def _cmd_recognize(args):
 
 
 def _cmd_cotree(args):
-    try:
-        tree = parse_newick(_read_text(args.tree))
-        g = cotree_to_graph(tree)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    g = cotree_to_graph(parse_newick(_read_text(args.tree)))
     payload = graph_to_json(g)
     payload["edge_list"] = format_edge_list(g)
     return EXIT_OK, "ok", payload, {}, f"reconstructed {g.n} vertices, {len(g.edges)} edges"
@@ -145,6 +138,9 @@ def _cmd_p4s(args):
 def _cmd_hypercube(args):
     if args.dimension < 0:
         raise InputError("dimension must be non-negative")
+    # 2**d exceeds the limit exactly when d reaches its bit length; 1 << d is unbounded
+    if args.dimension >= MAX_VERTICES.bit_length():
+        raise InputError(f"vertex count 2**{args.dimension} exceeds the limit of {MAX_VERTICES}")
     if args.layers:
         if args.dimension % 2 or args.dimension == 0:
             raise InputError("--layers needs a positive even dimension")
@@ -162,32 +158,19 @@ def _read_map(path: str) -> symbolic.SymbolicMap:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _cmd_ultrametric_check(args):
+def _cmd_ultrametric(args):
+    """``check`` and ``represent`` both decide by building the tree; they
+    differ in the success payload, and an empty map passes ``check`` only."""
     d = _read_map(args.map)
-    violation = symbolic.check_axioms(d)
-    if violation is None:
-        return EXIT_OK, "ultrametric", {"n": d.n, "symbols": d.num_symbols}, {}, "map is tree-representable"
-    return (
-        EXIT_NEGATIVE,
-        "not-ultrametric",
-        _violation_payload(violation),
-        {},
-        f"violates {violation.axiom} at {violation.vertices or violation.symbol}",
-    )
-
-
-def _cmd_ultrametric_represent(args):
-    d = _read_map(args.map)
+    check = args.subcommand == "check"
     try:
-        tree = symbolic.build_representation(d)
+        tree = symbolic.build_representation(d) if d.n or not check else None
     except symbolic.NotUltrametricError as exc:
-        return (
-            EXIT_NEGATIVE,
-            "not-ultrametric",
-            _violation_payload(exc.violation),
-            {},
-            f"violates {exc.violation.axiom}",
-        )
+        v = exc.violation
+        where = f" at {v.vertices or v.symbol}" if check else ""
+        return EXIT_NEGATIVE, "not-ultrametric", _violation_payload(v), {}, f"violates {v.axiom}{where}"
+    if check:
+        return EXIT_OK, "ultrametric", {"n": d.n, "symbols": d.num_symbols}, {}, "map is tree-representable"
     newick = to_newick(tree)
     return EXIT_OK, "ultrametric", {"newick": newick, "symbols": d.num_symbols}, {}, f"representation: {newick}"
 
@@ -229,10 +212,7 @@ def _cmd_decompose(args):
 def _cmd_coarsen(args):
     obj = _read_json(args.decomposition)
     host = _read_graph(args.graph) if args.graph else None
-    try:
-        d = decomp.decomposition_from_json(obj, host=host)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    d = decomp.decomposition_from_json(obj, host=host)
     fault = decomp.validate(d)
     if fault is not None:
         payload = {"kind": fault.kind, "detail": fault.detail or str(fault)}
@@ -241,6 +221,10 @@ def _cmd_coarsen(args):
     coarse = decomp.coarsen(d, merging)
     payload = decomp.decomposition_to_json(coarse)
     return EXIT_OK, "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
+
+
+def _read_formula_graph(path: str) -> gadgets.GadgetGraph:
+    return gadgets.build_formula_graph(gadgets.parse_formula(_read_text(path)))
 
 
 def _gadget_payload(gg: gadgets.GadgetGraph) -> dict:
@@ -259,34 +243,19 @@ def _cmd_gadget(args):
     else:
         if not args.formula:
             raise InputError("gadget formula needs a formula file")
-        try:
-            f = gadgets.parse_formula(_read_text(args.formula))
-            gg = gadgets.build_formula_graph(f)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        gg = _read_formula_graph(args.formula)
     g = gg.graph
     return EXIT_OK, "ok", _gadget_payload(gg), {}, f"{args.kind} gadget: {g.n} vertices, {len(g.edges)} edges"
 
 
 def _cmd_reduce_to_graph(args):
-    try:
-        f = gadgets.parse_formula(_read_text(args.formula))
-        gg = gadgets.build_formula_graph(f)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    gg = _read_formula_graph(args.formula)
     return EXIT_OK, "ok", _gadget_payload(gg), {}, f"formula graph: {gg.graph.n} vertices"
 
 
 def _cmd_reduce_from_partition(args):
-    try:
-        f = gadgets.parse_formula(_read_text(args.formula))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    obj = _read_json(args.decomposition)
-    try:
-        d = decomp.decomposition_from_json(obj)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    f = gadgets.parse_formula(_read_text(args.formula))
+    d = decomp.decomposition_from_json(_read_json(args.decomposition))
     try:
         values = gadgets.assignment_from_partition(f, d)
     except ValueError as exc:
@@ -324,10 +293,10 @@ def _build_parser() -> argparse.ArgumentParser:
     usub = p.add_subparsers(dest="subcommand", required=True)
     pc = usub.add_parser("check", help="test the tree-representability axioms")
     pc.add_argument("map", help="symbol map file, or -")
-    pc.set_defaults(handler=_cmd_ultrametric_check)
+    pc.set_defaults(handler=_cmd_ultrametric)
     pr = usub.add_parser("represent", help="build a realizing labeled tree")
     pr.add_argument("map")
-    pr.set_defaults(handler=_cmd_ultrametric_represent)
+    pr.set_defaults(handler=_cmd_ultrametric)
 
     p = sub.add_parser("decompose", help="split the edge set into cograph classes")
     p.add_argument("graph")

@@ -180,7 +180,8 @@ def _split(splitters, mask: int) -> Nested:
     becomes a node labeled by the first splitter whose graph (or its
     complement) disconnects it, over its components, each split before the
     next is found, lowest vertex first, without retrying that splitter.
-    A part no splitter divides raises ``_Prime``; an empty mask raises nothing.
+    A part no splitter divides raises ``_Prime``.  An empty mask is no part:
+    it yields the bogus leaf -1, so callers pass at least one vertex.
     """
     stack: list[list] = []  # open nodes: [splitter index, rest of the part, children]
     part, skip = mask, -1

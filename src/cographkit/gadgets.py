@@ -21,7 +21,7 @@ from .decomp import (
     search_assignments,
     validate,
 )
-from .graph import Graph, _read_rows
+from .graph import Graph, _check_vertex_count, _read_rows
 
 __all__ = [
     "NaeFormula",
@@ -295,8 +295,10 @@ def enumerate_two_class_assignments(
 
 
 def parse_formula(text: str) -> NaeFormula:
-    """Read the ``v c`` / three-ids-per-line clause format."""
+    """Read the ``v c`` / three-ids-per-line clause format; its formula
+    graph may have at most ``MAX_VERTICES`` vertices."""
     (num_vars, num_clauses), rows = _read_rows(text, "v c")
+    _check_vertex_count(9 * num_vars + 6 * num_clauses)
     clauses: list[tuple[int, int, int]] = []
     for lineno, raw, fields in rows:
         if len(fields) != 3:

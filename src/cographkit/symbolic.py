@@ -3,16 +3,15 @@
 A map assigns every unordered vertex pair a symbol from a finite
 alphabet 0..k-1, with the empty value reserved for the diagonal.  Two
 checkers decide whether such a map can be realized as the lca labels of
-a leaf tree: a direct one over the forbidden triple/quadruple patterns
-(axioms U2/U3) and one over the per-symbol graphs (U2'/U3').  The
-builder constructs a realizing tree, and an exhaustive small-scale
-oracle searches for maps whose edge symbols and non-edge symbols are
-disjoint.
+a leaf tree: a direct O(n^4) scan of the forbidden triple/quadruple
+patterns (axioms U2/U3) and one over the per-symbol graphs (U2'/U3').
+``build_representation`` decides it with one split, which yields a tree,
+and scans only a rejected map, for its witness.  An exhaustive oracle
+searches small maps whose edge and non-edge symbols are disjoint.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping, Sequence
@@ -269,27 +268,38 @@ def check_via_graphs(d: SymbolicMap) -> AxiomViolation | None:
 def build_representation(d: SymbolicMap) -> Cotree:
     """Labeled tree whose lca labels reproduce the map on every pair.
 
-    At each step the smallest symbol m whose complement graph (pairs
-    with any other symbol) is disconnected becomes the root label, and
-    the connected components become the children: ``cotree._split`` with
-    one splitter per symbol that occurs, the symbol graph taken in
-    complement.  A non-representable map is rejected with the violation
-    attached.
+    This is also the representability check (Boecker & Dress 1998).  At
+    each step the smallest symbol m whose complement graph (pairs with
+    any other symbol) is disconnected becomes the root label, and the
+    connected components become the children: ``cotree._split`` with one
+    splitter per symbol that occurs, the symbol graph taken in complement.
+    A finished split is the proof: every pair crossing two children of an
+    m-node carries m, so the tree reproduces the map, in O(n^2 s) for s
+    symbols.  A part no symbol splits, or more than n - 1 symbols (a tree
+    on n leaves has at most n - 1 inner nodes), means the map is not
+    representable; only then does ``check_axioms`` run, and the rejection
+    carries its lexicographically first U2/U3 witness.
     """
     if d.n < 1:
         raise ValueError("representation needs at least one vertex")
-    violation = check_axioms(d)
-    if violation is not None:
-        raise NotUltrametricError(violation)
-    adjs: dict[int, list[int]] = defaultdict(lambda: [0] * d.n)
+    adjs: dict[int, list[int]] = {}
     for u, v, m in d.pairs():
-        adj = adjs[m]
+        adj = adjs.get(m)
+        if adj is None:
+            if len(adjs) == d.n - 1:
+                break  # an n-th symbol: no tree has room for it
+            adj = adjs[m] = [0] * d.n
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    try:
-        return Cotree(_split([(m, adjs[m], True) for m in sorted(adjs)], (1 << d.n) - 1))
-    except _Prime:
-        raise AssertionError("no splitting symbol found for a representable map") from None
+    else:
+        try:
+            return Cotree(_split([(m, adjs[m], True) for m in sorted(adjs)], (1 << d.n) - 1))
+        except _Prime:
+            pass
+    violation = check_axioms(d)
+    if violation is None:
+        raise AssertionError("no splitting symbol found for a representable map")
+    raise NotUltrametricError(violation)
 
 
 def tree_to_map(t: Cotree, num_symbols: int | None = None) -> SymbolicMap:

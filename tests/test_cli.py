@@ -107,6 +107,24 @@ def test_vertex_count_above_limit_exits_two(text):
     assert err.startswith("error:") and "exceeds the limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget", "formula", "-"],
+        ["reduce", "to-graph", "-"],
+        ["reduce", "from-partition", "--formula", "-", "unread.json"],
+        ["hypercube", "17"],
+        ["hypercube", "40"],
+        ["hypercube", "40", "--layers"],
+    ],
+)
+def test_generated_graph_above_vertex_limit_exits_two(argv):
+    # the formula header declares 9 * 10^12 gadget vertices; the 17-cube has 131,072
+    code, out, err = run_cli(argv, stdin="1000000000000 0\n")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exceeds the limit" in err
+
+
 def test_graph_json_vertex_limit():
     assert graph_from_json({"n": MAX_VERTICES, "edges": []}).n == MAX_VERTICES
     with pytest.raises(cli.InputError, match="exceeds the limit"):
@@ -201,6 +219,14 @@ def test_ultrametric_represent_emits_tree():
     assert to_newick(tree) == payload["newick"]
     assert tree.lca_label(1, 2) == 1
     assert tree.lca_label(0, 1) == 0
+
+
+def test_ultrametric_empty_map_passes_check_only():
+    code, out, _ = run_cli(["ultrametric", "check", "-"], stdin="0 1\n")
+    assert (code, report_of(out)["payload"]) == (0, {"n": 0, "symbols": 1})
+    code, out, err = run_cli(["ultrametric", "represent", "-"], stdin="0 1\n")
+    assert (code, out) == (2, "")
+    assert err == "error: representation needs at least one vertex\n"
 
 
 def test_ultrametric_represent_bad_map_exits_one():

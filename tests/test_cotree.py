@@ -1,7 +1,9 @@
 """Cograph recognition, cotree evaluation, and newick serialization."""
 
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -328,3 +330,46 @@ def test_deep_caterpillar_evaluates_to_graph_and_map():
     pairs = list(combinations(range(n), 2))
     assert cotree_to_graph(t).edges == tuple((x, y) for x, y in pairs if y % 2)
     assert tree_to_map(t).pair_symbols == tuple(y % 2 for _, y in pairs)
+
+
+def called_name(call: ast.Call) -> str | None:
+    """``f`` for a call ``f(...)``, ``self.f(...)`` or ``cls.f(...)``."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("self", "cls"):
+        return func.attr
+    return None
+
+
+def self_calling_functions(source: str) -> set[str]:
+    """Dotted names of the functions in the module text that call
+    themselves by name, walked on an explicit stack."""
+    found = set()
+    stack = [(ast.parse(source), "")]
+    while stack:
+        node, prefix = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(call, ast.Call) and called_name(call) == child.name
+                    for call in ast.walk(child)
+                ):
+                    found.add(name)
+                stack.append((child, name + "."))
+            else:
+                stack.append((child, prefix))
+    return found
+
+
+def test_only_the_random_tree_and_the_unpruned_oracle_recurse():
+    # any other self-call would bring back a depth limit on trees and inputs
+    src = Path(__file__).resolve().parent.parent / "src" / "cographkit"
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in self_calling_functions(path.read_text(encoding="utf-8"))
+    }
+    assert found == {"cotree.random_labeled_tree.build", "decomp.search_assignments.dfs"}
+    assert self_calling_functions("class A:\n    def f(self):\n        return self.f()\n") == {"A.f"}

@@ -365,6 +365,10 @@ def test_formula_text_round_trip():
     assert format_formula(parse_formula(text)) == text
 
 
+def test_formula_graph_at_vertex_limit_parses():
+    assert parse_formula("11111 0\n").num_vars == 11111
+
+
 @pytest.mark.parametrize(
     "text, match",
     [
@@ -373,6 +377,7 @@ def test_formula_text_round_trip():
         ("3 1\n0 1\n", "line 2: expected three"),
         ("3 2\n0 1 2\n", "declared 2 clauses"),
         ("3 1\n0 1 x\n", "line 2: variable ids"),
+        ("11111 1\n0 1 2\n", "vertex count 100005 exceeds the limit"),
     ],
 )
 def test_formula_text_errors(text, match):

@@ -1,6 +1,7 @@
 """Symbol maps: axioms, the graph-family checker, tree representations,
 and the exhaustive separating-map search."""
 
+import json
 import random
 import tracemalloc
 from itertools import combinations, permutations
@@ -33,6 +34,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     reference_build_representation,
+    run_cli,
 )
 
 
@@ -154,16 +156,40 @@ def test_color_graphs_partition_the_pairs():
         assert total == n * (n - 1) // 2
 
 
-def test_checkers_agree_on_random_maps():
-    # two-symbol maps never break U2, so they reach the quadruple scan
+def checker_maps():
+    # two-symbol maps never break U2, so they reach the quadruple scan;
+    # tree maps, whole and with one pair changed, put the split on both
+    # sides of the verdict, and maps with at least n symbols skip it
     rng = random.Random(22)
     for k, count in ((3, 3000), (2, 1000)):
         for _ in range(count):
-            d = SymbolicMap(6, k, [rng.randrange(k) for _ in range(15)])
-            violation = check_axioms(d)
-            assert (violation is None) == (check_via_graphs(d) is None)
-            assert violation == first_violation_by_brute_force(d)
-            assert violation is None or violation.recheck(d)
+            yield SymbolicMap(6, k, [rng.randrange(k) for _ in range(15)])
+    for _ in range(500):
+        k = rng.randint(2, 4)
+        d = tree_to_map(random_labeled_tree(rng.randint(2, 7), k, rng), k)
+        yield d
+        symbols = list(d.pair_symbols)
+        i = rng.randrange(len(symbols))
+        symbols[i] = rng.choice([m for m in range(k) if m != symbols[i]])
+        yield SymbolicMap(d.n, k, symbols)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        yield SymbolicMap(n, 8, [rng.randrange(8) for _ in range(n * (n - 1) // 2)])
+
+
+def test_checkers_agree_on_random_maps():
+    for d in checker_maps():
+        violation = check_axioms(d)
+        assert (violation is None) == (check_via_graphs(d) is None)
+        assert violation == first_violation_by_brute_force(d)
+        assert violation is None or violation.recheck(d)
+        try:
+            tree = build_representation(d)
+        except NotUltrametricError as exc:
+            assert violation is not None and exc.violation == violation
+        else:
+            assert violation is None
+            assert tree_to_map(tree, d.num_symbols) == d
 
 
 def test_axiom_scan_builds_no_tables():
@@ -264,6 +290,38 @@ def test_representation_rejects_bad_map_with_violation():
     with pytest.raises(NotUltrametricError) as info:
         build_representation(forbidden_quadruple_map())
     assert info.value.violation.axiom == "U3"
+
+
+def test_split_alone_decides_a_representable_map(monkeypatch):
+    import cographkit.symbolic as symbolic
+
+    t = random_labeled_tree(200, 4, random.Random(1))
+    d = tree_to_map(t, 4)
+    text = format_symbolic_map(d)
+
+    def no_scan(d):
+        raise AssertionError("axiom scan on a representable map")
+
+    monkeypatch.setattr(symbolic, "check_axioms", no_scan)
+    assert build_representation(d) == t
+    code, out, _ = run_cli(["ultrametric", "check", "-"], stdin=text)
+    assert (code, json.loads(out)["verdict"]) == (0, "ultrametric")
+    code, out, _ = run_cli(["ultrametric", "represent", "-"], stdin=text)
+    assert code == 0
+    assert json.loads(out)["payload"]["newick"] == to_newick(t)
+
+
+def test_map_with_more_symbols_than_inner_nodes_skips_the_split(monkeypatch):
+    import cographkit.symbolic as symbolic
+
+    def no_split(splitters, mask):
+        raise AssertionError("split of a map with more than n - 1 symbols")
+
+    monkeypatch.setattr(symbolic, "_split", no_split)
+    d = SymbolicMap(200, 19_900, list(range(19_900)))
+    with pytest.raises(NotUltrametricError) as info:
+        build_representation(d)
+    assert info.value.violation == AxiomViolation(axiom="U2", vertices=(0, 1, 2))
 
 
 def test_representation_needs_a_vertex():
