@@ -17,7 +17,6 @@ from .decomp import (
     SOLVED,
     TIMEOUT,
     Decomposition,
-    P4Constraint,
     SolveResult,
     ValidationFault,
     coarsen,

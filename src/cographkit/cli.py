@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import NoReturn
@@ -361,8 +362,20 @@ def main(argv: list[str] | None = None) -> int:
         "payload": payload,
         "stats": {"elapsed_s": round(time.perf_counter() - started, 6), **stats},
     }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full device: keep the exit flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        try:
+            print(f"error: cannot write report: {exc.strerror or exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return EXIT_USAGE
     print(summary, file=sys.stderr)
     return code
 

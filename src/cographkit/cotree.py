@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Union
 
-from .graph import Graph, P4Witness, _first_component, _p4_scan
+from .graph import Graph, P4Witness, _first_component, _is_int, _p4_scan
 
 __all__ = [
     "Cotree",
@@ -58,15 +58,10 @@ class Cotree:
             depth.append(dep)
             if par >= 0:
                 children[par].append(idx)
-            if isinstance(node, int) and not isinstance(node, bool):
+            if _is_int(node):
                 label.append(None)
                 leaf_vertex.append(node)
-            elif (
-                isinstance(node, tuple)
-                and len(node) == 2
-                and isinstance(node[0], int)
-                and not isinstance(node[0], bool)
-            ):
+            elif isinstance(node, tuple) and len(node) == 2 and _is_int(node[0]):
                 label.append(node[0])
                 leaf_vertex.append(None)
                 stack.extend((ch, idx, dep + 1) for ch in reversed(list(node[1])))

@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .cotree import _Prime, _split, _witness_in, recognize
-from .graph import Graph, P4Witness, _bits, _check_vertex_count, hypercube
+from .cotree import _Prime, _split, _witness_in
+from .graph import Graph, P4Witness, _bits, _check_vertex_count, _is_int, hypercube
 
 __all__ = [
     "PARTITION",
     "COVER",
     "Decomposition",
     "ValidationFault",
-    "P4Constraint",
     "SearchOutcome",
     "SolveResult",
     "SOLVED",
@@ -93,7 +92,12 @@ class ValidationFault:
 def validate(d: Decomposition) -> ValidationFault | None:
     """None when the decomposition is well formed and every class graph
     is induced-path free; otherwise the first fault in a fixed scan order
-    (foreign edges, coverage, overlaps, then per-class recognition)."""
+    (foreign edges, coverage, overlaps, then per-class recognition).
+
+    Each class is tested on the vertices its edges touch, not on all n:
+    an isolated vertex lies on no induced path, and ``recognize`` on the
+    full class graph splits those vertices off first, so the witness is
+    the one it would report."""
     host_edges = d.host.edge_set
     for idx, cls in enumerate(d.classes):
         for e in sorted(cls):
@@ -119,9 +123,32 @@ def validate(d: Decomposition) -> ValidationFault | None:
                     detail=f"classes {i} and {j} share edges {shared}",
                 )
     for idx, cls in enumerate(d.classes):
-        result = recognize(Graph(d.host.n, cls)) if d.host.n else None
-        if isinstance(result, P4Witness):
-            return ValidationFault(kind="class-not-cograph", class_index=idx, witness=result)
+        witness = _class_witness(_adjacency(cls))
+        if witness is not None:
+            return ValidationFault(kind="class-not-cograph", class_index=idx, witness=witness)
+    return None
+
+
+def _adjacency(edges) -> dict[int, int]:
+    """``{vertex: adjacency mask}`` of the vertices the edges touch."""
+    adj: dict[int, int] = {}
+    for u, v in edges:
+        adj[u] = adj.get(u, 0) | 1 << v
+        adj[v] = adj.get(v, 0) | 1 << u
+    return adj
+
+
+def _class_witness(adj: dict[int, int]) -> P4Witness | None:
+    """First induced path of the graph on the vertices of ``adj`` (a
+    ``{vertex: adjacency mask}`` map), or None when it is a cograph: the
+    lexicographically first path inside the first part ``_split`` rejects.
+    An empty map is a cograph and never reaches ``_split``."""
+    if not adj:
+        return None
+    try:
+        _split(((0, adj, False), (1, adj, True)), sum(1 << v for v in adj))
+    except _Prime as hit:
+        return _witness_in(adj, hit.mask)
     return None
 
 
@@ -295,38 +322,28 @@ def _first_cograph_union(
     ``stats``, when given, has its ``unions_tested`` count raised once per
     subset recognized.
     """
-    adjs: list[dict[int, int]] = []
-    touched: list[int] = []
+    adjs = [_adjacency(cls) for cls in classes]
     holders: dict[Edge, int] = {}
     for i, cls in enumerate(classes):
-        adj: dict[int, int] = {}
-        for u, v in cls:
-            adj[u] = adj.get(u, 0) | 1 << v
-            adj[v] = adj.get(v, 0) | 1 << u
-            holders[u, v] = holders.get((u, v), 0) | 1 << i
-        adjs.append(adj)
-        touched.append(sum(1 << v for v in adj))
+        for e in cls:
+            holders[e] = holders.get(e, 0) | 1 << i
     nogoods: list[tuple[int, int]] = []
     for size in range(2, len(classes) + 1):
         for subset in _open_subsets(len(classes), size, nogoods):
             if stats is not None:
                 stats["unions_tested"] += 1
             union = adjs[subset[0]].copy()
-            mask = touched[subset[0]]
             for i in subset[1:]:
-                mask |= touched[i]
                 for v, nb in adjs[i].items():
                     union[v] = union.get(v, 0) | nb
-            try:
-                _split(((0, union, False), (1, union, True)), mask)
-            except _Prime as hit:
-                a, b, c, d = _witness_in(union, hit.mask)
-                chords = 0
-                for e in ((a, c), (b, d), (a, d)):
-                    chords |= holders.get(_canon_edge(e), 0)
-                nogoods.append((sum(1 << i for i in subset), chords))
-                continue
-            return subset, frozenset().union(*(classes[i] for i in subset))
+            witness = _class_witness(union)
+            if witness is None:
+                return subset, frozenset().union(*(classes[i] for i in subset))
+            a, b, c, d = witness
+            chords = 0
+            for e in ((a, c), (b, d), (a, d)):
+                chords |= holders.get(_canon_edge(e), 0)
+            nogoods.append((sum(1 << i for i in subset), chords))
     return None
 
 
@@ -385,52 +402,40 @@ def is_coarsest(d: Decomposition) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class P4Constraint:
-    """One length-3 path of the host with its host-present chords.
-
-    A class violates the constraint exactly when it contains all three
-    path edges and none of the chords; a class containing a chord keeps
-    the path from being induced there.
-    """
-
-    path_edges: tuple[Edge, Edge, Edge]
-    chord_edges: tuple[Edge, ...]
+_Constraint = tuple[int, int, int, tuple[int, ...]]
 
 
-def p4_constraints(g: Graph, limit: int | None = None) -> list[P4Constraint]:
+def p4_constraints(g: Graph, limit: int | None = None) -> list[_Constraint]:
     """One constraint per length-3 path (as a subgraph) of g.
 
-    Paths are canonical a-b-c-d with a < d; chords record which of
-    ac, bd, ad exist in the host (possibly none).  With ``limit`` the
-    scan stops as soon as it holds limit + 1 constraints, so a longer
-    result than ``limit`` is a truncated prefix that only shows the
-    count is over it.
+    A path a-b-c-d with a < d becomes ``(ab, bc, cd, chords)``: ids into
+    ``g.edges`` of its three edges, then of those of ac, bd, ad (in that
+    order) that are host edges, possibly none.  A class violates the
+    constraint exactly when it holds the three path edges and none of the
+    chords.  Paths come edge by edge in host order, each edge b-c in both
+    orientations, then by a and d ascending.  With ``limit`` the scan
+    stops as soon as it holds limit + 1 constraints, so a longer result
+    than ``limit`` is a truncated prefix that only shows the count is
+    over it.
     """
+    ids: list[dict[int, int]] = [{} for _ in range(g.n)]  # neighbour -> edge id, ascending
+    for i, (u, v) in enumerate(g.edges):
+        ids[u][v] = i
+        ids[v][u] = i
     out = []
-    for b, c in g.edges:
-        for bb, cc in ((b, c), (c, b)):
-            for a in g.neighbors(bb):
-                if a == cc:
+    for bc, edge in enumerate(g.edges):
+        for b, c in (edge, edge[::-1]):
+            at_b, at_c = ids[b], ids[c]
+            for a, ab in at_b.items():
+                if a == c:
                     continue
-                for dd in g.neighbors(cc):
-                    if dd == bb or dd <= a:
+                at_a = ids[a]
+                ac = at_a.get(c)
+                for d, cd in at_c.items():
+                    if d == b or d <= a:
                         continue
-                    chords = tuple(
-                        _canon_edge(e)
-                        for e in ((a, cc), (bb, dd), (a, dd))
-                        if g.has_edge(*e)
-                    )
-                    out.append(
-                        P4Constraint(
-                            path_edges=(
-                                _canon_edge((a, bb)),
-                                _canon_edge((bb, cc)),
-                                _canon_edge((cc, dd)),
-                            ),
-                            chord_edges=chords,
-                        )
-                    )
+                    chords = tuple(e for e in (ac, at_b.get(d), at_a.get(d)) if e is not None)
+                    out.append((ab, bc, cd, chords))
                     if limit is not None and len(out) > limit:
                         return out
     return out
@@ -459,7 +464,7 @@ def search_assignments(
     symmetry: bool = True,
     prune: bool = True,
     node_budget: int | None = None,
-    constraints: list[P4Constraint] | None = None,
+    constraints: list[_Constraint] | None = None,
 ) -> SearchOutcome:
     """Backtracking search over per-edge class assignments.
 
@@ -486,10 +491,11 @@ def search_assignments(
 
     ``symmetry`` breaks class relabeling: a fresh class id may only be
     introduced as the next unused one.  ``forced`` pins host edges to
-    fixed bitmasks (only with ``symmetry=False``).  ``constraints`` are
-    the host's ``p4_constraints`` when the caller already has them;
-    otherwise they are built here, and a budget smaller than their
-    count ends the search before it starts, as not completed.
+    fixed bitmasks (only with ``symmetry=False``).  ``constraints`` is
+    the host's ``p4_constraints`` list, edge-id tuples used as they are,
+    when the caller already has it; otherwise it is built here, and a
+    budget smaller than its length ends the search before it starts, as
+    not completed.  A negative ``node_budget`` is rejected.
     """
     if k < 1:
         raise ValueError(f"class count must be at least 1, got {k}")
@@ -497,6 +503,8 @@ def search_assignments(
         raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {mode!r}")
     if forced and symmetry:
         raise ValueError("forced assignments require symmetry=False")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     edges = host.edges
     m = len(edges)
     if m == 0:
@@ -516,15 +524,6 @@ def search_assignments(
         constraints = p4_constraints(host, node_budget)
         if node_budget is not None and len(constraints) > node_budget:
             return SearchOutcome(solutions=[], nodes=0, completed=False)
-    cons = [
-        (
-            eidx[c.path_edges[0]],
-            eidx[c.path_edges[1]],
-            eidx[c.path_edges[2]],
-            tuple(eidx[ch] for ch in c.chord_edges),
-        )
-        for c in constraints
-    ]
 
     deg = [host.degree(v) for v in range(host.n)]
     order = sorted(range(m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), edges[i]))
@@ -534,7 +533,7 @@ def search_assignments(
         domain = tuple(range(1, 1 << k))
     if prune:
         return _propagating_search(
-            order, cons, k, mode, domain, forced_mask, find_all, symmetry, node_budget
+            order, constraints, k, mode, domain, forced_mask, find_all, symmetry, node_budget
         )
 
     assign = [0] * m
@@ -544,7 +543,7 @@ def search_assignments(
     stop = False
 
     def full_check() -> bool:
-        for p1, p2, p3, chords in cons:
+        for p1, p2, p3, chords in constraints:
             common = assign[p1] & assign[p2] & assign[p3]
             if common:
                 saved = 0
@@ -590,7 +589,7 @@ def _breaks_symmetry(mask: int, used: int) -> bool:
 
 def _propagating_search(
     order: list[int],
-    cons: list[tuple[int, int, int, tuple[int, ...]]],
+    constraints: list[_Constraint],
     k: int,
     mode: str,
     domain: tuple[int, ...],
@@ -604,8 +603,8 @@ def _propagating_search(
     m = len(order)
     full = (1 << k) - 1
     partition = mode == PARTITION
-    cons_of: list[list[tuple[int, int, int, tuple[int, ...]]]] = [[] for _ in range(m)]
-    for con in cons:
+    cons_of: list[list[_Constraint]] = [[] for _ in range(m)]
+    for con in constraints:
         p1, p2, p3, chords = con
         for e in (p1, p2, p3, *chords):
             cons_of[e].append(con)
@@ -777,6 +776,8 @@ def _masks_to_decomposition(g: Graph, masks: tuple[int, ...], k: int, mode: str)
 def _exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> SolveResult:
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     if not g.edges:
         d = Decomposition(g, (frozenset(),), mode)
         return SolveResult(SOLVED, d, nodes=0, infeasible_below=0)
@@ -853,10 +854,6 @@ def decomposition_to_json(d: Decomposition) -> dict:
         "n": d.host.n,
         "classes": [[[u, v] for u, v in cls] for cls in d.sorted_classes()],
     }
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decomposition:

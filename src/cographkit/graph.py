@@ -41,6 +41,10 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class P4Witness(NamedTuple):
     """Four distinct vertices inducing the path a-b-c-d.
 
@@ -80,14 +84,13 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_edge_set")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
         canon = set()
         for pair in edges:
             u, v = pair
-            for end in (u, v):
-                if not isinstance(end, int) or isinstance(end, bool):
-                    raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
             if u == v:
                 raise ValueError(f"self-loop {tuple(pair)!r} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -114,9 +117,6 @@ class Graph:
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
         return bool(self._adj[u] >> v & 1)
-
-    def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
 
     def neighbors(self, v: int) -> Iterator[int]:
         return _bits(self._adj[v])
@@ -173,7 +173,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 
 def hypercube(d: int) -> Graph:
     """The d-cube: 2**d bit-vector vertices, edges at Hamming distance 1."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+    if not _is_int(d) or d < 0:
         raise ValueError(f"hypercube dimension must be a non-negative integer, got {d!r}")
     n = 1 << d
     edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]

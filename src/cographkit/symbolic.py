@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterator, Mapping, Sequence
 
 from .cotree import Cotree, _leaf_groups, _Prime, _split, check_structure, recognize
-from .graph import Graph, P4Witness, _read_rows
+from .graph import Graph, P4Witness, _is_int, _read_rows
 
 __all__ = [
     "SymbolicMap",
@@ -91,7 +91,7 @@ class SymbolicMap:
         if len(pair_symbols) != expected:
             raise ValueError(f"expected {expected} pair symbols, got {len(pair_symbols)}")
         for pair, s in zip(combinations(range(n), 2), pair_symbols):
-            if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < num_symbols:
+            if not _is_int(s) or not 0 <= s < num_symbols:
                 raise ValueError(f"pair {pair} carries invalid symbol {s!r}")
         self.n = n
         self.num_symbols = num_symbols
@@ -210,39 +210,27 @@ def _first_u3(symbols: Sequence[int], n: int) -> tuple[int, int, int, int] | Non
     return None
 
 
-def _find_violation(symbols: Sequence[int], n: int):
-    """Shared scan used by both the axiom checker and the partition oracle.
-
-    Returns ("U2", triple) or ("U3", quadruple) for the
-    lexicographically first failing vertex tuple, else None; every
-    triple comes before every quadruple.  Nothing is precomputed, so
-    the scan needs O(n) memory beyond the map.
-    """
-    triple = _first_u2(symbols, n)
-    if triple is not None:
-        return ("U2", triple)
-    quad = _first_u3(symbols, n)
-    if quad is not None:
-        return ("U3", quad)
-    return None
-
-
 def check_axioms(d: SymbolicMap) -> AxiomViolation | None:
     """Direct checker: None when the map is tree-representable.
 
     Scans all vertex triples for three pairwise-distinct symbols (U2)
     and all quadruples for the two-path pattern (U3), returning the
-    lexicographically smallest witness.
+    lexicographically smallest witness; every triple comes before every
+    quadruple.  Nothing is precomputed, so the scan needs O(n) memory
+    beyond the map.
     """
-    hit = _find_violation(d.pair_symbols, d.n)
-    if hit is None:
-        return None
-    return AxiomViolation(axiom=hit[0], vertices=hit[1])
+    triple = _first_u2(d.pair_symbols, d.n)
+    if triple is not None:
+        return AxiomViolation(axiom="U2", vertices=triple)
+    quad = _first_u3(d.pair_symbols, d.n)
+    if quad is not None:
+        return AxiomViolation(axiom="U3", vertices=quad)
+    return None
 
 
 def color_graph(d: SymbolicMap, m: int) -> Graph:
     """The graph on the same vertices whose edges are the pairs with symbol m."""
-    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < d.num_symbols:
+    if not _is_int(m) or not 0 <= m < d.num_symbols:
         raise ValueError(f"unknown symbol {m!r}, alphabet is 0..{d.num_symbols - 1}")
     return Graph(d.n, [(u, v) for u, v, s in d.pairs() if s == m])
 
@@ -415,7 +403,7 @@ def search_separating_delta(
                     symbols[non_positions[pos]] = edge_count + b
             if stats is not None:
                 stats["candidates"] += 1
-            if _find_violation(symbols, n) is None:
+            if _first_u2(symbols, n) is None and _first_u3(symbols, n) is None:
                 return SymbolicMap(n, max(k, 1), list(symbols))
     return None
 

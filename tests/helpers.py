@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
@@ -79,6 +80,9 @@ def run_cli(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
 # Graph-building union scan, kept verbatim as oracles for the bitset code
 # in cographkit.decomp
 # ---------------------------------------------------------------------------
+
+
+Edge = tuple[int, int]
 
 
 def _canon_edge(e):
@@ -292,3 +296,61 @@ def reference_build_representation(d):
         raise AssertionError("no splitting symbol found for a representable map")
 
     return Cotree(split(tuple(range(n))))
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the constraint builder of edge tuples, kept
+# verbatim (renamed) as the oracle for the edge-id p4_constraints in
+# cographkit.decomp
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class P4Constraint:
+    """One length-3 path of the host with its host-present chords.
+
+    A class violates the constraint exactly when it contains all three
+    path edges and none of the chords; a class containing a chord keeps
+    the path from being induced there.
+    """
+
+    path_edges: tuple[Edge, Edge, Edge]
+    chord_edges: tuple[Edge, ...]
+
+
+def reference_p4_constraints(g: Graph, limit: int | None = None) -> list[P4Constraint]:
+    """One constraint per length-3 path (as a subgraph) of g.
+
+    Paths are canonical a-b-c-d with a < d; chords record which of
+    ac, bd, ad exist in the host (possibly none).  With ``limit`` the
+    scan stops as soon as it holds limit + 1 constraints, so a longer
+    result than ``limit`` is a truncated prefix that only shows the
+    count is over it.
+    """
+    out = []
+    for b, c in g.edges:
+        for bb, cc in ((b, c), (c, b)):
+            for a in g.neighbors(bb):
+                if a == cc:
+                    continue
+                for dd in g.neighbors(cc):
+                    if dd == bb or dd <= a:
+                        continue
+                    chords = tuple(
+                        _canon_edge(e)
+                        for e in ((a, cc), (bb, dd), (a, dd))
+                        if g.has_edge(*e)
+                    )
+                    out.append(
+                        P4Constraint(
+                            path_edges=(
+                                _canon_edge((a, bb)),
+                                _canon_edge((bb, cc)),
+                                _canon_edge((cc, dd)),
+                            ),
+                            chord_edges=chords,
+                        )
+                    )
+                    if limit is not None and len(out) > limit:
+                        return out
+    return out

@@ -1,8 +1,12 @@
 """Command-line behavior: verdicts, exit codes, JSON reports, piping,
 and byte-exact artifact round trips."""
 
+import errno
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -487,3 +491,60 @@ def test_bad_solver_parameters_exit_two():
     assert code == 2
     assert out == ""
     assert "k_max" in err
+
+
+@pytest.mark.parametrize("text", [P4_TEXT, "3 0\n"])
+def test_negative_node_budget_exits_two(text):
+    for mode in ("partition", "cover"):
+        argv = ["decompose", "--strategy", "exact", "--mode", mode, "--budget-nodes", "-1", "-"]
+        code, out, err = run_cli(argv, stdin=text)
+        assert (code, out) == (2, "")
+        assert err == "error: node budget must be non-negative, got -1\n"
+    # a zero budget stays valid: the path times out, the edgeless graph needs no node
+    code, _, _ = run_cli(["decompose", "--strategy", "exact", "--budget-nodes", "0", "-"], stdin=text)
+    assert code == (3 if text == P4_TEXT else 0)
+
+
+def _run_cli_process(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter with the given stdout file or fd,
+    block-buffered as it is by default."""
+    import cographkit
+
+    src = os.path.dirname(os.path.dirname(cographkit.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    code = "import sys; from cographkit.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
+    )
+
+
+def _assert_unwritable_report(proc: subprocess.CompletedProcess, reason: str) -> None:
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert "Traceback" not in err
+    assert err == f"error: cannot write report: {reason}\n"
+
+
+# a report larger than the stdout buffer fails while it is written; a small
+# one fails at the flush and stays buffered, so the exit flush would fail again
+UNWRITABLE_REPORTS = [["hypercube", "12"], ["hypercube", "3"]]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_REPORTS)
+def test_closed_stdout_pipe_exits_two(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    try:
+        proc = _run_cli_process(argv, write_end)
+    finally:
+        os.close(write_end)
+    _assert_unwritable_report(proc, os.strerror(errno.EPIPE))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", UNWRITABLE_REPORTS)
+def test_full_device_stdout_exits_two(argv):
+    with open("/dev/full", "wb") as full:
+        proc = _run_cli_process(argv, full)
+    _assert_unwritable_report(proc, os.strerror(errno.ENOSPC))

@@ -34,7 +34,7 @@ from cographkit import (
 )
 import helpers
 from cographkit.decomp import _first_cograph_union
-from cographkit.graph import MAX_VERTICES
+from cographkit.graph import MAX_VERTICES, first_induced_p4
 from helpers import (
     all_graphs,
     clique_with_pendant_path,
@@ -123,6 +123,69 @@ def test_validate_agrees_with_oracle_per_class():
             not enumerate_induced_p4(Graph(g.n, cls)) for cls in classes
         )
         assert (fault is None) == clean
+
+
+def _first_recognized_witness(d: Decomposition):
+    """(class index, witness) of the first class whose graph on all n
+    vertices ``recognize`` rejects, or None."""
+    for idx, cls in enumerate(d.classes):
+        result = recognize(Graph(d.host.n, cls))
+        if isinstance(result, P4Witness):
+            return idx, result
+    return None
+
+
+def _assert_validate_matches_recognize(d: Decomposition) -> bool:
+    fault = validate(d)
+    expected = _first_recognized_witness(d)
+    if expected is None:
+        assert fault is None, d.classes
+        return False
+    assert (fault.kind, fault.class_index, fault.witness) == ("class-not-cograph", *expected), d.classes
+    return True
+
+
+def test_validate_matches_recognize_on_random_decompositions_with_isolated_vertices():
+    rng = random.Random(36)
+    invalid = total = elsewhere = 0
+    for _ in range(600):
+        # a disjoint union of up to three random graphs, so a class may have
+        # several prime parts, on shuffled labels with isolated vertices left
+        sizes = [rng.randint(2, 7) for _ in range(rng.randint(1, 3))]
+        n = sum(sizes) + rng.randint(1, 4)
+        labels = rng.sample(range(n), n)
+        edges, start = [], 0
+        for size in sizes:
+            part = random_graph(size, rng.uniform(0.2, 0.9), rng)
+            edges += [(labels[start + u], labels[start + v]) for u, v in part.edges]
+            start += size
+        g = Graph(n, edges)
+        k = rng.randint(1, 4)
+        classes = [set() for _ in range(k)]
+        mode = rng.choice((PARTITION, COVER))
+        for e in g.edges:
+            picks = [rng.randrange(k)] if mode == PARTITION else rng.sample(range(k), rng.randint(1, k))
+            for c in picks:
+                classes[c].add(e)
+        d = Decomposition(g, tuple(map(frozenset, classes)), mode)
+        if _assert_validate_matches_recognize(d):
+            invalid += 1
+            idx, witness = _first_recognized_witness(d)
+            elsewhere += first_induced_p4(Graph(n, d.classes[idx])) != witness
+        total += 1
+    assert 100 < invalid < total - 100, (invalid, total)
+    # classes whose first induced path overall lies outside the first prime part
+    assert elsewhere >= 10, elsewhere
+
+
+def test_validate_matches_recognize_on_overlapping_covers():
+    invalid = 0
+    for d in _cover_inputs():
+        assert not _assert_validate_matches_recognize(d)
+        # the union of the first two classes as a third class, often invalid
+        merged = (*d.classes, d.classes[0] | d.classes[1])
+        invalid += _assert_validate_matches_recognize(Decomposition(d.host, merged, COVER))
+    assert invalid > 100, invalid
 
 
 def test_decomposition_rejects_unknown_mode():
@@ -381,16 +444,41 @@ def test_is_coarsest_rejects_invalid_input():
 
 
 def test_constraints_of_path():
-    cons = p4_constraints(path_graph(4))
-    assert len(cons) == 1
-    assert cons[0].path_edges == ((0, 1), (1, 2), (2, 3))
-    assert cons[0].chord_edges == ()
+    # edges (0, 1), (1, 2), (2, 3) have ids 0, 1, 2
+    assert p4_constraints(path_graph(4)) == [(0, 1, 2, ())]
 
 
 def test_constraints_of_square_have_one_chord_each():
     cons = p4_constraints(cycle_graph(4))
     assert len(cons) == 4
-    assert all(len(c.chord_edges) == 1 for c in cons)
+    assert all(len(c[3]) == 1 for c in cons)
+    # the chord of a path of the square is its fourth edge
+    assert all({*c[:3], *c[3]} == {0, 1, 2, 3} for c in cons)
+
+
+def _in_edge_ids(g: Graph, constraints) -> list[tuple]:
+    eidx = {e: i for i, e in enumerate(g.edges)}
+    return [
+        (*(eidx[e] for e in c.path_edges), tuple(eidx[e] for e in c.chord_edges))
+        for c in constraints
+    ]
+
+
+def test_constraints_match_edge_tuple_reference():
+    from cographkit import NaeFormula, build_formula_graph, clause_gadget
+
+    rng = random.Random(37)
+    hosts = [g for n in range(6) for g in all_graphs(n)]
+    hosts += [random_graph(rng.randint(1, 12), rng.random(), rng) for _ in range(200)]
+    hosts.append(clause_gadget().graph)
+    hosts.append(build_formula_graph(NaeFormula(6, ((0, 3, 1), (1, 2, 3), (3, 4, 5)))).graph)
+    for g in hosts:
+        full = _in_edge_ids(g, helpers.reference_p4_constraints(g))
+        assert p4_constraints(g) == full
+        for limit in {0, 1, len(full) - 1} - {-1}:
+            cut = p4_constraints(g, limit)
+            assert cut == _in_edge_ids(g, helpers.reference_p4_constraints(g, limit))
+            assert cut == full[: limit + 1]
 
 
 def test_constraints_of_triangle_empty():
@@ -566,6 +654,21 @@ def test_nodes_per_k_sums_to_nodes():
     assert len(timeout.nodes_per_k) == 2
     for result in (solved, infeasible, timeout):
         assert sum(result.nodes_per_k) == result.nodes
+
+
+def test_negative_node_budget_is_rejected():
+    from cographkit.decomp import search_assignments
+
+    for g in (path_graph(4), Graph(3)):
+        for solve in (exact_min_partition, exact_min_cover):
+            with pytest.raises(ValueError, match="node budget must be non-negative, got -1"):
+                solve(g, 2, node_budget=-1)
+        with pytest.raises(ValueError, match="node budget must be non-negative"):
+            search_assignments(g, 2, node_budget=-1)
+    # a zero budget is valid: an edgeless host needs no node, a path times out
+    assert exact_min_partition(Graph(3), 2, node_budget=0).status == SOLVED
+    assert exact_min_partition(path_graph(4), 2, node_budget=0).status == TIMEOUT
+    assert not search_assignments(path_graph(4), 2, node_budget=0).completed
 
 
 def test_solver_solutions_always_validate():
