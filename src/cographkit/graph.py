@@ -3,12 +3,16 @@
 Vertices are dense integers 0..n-1.  Edges are kept canonically as a
 sorted tuple of (u, v) pairs with u < v; a per-vertex bitmask mirror of
 the adjacency gives O(1) membership tests, which the induced-path
-search below leans on heavily.
+search below leans on heavily.  ``Graph`` validates the edges and ORs
+them into the masks in one pass, sorts them by the integer key u·n + v
+rather than as tuples, and builds ``edge_set`` on first use; memory stays
+bounded by the n-bit masks.
 """
 
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
@@ -58,10 +62,12 @@ class P4Witness(NamedTuple):
     d: int
 
     def holds_in(self, g: "Graph") -> bool:
+        """False unless a, b, c, d are four distinct vertices 0..n-1 of g
+        inducing the path a-b-c-d there."""
+        if not all(_is_int(v) and 0 <= v < g.n for v in self):
+            return False
         a, b, c, d = self
         if len({a, b, c, d}) != 4:
-            return False
-        if not all(0 <= v < g.n for v in self):
             return False
         return (
             g.has_edge(a, b)
@@ -79,6 +85,12 @@ class Graph:
     Edges are canonicalized (u < v, deduplicated, sorted).  Construction
     rejects self-loops, out-of-range endpoints and a negative vertex
     count, naming the offending item.  n = 0 and n = 1 are legal.
+
+    One pass over ``edges`` checks each pair, ORs it into the adjacency
+    masks and records it under the key u·n + v, keeping the first of equal
+    pairs; ``edges`` is read out in ascending key order, which is the
+    lexicographic order of the pairs.  The frozenset ``edge_set`` is built
+    the first time it is read.
     """
 
     __slots__ = ("n", "edges", "_adj", "_edge_set")
@@ -86,24 +98,33 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not _is_int(n) or n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
-        canon = set()
+        adj = [0] * n
+        keyed = {}
         for pair in edges:
             u, v = pair
-            if not (_is_int(u) and _is_int(v)):
+            if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
                 raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
-            if u == v:
+            if u < v:
+                # a canonical input tuple is kept as is, not copied
+                edge = pair if type(pair) is tuple else (u, v)
+            elif u > v:
+                u, v = v, u
+                edge = (u, v)
+            else:
                 raise ValueError(f"self-loop {tuple(pair)!r} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
+            if u < 0 or v >= n:
                 raise ValueError(f"edge {tuple(pair)!r} has an endpoint outside 0..{n - 1}")
-            canon.add((u, v) if u < v else (v, u))
+            key = u * n + v
+            if key not in keyed:
+                keyed[key] = edge
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
         self.n = n
-        self.edges = tuple(sorted(canon))
-        self._edge_set = frozenset(self.edges)
-        adj = [0] * n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        keys = sorted(keyed)
+        # one C call fetches the pairs; itemgetter needs two or more keys
+        self.edges = itemgetter(*keys)(keyed) if len(keys) > 1 else tuple(keyed.values())
         self._adj = tuple(adj)
+        self._edge_set = None
 
     @property
     def m(self) -> int:
@@ -111,6 +132,8 @@ class Graph:
 
     @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
+        if self._edge_set is None:
+            self._edge_set = frozenset(self.edges)
         return self._edge_set
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -144,11 +167,11 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
+    full = (1 << g.n) - 1
     edges = [
         (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g._adj[u] >> v & 1
+        for u, row in enumerate(g._adj)
+        for v in _bits(full & ~row & -(2 << u))
     ]
     return Graph(g.n, edges)
 

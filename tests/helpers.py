@@ -11,7 +11,7 @@ from typing import Iterator
 
 from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, recognize, validate
 from cographkit.cotree import _Prime
-from cographkit.graph import _bits
+from cographkit.graph import _bits, _is_int
 from cographkit.symbolic import NotUltrametricError, _pair_index, check_axioms
 
 
@@ -354,3 +354,42 @@ def reference_p4_constraints(g: Graph, limit: int | None = None) -> list[P4Const
                     if limit is not None and len(out) > limit:
                         return out
     return out
+
+
+# ---------------------------------------------------------------------------
+# The canonicalising Graph constructor and the pairwise complement, kept
+# verbatim as oracles for the one-pass build and the mask complement
+# ---------------------------------------------------------------------------
+
+
+def reference_graph(n: int, edges) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """Canonical ``(edges, adj)`` of ``Graph(n, edges)``: the validated pairs
+    as a set, sorted as tuples, then a second loop filling the masks."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
+    canon = set()
+    for pair in edges:
+        u, v = pair
+        if not (_is_int(u) and _is_int(v)):
+            raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
+        if u == v:
+            raise ValueError(f"self-loop {tuple(pair)!r} is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {tuple(pair)!r} has an endpoint outside 0..{n - 1}")
+        canon.add((u, v) if u < v else (v, u))
+    edges = tuple(sorted(canon))
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return edges, tuple(adj)
+
+
+def reference_complement_edges(g: Graph) -> list[Edge]:
+    """Non-edges of ``g`` in lexicographic order, one mask shift per pair."""
+    return [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not g._adj[u] >> v & 1
+    ]

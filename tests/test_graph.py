@@ -1,6 +1,7 @@
 """Graph construction, operators, the induced-path oracle, and edge-list IO."""
 
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,14 @@ from cographkit import (
     random_graph,
 )
 from cographkit.graph import MAX_VERTICES
-from helpers import all_graphs, complete_graph, cycle_graph, path_graph
+from helpers import (
+    all_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_complement_edges,
+    reference_graph,
+)
 
 
 def test_triangle_construction():
@@ -44,6 +52,102 @@ def test_empty_graph():
 def test_edges_are_canonicalized():
     g = Graph(3, [(2, 0), (0, 2), (1, 0)])
     assert g.edges == ((0, 1), (0, 2))
+
+
+def _assert_builds_like_reference(n, make_edges):
+    """``Graph(n, make_edges())`` has the reference constructor's edges, masks,
+    edge set, equality and hash; ``make_edges`` gives a fresh iterable per call."""
+    want_edges, want_adj = reference_graph(n, make_edges())
+    g = Graph(n, make_edges())
+    assert g.edges == want_edges and repr(g.edges) == repr(want_edges)
+    assert g._adj == want_adj
+    assert g.edge_set == frozenset(want_edges)
+    assert g == Graph(n, want_edges) and hash(g) == hash((n, want_edges))
+
+
+def _jumbled(pairs, rng):
+    """``pairs`` in random order and orientation, about one in five twice."""
+    out = []
+    for u, v in pairs:
+        out.append((u, v) if rng.random() < 0.5 else (v, u))
+        if rng.random() < 0.2:
+            out.append((v, u) if rng.random() < 0.5 else (u, v))
+    rng.shuffle(out)
+    return out
+
+
+def test_build_matches_reference_on_every_small_graph():
+    rng = random.Random(3)
+    for n in range(6):
+        for g in all_graphs(n):
+            pairs = _jumbled(g.edges, rng)
+            _assert_builds_like_reference(n, lambda: pairs)
+
+
+def test_build_matches_reference_on_seeded_edge_lists():
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randint(0, 40)
+        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        pairs = _jumbled(rng.sample(all_pairs, rng.randint(0, len(all_pairs))), rng)
+        _assert_builds_like_reference(n, lambda: pairs)
+        _assert_builds_like_reference(n, lambda: [[u, v] for u, v in pairs])
+        _assert_builds_like_reference(n, lambda: ((u, v) for u, v in pairs))
+
+
+def test_build_matches_reference_on_int_enum_endpoints():
+    V = IntEnum("V", "A B C D", start=0)
+    edges = [(V.B, V.A), (V.A, 1), (0, 1), (2, V.D), (V.C, V.D), [V.D, 0]]
+    _assert_builds_like_reference(4, lambda: edges)
+    assert repr(Graph(4, edges).edges) == repr(reference_graph(4, edges)[0])
+
+
+def test_build_matches_reference_on_large_shapes():
+    rng = random.Random(5)
+    vs = list(range(1000))
+    rng.shuffle(vs)
+    left, right = vs[:500], vs[500:]
+    join = [(a, b) if rng.random() < 0.5 else (b, a) for a in left for b in right]
+    for half in (left, right):
+        join += [(half[i], half[j]) for i in range(500) for j in range(i + 1, 500) if rng.random() < 0.01]
+    rng.shuffle(join)
+    n = 20_000
+    matching = [(i, n - 1 - i) for i in range(n // 2)]
+    for n, edges in ((1000, join), (n, matching), (100_000, [])):
+        _assert_builds_like_reference(n, lambda: edges)
+
+
+def _raised(build):
+    try:
+        build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (1.0, 2), (0, "1"), (None, 1), (True, 2), (0, False),  # non-integers
+        (2, 2), (0, 5), (-1, 2), (2, -1),  # self-loop, out of range
+        (7, 7), (-1, -1), (1.5, 1.5), (True, True), (9, 0.5), ("a", -1), (False, 0),  # two rules at once
+        (0,), (0, 1, 2),  # not a pair
+    ],
+)
+def test_build_errors_match_reference(bad):
+    valid = [(0, 1), (3, 2), [1, 4], (0, 1)]
+    for edges in (valid + [bad], valid + [list(bad)], [bad] + valid):
+        got = _raised(lambda: Graph(5, iter(edges)))
+        assert got is not None and got == _raised(lambda: reference_graph(5, iter(edges)))
+    for n in (-1, 2.0, True, "3", None):
+        assert _raised(lambda: Graph(n, [bad])) == _raised(lambda: reference_graph(n, [bad]))
+
+
+def test_edge_set_is_built_on_first_use():
+    g = Graph(4, [(1, 0), (2, 3)])
+    assert g._edge_set is None
+    assert g.edge_set == {(0, 1), (2, 3)}
+    assert g.edge_set is g.edge_set
 
 
 def test_rejects_self_loop():
@@ -78,6 +182,14 @@ def test_complement_is_involution_on_random_graphs():
     for _ in range(100):
         g = random_graph(rng.randint(0, 12), rng.random(), rng)
         assert complement(complement(g)) == g
+
+
+def test_complement_matches_pairwise_reference():
+    rng = random.Random(1)
+    graphs = [random_graph(rng.randint(0, 12), rng.random(), rng) for _ in range(100)]
+    graphs.append(random_graph(1000, 0.5, random.Random(1)))
+    for g in graphs:
+        assert list(complement(g).edges) == reference_complement_edges(g)
 
 
 def test_product_of_two_edges_is_square():
@@ -182,6 +294,15 @@ def test_p4_oracle_on_five_cycle():
 
 def test_p4_oracle_on_complete_graph():
     assert enumerate_induced_p4(complete_graph(4)) == []
+
+
+def test_witness_with_non_integer_vertex_does_not_hold():
+    path = path_graph(4)
+    assert P4Witness(0, 1, 2, 3).holds_in(path)
+    for bad in (0.0, "0", True, False, None, [0]):
+        for i in range(4):
+            w = P4Witness(*[bad if j == i else j for j in range(4)])
+            assert w.holds_in(path) is False
 
 
 def test_p4_witnesses_recheck_in_host():
