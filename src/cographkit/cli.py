@@ -14,9 +14,7 @@ import json
 import os
 import sys
 import time
-from typing import NoReturn
 
-from . import decomp, gadgets, symbolic
 from .cotree import cotree_to_graph, parse_newick, recognize, to_newick
 from .graph import (
     MAX_VERTICES,
@@ -94,7 +92,7 @@ def _witness_payload(witness: P4Witness) -> dict:
     return {"p4": list(witness)}
 
 
-def _violation_payload(v: symbolic.AxiomViolation) -> dict:
+def _violation_payload(v) -> dict:
     return {
         "axiom": v.axiom,
         "vertices": list(v.vertices),
@@ -105,6 +103,8 @@ def _violation_payload(v: symbolic.AxiomViolation) -> dict:
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit_code, verdict, payload, stats, summary)
+# and imports the modules it runs only when it is called, so a command loads
+# no module it does not use
 # ---------------------------------------------------------------------------
 
 
@@ -145,6 +145,8 @@ def _cmd_hypercube(args):
     if args.layers:
         if args.dimension % 2 or args.dimension == 0:
             raise InputError("--layers needs a positive even dimension")
+        from . import decomp
+
         d = decomp.layers_partition(args.dimension // 2)
         payload = decomp.decomposition_to_json(d)
         return EXIT_OK, "ok", payload, {}, f"layer partition of the {args.dimension}-cube, k={d.k}"
@@ -152,7 +154,9 @@ def _cmd_hypercube(args):
     return EXIT_OK, "ok", graph_to_json(g), {}, f"{args.dimension}-cube: {g.n} vertices, {len(g.edges)} edges"
 
 
-def _read_map(path: str) -> symbolic.SymbolicMap:
+def _read_map(path: str):
+    from . import symbolic
+
     try:
         return symbolic.parse_symbolic_map(_read_text(path))
     except ValueError as exc:
@@ -162,6 +166,8 @@ def _read_map(path: str) -> symbolic.SymbolicMap:
 def _cmd_ultrametric(args):
     """``check`` and ``represent`` both decide by building the tree; they
     differ in the success payload, and an empty map passes ``check`` only."""
+    from . import symbolic
+
     d = _read_map(args.map)
     check = args.subcommand == "check"
     try:
@@ -177,6 +183,8 @@ def _cmd_ultrametric(args):
 
 
 def _cmd_decompose(args):
+    from . import decomp
+
     g = _read_graph(args.graph)
     if args.strategy in ("vizing", "greedy"):
         merging: dict = {}
@@ -211,6 +219,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_coarsen(args):
+    from . import decomp
+
     obj = _read_json(args.decomposition)
     host = _read_graph(args.graph) if args.graph else None
     d = decomp.decomposition_from_json(obj, host=host)
@@ -224,17 +234,21 @@ def _cmd_coarsen(args):
     return EXIT_OK, "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
 
 
-def _read_formula_graph(path: str) -> gadgets.GadgetGraph:
+def _read_formula_graph(path: str):
+    from . import gadgets
+
     return gadgets.build_formula_graph(gadgets.parse_formula(_read_text(path)))
 
 
-def _gadget_payload(gg: gadgets.GadgetGraph) -> dict:
+def _gadget_payload(gg) -> dict:
     payload = graph_to_json(gg.graph)
     payload["roles"] = dict(sorted(gg.roles.items()))
     return payload
 
 
 def _cmd_gadget(args):
+    from . import gadgets
+
     if args.kind == "literal":
         gg = gadgets.literal_graph()
     elif args.kind == "extended":
@@ -255,6 +269,8 @@ def _cmd_reduce_to_graph(args):
 
 
 def _cmd_reduce_from_partition(args):
+    from . import decomp, gadgets
+
     f = gadgets.parse_formula(_read_text(args.formula))
     d = decomp.decomposition_from_json(_read_json(args.decomposition))
     try:
@@ -301,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split the edge set into cograph classes")
     p.add_argument("graph")
-    p.add_argument("--mode", choices=[decomp.PARTITION, decomp.COVER], default=decomp.PARTITION)
+    p.add_argument("--mode", choices=["partition", "cover"], default="partition")
     p.add_argument(
         "--strategy",
         choices=["vizing", "greedy", "exact"],

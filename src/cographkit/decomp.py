@@ -8,9 +8,8 @@ Partitions require pairwise disjoint classes; covers may overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .cotree import _Prime, _split, _witness_in
 from .graph import Graph, P4Witness, _bits, _check_vertex_count, _is_int, hypercube
@@ -50,26 +49,28 @@ def _canon_edge(e: Edge) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+# the subclass checks its arguments in __new__, which a NamedTuple body
+# cannot define
+class _DecompositionFields(NamedTuple):
+    host: Graph
+    classes: tuple[frozenset[Edge], ...]
+    mode: str = PARTITION
+
+
+class Decomposition(_DecompositionFields):
     """Family of edge classes over a host graph.
 
     ``classes[i]`` holds canonical (u, v) pairs with u < v; ``mode`` is
     ``"partition"`` or ``"cover"``.
     """
 
-    host: Graph
-    classes: tuple[frozenset[Edge], ...]
-    mode: str = PARTITION
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.mode not in (PARTITION, COVER):
-            raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {self.mode!r}")
-        object.__setattr__(
-            self,
-            "classes",
-            tuple(frozenset(_canon_edge(e) for e in cls) for cls in self.classes),
-        )
+    def __new__(cls, host: Graph, classes, mode: str = PARTITION) -> Decomposition:
+        if mode not in (PARTITION, COVER):
+            raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {mode!r}")
+        classes = tuple(frozenset(_canon_edge(e) for e in c) for c in classes)
+        return super().__new__(cls, host, classes, mode)
 
     @property
     def k(self) -> int:
@@ -79,8 +80,7 @@ class Decomposition:
         return [sorted(cls) for cls in self.classes]
 
 
-@dataclass(frozen=True)
-class ValidationFault:
+class ValidationFault(NamedTuple):
     """First problem found by ``validate``; kind names the broken rule."""
 
     kind: str  # "foreign-edge" | "coverage" | "overlap" | "class-not-cograph"
@@ -441,8 +441,7 @@ def p4_constraints(g: Graph, limit: int | None = None) -> list[_Constraint]:
     return out
 
 
-@dataclass
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Raw result of the assignment search.
 
     ``solutions`` holds per-edge class bitmasks in host edge order;
@@ -748,8 +747,7 @@ INFEASIBLE = "infeasible"
 TIMEOUT = "timeout"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of a minimum-k search.
 
     ``infeasible_below`` is the largest k proven to admit no solution;

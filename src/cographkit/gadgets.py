@@ -11,8 +11,7 @@ valid two-partition reads back to a satisfying assignment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .decomp import (
     PARTITION,
@@ -68,26 +67,31 @@ _LITERAL_SPOKE_SIDE: tuple[Edge, ...] = ((0, 3), (1, 4), (1, 5), (2, 6), (2, 7),
 _ATTACH_CORNERS = ((0, 2), (0, 1), (2, 1))
 
 
-@dataclass(frozen=True)
-class NaeFormula:
-    """Monotone 3-clauses: each clause is three distinct variable ids."""
-
+# the subclass checks its arguments in __new__, which a NamedTuple body
+# cannot define
+class _NaeFormulaFields(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ValueError(f"variable count must be non-negative, got {self.num_vars}")
-        for i, clause in enumerate(self.clauses):
+
+class NaeFormula(_NaeFormulaFields):
+    """Monotone 3-clauses: each clause is three distinct variable ids."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, int, int], ...]) -> NaeFormula:
+        if num_vars < 0:
+            raise ValueError(f"variable count must be non-negative, got {num_vars}")
+        for i, clause in enumerate(clauses):
             if len(clause) != 3 or len(set(clause)) != 3:
                 raise ValueError(f"clause {i} must name three distinct variables, got {clause}")
             for var in clause:
-                if not 0 <= var < self.num_vars:
+                if not 0 <= var < num_vars:
                     raise ValueError(f"clause {i} names unknown variable {var}")
+        return super().__new__(cls, num_vars, clauses)
 
 
-@dataclass(frozen=True)
-class GadgetGraph:
+class GadgetGraph(NamedTuple):
     """A constructed gadget plus the role map naming every vertex."""
 
     graph: Graph

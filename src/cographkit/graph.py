@@ -98,12 +98,18 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not _is_int(n) or n < 0:
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
-        adj = [0] * n
+        try:
+            adj = [0] * n
+        except MemoryError:
+            # an invalid pair is named even when n is too large to allocate
+            for pair in edges:
+                _reject(pair, n)
+            raise
         keyed = {}
         for pair in edges:
             u, v = pair
             if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
-                raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
+                _reject(pair, n)
             if u < v:
                 # a canonical input tuple is kept as is, not copied
                 edge = pair if type(pair) is tuple else (u, v)
@@ -111,9 +117,9 @@ class Graph:
                 u, v = v, u
                 edge = (u, v)
             else:
-                raise ValueError(f"self-loop {tuple(pair)!r} is not allowed")
+                _reject(pair, n)
             if u < 0 or v >= n:
-                raise ValueError(f"edge {tuple(pair)!r} has an endpoint outside 0..{n - 1}")
+                _reject(pair, n)
             key = u * n + v
             if key not in keyed:
                 keyed[key] = edge
@@ -165,15 +171,36 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _reject(pair, n: int) -> None:
+    """Raise the ``ValueError`` naming what is wrong with ``pair`` as an
+    edge of a graph on n vertices; return if nothing is."""
+    u, v = pair
+    if not (_is_int(u) and _is_int(v)):
+        raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
+    if u == v:
+        raise ValueError(f"self-loop {tuple(pair)!r} is not allowed")
+    if min(u, v) < 0 or max(u, v) >= n:
+        raise ValueError(f"edge {tuple(pair)!r} has an endpoint outside 0..{n - 1}")
+
+
 def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the non-edges of g."""
-    full = (1 << g.n) - 1
-    edges = [
+    """Graph on the same vertices whose edges are exactly the non-edges of g.
+
+    The row scan yields the pairs already canonical and sorted, and each
+    mask is the row's complement without the vertex itself, so the result
+    is assembled directly instead of re-validated by ``Graph``."""
+    n = g.n
+    full = (1 << n) - 1
+    out = object.__new__(Graph)
+    out.n = n
+    out.edges = tuple([
         (u, v)
         for u, row in enumerate(g._adj)
         for v in _bits(full & ~row & -(2 << u))
-    ]
-    return Graph(g.n, edges)
+    ])
+    out._adj = tuple(full & ~row & ~(1 << u) for u, row in enumerate(g._adj))
+    out._edge_set = None
+    return out
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -12,9 +12,8 @@ searches small maps whose edge and non-edge symbols are disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .cotree import Cotree, _leaf_groups, _Prime, _split, check_structure, recognize
 from .graph import Graph, P4Witness, _is_int, _read_rows
@@ -139,8 +138,7 @@ class SymbolicMap:
         return f"SymbolicMap(n={self.n}, num_symbols={self.num_symbols})"
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     """Minimal witness against one of the tree-representability conditions.
 
     ``axiom`` is U2 or U3 for the direct checker (vertex triple resp.

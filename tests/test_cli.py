@@ -548,3 +548,43 @@ def test_full_device_stdout_exits_two(argv):
     with open("/dev/full", "wb") as full:
         proc = _run_cli_process(argv, full)
     _assert_unwritable_report(proc, os.strerror(errno.ENOSPC))
+
+
+DECOMP, GADGETS, SYMBOLIC = "cographkit.decomp", "cographkit.gadgets", "cographkit.symbolic"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, loaded, absent",
+    [
+        (["recognize", "-"], P4_TEXT, (), (DECOMP, GADGETS, SYMBOLIC, "dataclasses")),
+        (["cotree", "-"], "(0,(1,2)1)0;\n", (), (DECOMP, GADGETS, SYMBOLIC, "dataclasses")),
+        (["ultrametric", "check", "-"], MAP_OK, (SYMBOLIC,), (DECOMP, GADGETS)),
+        (["decompose", "-"], P4_TEXT, (DECOMP,), (GADGETS, SYMBOLIC, "dataclasses", "inspect")),
+        (None, "", ("cographkit.graph", "cographkit.cotree"), (DECOMP, GADGETS, SYMBOLIC, "cographkit.cli")),
+    ],
+    ids=["recognize", "cotree", "ultrametric-check", "decompose", "import-only"],
+)
+def test_each_command_imports_only_the_modules_it_runs(argv, stdin, loaded, absent):
+    """A fresh ``python -B`` child runs one command (or only imports the
+    package) and reports the modules it loaded: a top-level import that
+    pulls in an unused module would show here."""
+    import cographkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cographkit.__file__)))
+    run = f"from cographkit.cli import main; code = main({argv!r})" if argv else "import cographkit; code = 0"
+    script = (
+        "import io, json, sys\n"
+        "out, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"{run}\n"
+        "out.write(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script], input=stdin, capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code in (0, 1), proc.stderr
+    assert set(loaded) <= set(modules)
+    assert not set(absent) & set(modules), sorted(set(absent) & set(modules))
+    if argv is None:
+        assert sorted(m for m in modules if m.startswith("cographkit.")) == sorted(loaded)

@@ -143,6 +143,19 @@ def test_build_errors_match_reference(bad):
         assert _raised(lambda: Graph(n, [bad])) == _raised(lambda: reference_graph(n, [bad]))
 
 
+def test_invalid_pair_is_named_when_the_masks_cannot_be_allocated():
+    # CPython refuses a list of 2**61 slots at once, without allocating
+    n = 2**61
+    for bad in [(0, 0), (1.0, 2), (-1, 2), (0, n), (0, 1, 2)]:
+        edges = [(0, 1), bad]
+        got = _raised(lambda: Graph(n, iter(edges)))
+        assert got[0] is ValueError and got == _raised(lambda: reference_graph(n, iter(edges)))
+    with pytest.raises(ValueError, match=r"self-loop \(0, 0\)"):
+        Graph(n, [(0, 0)])
+    with pytest.raises(MemoryError):
+        Graph(n, [(0, 1), (2, 3)])
+
+
 def test_edge_set_is_built_on_first_use():
     g = Graph(4, [(1, 0), (2, 3)])
     assert g._edge_set is None
@@ -190,6 +203,21 @@ def test_complement_matches_pairwise_reference():
     graphs.append(random_graph(1000, 0.5, random.Random(1)))
     for g in graphs:
         assert list(complement(g).edges) == reference_complement_edges(g)
+
+
+def test_complement_equals_the_graph_rebuilt_from_its_edges():
+    # the slots are set directly, so they must match what Graph would build
+    rng = random.Random(1)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(rng.randint(0, 12), rng.random(), rng) for _ in range(100)]
+    graphs.append(random_graph(1000, 0.5, random.Random(1)))
+    for g in graphs:
+        c = complement(g)
+        rebuilt = Graph(g.n, reference_complement_edges(g))
+        assert type(c) is Graph and c.n == rebuilt.n
+        assert c.edges == rebuilt.edges and c._adj == rebuilt._adj
+        assert c.edge_set == rebuilt.edge_set
+        assert c == rebuilt and hash(c) == hash(rebuilt)
 
 
 def test_product_of_two_edges_is_square():
