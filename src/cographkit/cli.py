@@ -34,18 +34,27 @@ EXIT_TIMEOUT = 3
 EXIT_INTERNAL = 4
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """File or format problem; reported on stderr with exit status 2."""
 
 
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
+def _read(path: str, parse):
+    """``parse`` applied to the text of ``path`` ('-' is standard input).
+    A file that cannot be read, decoded or parsed is an ``InputError``
+    that names the path once."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return parse(_read_text(path))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -62,30 +71,23 @@ def graph_from_json(obj) -> Graph:
         raise InputError(f"bad graph JSON: {exc}") from exc
 
 
-def _json_payload(path: str, text: str):
+def _json_payload(text: str):
     """Decoded JSON text; the ``payload`` when it is a report of this CLI.
     Nesting too deep for the decoder is an input error like bad syntax."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+        raise InputError(f"invalid JSON: {exc}") from exc
     if isinstance(doc, dict) and "payload" in doc:
         return doc["payload"]
     return doc
 
 
-def _read_graph(path: str) -> Graph:
-    text = _read_text(path)
+def _parse_graph(text: str) -> Graph:
+    """Graph JSON (a report payload included) or an edge list."""
     if text.lstrip().startswith("{"):
-        return graph_from_json(_json_payload(path, text))
-    try:
-        return parse_edge_list(text)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
-def _read_json(path: str):
-    return _json_payload(path, _read_text(path))
+        return graph_from_json(_json_payload(text))
+    return parse_edge_list(text)
 
 
 def _witness_payload(witness: P4Witness) -> dict:
@@ -109,7 +111,7 @@ def _violation_payload(v) -> dict:
 
 
 def _cmd_recognize(args):
-    result = recognize(_read_graph(args.graph))
+    result = recognize(_read(args.graph, _parse_graph))
     if isinstance(result, P4Witness):
         return (
             EXIT_NEGATIVE,
@@ -123,14 +125,14 @@ def _cmd_recognize(args):
 
 
 def _cmd_cotree(args):
-    g = cotree_to_graph(parse_newick(_read_text(args.tree)))
+    g = _read(args.tree, lambda text: cotree_to_graph(parse_newick(text)))
     payload = graph_to_json(g)
     payload["edge_list"] = format_edge_list(g)
     return EXIT_OK, "ok", payload, {}, f"reconstructed {g.n} vertices, {len(g.edges)} edges"
 
 
 def _cmd_p4s(args):
-    g = _read_graph(args.graph)
+    g = _read(args.graph, _parse_graph)
     witnesses = enumerate_induced_p4(g)
     payload = {"count": len(witnesses), "witnesses": [list(w) for w in witnesses]}
     return EXIT_OK, "ok", payload, {}, f"{len(witnesses)} induced paths"
@@ -154,21 +156,12 @@ def _cmd_hypercube(args):
     return EXIT_OK, "ok", graph_to_json(g), {}, f"{args.dimension}-cube: {g.n} vertices, {len(g.edges)} edges"
 
 
-def _read_map(path: str):
-    from . import symbolic
-
-    try:
-        return symbolic.parse_symbolic_map(_read_text(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _cmd_ultrametric(args):
     """``check`` and ``represent`` both decide by building the tree; they
     differ in the success payload, and an empty map passes ``check`` only."""
     from . import symbolic
 
-    d = _read_map(args.map)
+    d = _read(args.map, symbolic.parse_symbolic_map)
     check = args.subcommand == "check"
     try:
         tree = symbolic.build_representation(d) if d.n or not check else None
@@ -185,7 +178,15 @@ def _cmd_ultrametric(args):
 def _cmd_decompose(args):
     from . import decomp
 
-    g = _read_graph(args.graph)
+    if args.strategy != "exact":
+        for flag, given in (
+            ("--mode cover", args.mode == "cover"),
+            ("--k-max", args.k_max is not None),
+            ("--budget-nodes", args.budget_nodes is not None),
+        ):
+            if given:
+                raise InputError(f"{flag} applies only to --strategy exact")
+    g = _read(args.graph, _parse_graph)
     if args.strategy in ("vizing", "greedy"):
         merging: dict = {}
         d = decomp.vizing_partition(g) if args.strategy == "vizing" else decomp.greedy_partition(g, merging)
@@ -194,7 +195,8 @@ def _cmd_decompose(args):
         return EXIT_OK, "decomposed", payload, stats, f"{args.strategy}: k={d.k}"
     k_max = args.k_max if args.k_max is not None else max(1, g.max_degree() + 1)
     solve = decomp.exact_min_partition if args.mode == decomp.PARTITION else decomp.exact_min_cover
-    result = solve(g, k_max, node_budget=args.budget_nodes)
+    budget = 10_000_000 if args.budget_nodes is None else args.budget_nodes
+    result = solve(g, k_max, node_budget=budget)
     stats = {
         "strategy": "exact",
         "nodes": result.nodes,
@@ -221,9 +223,8 @@ def _cmd_decompose(args):
 def _cmd_coarsen(args):
     from . import decomp
 
-    obj = _read_json(args.decomposition)
-    host = _read_graph(args.graph) if args.graph else None
-    d = decomp.decomposition_from_json(obj, host=host)
+    host = _read(args.graph, _parse_graph) if args.graph else None
+    d = _read(args.decomposition, lambda text: decomp.decomposition_from_json(_json_payload(text), host=host))
     fault = decomp.validate(d)
     if fault is not None:
         payload = {"kind": fault.kind, "detail": fault.detail or str(fault)}
@@ -232,18 +233,6 @@ def _cmd_coarsen(args):
     coarse = decomp.coarsen(d, merging)
     payload = decomp.decomposition_to_json(coarse)
     return EXIT_OK, "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
-
-
-def _read_formula_graph(path: str):
-    from . import gadgets
-
-    return gadgets.build_formula_graph(gadgets.parse_formula(_read_text(path)))
-
-
-def _gadget_payload(gg) -> dict:
-    payload = graph_to_json(gg.graph)
-    payload["roles"] = dict(sorted(gg.roles.items()))
-    return payload
 
 
 def _cmd_gadget(args):
@@ -256,23 +245,18 @@ def _cmd_gadget(args):
     elif args.kind == "clause":
         gg = gadgets.clause_gadget()
     else:
-        if not args.formula:
-            raise InputError("gadget formula needs a formula file")
-        gg = _read_formula_graph(args.formula)
+        gg = gadgets.build_formula_graph(_read(args.formula, gadgets.parse_formula))
     g = gg.graph
-    return EXIT_OK, "ok", _gadget_payload(gg), {}, f"{args.kind} gadget: {g.n} vertices, {len(g.edges)} edges"
-
-
-def _cmd_reduce_to_graph(args):
-    gg = _read_formula_graph(args.formula)
-    return EXIT_OK, "ok", _gadget_payload(gg), {}, f"formula graph: {gg.graph.n} vertices"
+    payload = graph_to_json(g)
+    payload["roles"] = dict(sorted(gg.roles.items()))
+    return EXIT_OK, "ok", payload, {}, f"{args.kind} gadget: {g.n} vertices, {len(g.edges)} edges"
 
 
 def _cmd_reduce_from_partition(args):
     from . import decomp, gadgets
 
-    f = gadgets.parse_formula(_read_text(args.formula))
-    d = decomp.decomposition_from_json(_read_json(args.decomposition))
+    f = _read(args.formula, gadgets.parse_formula)
+    d = _read(args.decomposition, lambda text: decomp.decomposition_from_json(_json_payload(text)))
     try:
         values = gadgets.assignment_from_partition(f, d)
     except ValueError as exc:
@@ -328,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget-nodes",
         type=int,
-        default=10_000_000,
+        default=None,
         help="search node budget (default 10,000,000); at about 1,600-2,250 nodes/s on a "
         "30-vertex G(30, 0.5) the default runs for 1.2-1.8 hours before exit 3, and a "
         "smaller budget exits 3 sooner",
@@ -353,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rsub = p.add_subparsers(dest="subcommand", required=True)
     rt = rsub.add_parser("to-graph", help="formula to gadget graph")
     rt.add_argument("formula")
-    rt.set_defaults(handler=_cmd_reduce_to_graph)
+    rt.set_defaults(handler=_cmd_gadget, kind="formula")
     rf = rsub.add_parser("from-partition", help="two-class decomposition back to an assignment")
     rf.add_argument("decomposition", help="decomposition JSON file, or -")
     rf.add_argument("--formula", required=True, help="formula file the gadget graph was built from")
@@ -372,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         code, verdict, payload, stats, summary = args.handler(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

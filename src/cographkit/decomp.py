@@ -526,14 +526,10 @@ def search_assignments(
 
     deg = [host.degree(v) for v in range(host.n)]
     order = sorted(range(m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), edges[i]))
-    if mode == PARTITION:
-        domain = tuple(1 << c for c in range(k))
-    else:
-        domain = tuple(range(1, 1 << k))
     if prune:
-        return _propagating_search(
-            order, constraints, k, mode, domain, forced_mask, find_all, symmetry, node_budget
-        )
+        return _propagating_search(order, constraints, k, mode, forced_mask, find_all, symmetry, node_budget)
+    # candidate masks are made on demand: cover mode has 2^k - 1 of them
+    domain = _SingletonMasks(k) if mode == PARTITION else range(1, 1 << k)
 
     assign = [0] * m
     solutions: list[tuple[int, ...]] = []
@@ -580,6 +576,16 @@ def search_assignments(
     return SearchOutcome(solutions=solutions, nodes=nodes, completed=not out_of_budget)
 
 
+class _SingletonMasks:
+    """The partition-mode candidates 1 << c for c < k, made on each iteration."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+
+    def __iter__(self) -> Iterator[int]:
+        return (1 << c for c in range(self.k))
+
+
 def _breaks_symmetry(mask: int, used: int) -> bool:
     """True when mask introduces classes other than the next unused ids."""
     fresh = mask & ~used
@@ -591,17 +597,19 @@ def _propagating_search(
     constraints: list[_Constraint],
     k: int,
     mode: str,
-    domain: tuple[int, ...],
     forced_mask: list[int],
     find_all: bool,
     symmetry: bool,
     node_budget: int | None,
 ) -> SearchOutcome:
     """The ``prune=True`` engine of ``search_assignments``, on an explicit
-    stack so that the depth of the search is not bounded by recursion."""
+    stack so that the depth of the search is not bounded by recursion.
+    Candidate i is made on demand: the mask 1 << i in partition mode, i + 1
+    in cover mode."""
     m = len(order)
     full = (1 << k) - 1
     partition = mode == PARTITION
+    size = k if partition else full
     cons_of: list[list[_Constraint]] = [[] for _ in range(m)]
     for con in constraints:
         p1, p2, p3, chords = con
@@ -717,8 +725,8 @@ def _propagating_search(
             e = order[fpos]
             b = banned[e]
             r = required[e]
-            while i < len(domain):
-                mask = domain[i]
+            while i < size:
+                mask = 1 << i if partition else i + 1
                 i += 1
                 if mask & b or mask & r != r or (symmetry and _breaks_symmetry(mask, fused)):
                     continue

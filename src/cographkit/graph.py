@@ -253,10 +253,10 @@ def enumerate_induced_p4(g: Graph) -> list[P4Witness]:
     """Brute-force induced-path oracle.
 
     Returns every canonical quadruple (a, b, c, d) with a < d such that
-    ab, bc, cd are edges and ac, bd, ad are not, sorted lexicographically.
-    The list is empty exactly when g is a cograph.
+    ab, bc, cd are edges and ac, bd, ad are not, in lexicographic order
+    (the order of the scan).  The list is empty exactly when g is a cograph.
     """
-    return sorted(_p4_scan(g._adj, (1 << g.n) - 1, stop_at_first=False))
+    return _p4_scan(g._adj, (1 << g.n) - 1, stop_at_first=False)
 
 
 def first_induced_p4(g: Graph) -> P4Witness | None:

@@ -413,6 +413,103 @@ def test_reduce_from_partition_malformed_decomposition_exits_two(tmp_path, obj):
     assert err.startswith("error:")
 
 
+GOOD_DECOMPOSITION = json.dumps({"mode": "partition", "k": 1, "n": 3, "classes": [[[0, 1]]]})
+BAD_DECOMPOSITION = json.dumps({"mode": "partition", "k": 1, "n": 3, "classes": [5]})
+
+# (argv with {bad} for the malformed file and {good} for a well-formed one,
+# malformed contents, well-formed contents)
+MALFORMED_INPUTS = {
+    "edge-list": (["recognize", "{bad}"], "3 1\n0 1 2\n", None),
+    "graph-json": (["recognize", "{bad}"], '{"n": 3}', None),
+    "graph-json-syntax": (["p4s", "{bad}"], '{"n": 3,', None),
+    "newick": (["cotree", "{bad}"], "(0,1", None),
+    "symbol-map": (["ultrametric", "check", "{bad}"], "2 1\n- s0\ns1 -\n", None),
+    "formula": (["gadget", "formula", "{bad}"], "3 1\n0 x 2\n", None),
+    "formula-to-graph": (["reduce", "to-graph", "{bad}"], "3 1\n0 1\n", None),
+    "decomposition": (["coarsen", "{bad}"], BAD_DECOMPOSITION, None),
+    "decomposition-syntax": (["coarsen", "{bad}"], "[", None),
+    "non-utf8": (["decompose", "{bad}"], b"4 3\n0 1\n\xff\xfe\n", None),
+    "from-partition-formula": (["reduce", "from-partition", "--formula", "{bad}", "{good}"], "3 1\n0 x 2\n",
+                               GOOD_DECOMPOSITION),
+    "from-partition-decomposition": (["reduce", "from-partition", "--formula", "{good}", "{bad}"],
+                                     BAD_DECOMPOSITION, "3 1\n0 1 2\n"),
+    "coarsen-graph": (["coarsen", "{good}", "--graph", "{bad}"], "3 1\n0 9\n", GOOD_DECOMPOSITION),
+    "coarsen-decomposition": (["coarsen", "{bad}", "--graph", "{good}"], BAD_DECOMPOSITION, "3 1\n0 1\n"),
+    "coarsen-host-mismatch": (["coarsen", "{bad}", "--graph", "{good}"], GOOD_DECOMPOSITION, "4 1\n0 1\n"),
+}
+
+
+@pytest.mark.parametrize("argv, bad, good", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_error_names_its_file(tmp_path, argv, bad, good):
+    paths = {"bad": tmp_path / "input.bad", "good": tmp_path / "input.good"}
+    for name, contents in (("bad", bad), ("good", good)):
+        if contents is not None:
+            paths[name].write_bytes(contents if isinstance(contents, bytes) else contents.encode())
+    bad_path = str(paths["bad"])
+    code, out, err = run_cli([arg.format(bad=bad_path, good=paths["good"]) for arg in argv])
+    assert (code, out) == (2, ""), err
+    assert err.startswith(f"error: {bad_path}: "), err
+    assert err.count(bad_path) == 1 and str(paths["good"]) not in err
+
+
+def test_mutated_inputs_exit_two_naming_the_file_never_four(tmp_path):
+    """Seeded byte mutations of one well-formed input per reader: a rejected
+    input exits 2 with the file named first, and none is an internal error."""
+    valid = [
+        (["recognize"], P4_TEXT),
+        (["recognize"], json.dumps(graph_to_json(Graph(4, [(0, 1), (1, 2), (2, 3)])))),
+        (["cotree"], "(0,(1,2)1)0;\n"),
+        (["ultrametric", "check"], MAP_OK),
+        (["gadget", "formula"], FORMULA_TEXT),
+        (["coarsen"], GOOD_DECOMPOSITION),
+    ]
+    alphabet = b' -,;:()[]{}"01239nxs\n\xff'
+    path = tmp_path / "mutated"
+    rng = random.Random(4)
+    for argv, text in valid:
+        for _ in range(60):
+            data = bytearray(text.encode())
+            for _ in range(rng.randint(1, 2)):
+                pos = rng.randrange(len(data))
+                if rng.random() < 0.5:
+                    del data[pos]
+                else:
+                    data.insert(pos, rng.choice(alphabet))
+            path.write_bytes(bytes(data))
+            code, out, err = run_cli([*argv, str(path)])
+            assert code != 4, (argv, bytes(data), err)
+            if code == 2:
+                assert out == "" and err.startswith(f"error: {path}: "), (argv, bytes(data), err)
+
+
+@pytest.mark.parametrize("strategy", ["vizing", "greedy"])
+@pytest.mark.parametrize("flag, value", [("--mode", "cover"), ("--k-max", "1"), ("--budget-nodes", "0")])
+def test_decompose_rejects_exact_only_flags(strategy, flag, value):
+    code, out, err = run_cli(["decompose", "--strategy", strategy, flag, value, "-"], stdin=P4_TEXT)
+    assert (code, out) == (2, "")
+    named = f"{flag} {value}" if flag == "--mode" else flag
+    assert err == f"error: {named} applies only to --strategy exact\n"
+
+
+@pytest.mark.parametrize("strategy", ["vizing", "greedy"])
+def test_decompose_heuristics_accept_partition_mode(strategy):
+    code, out, _ = run_cli(["decompose", "--strategy", strategy, "--mode", "partition", "-"], stdin=P4_TEXT)
+    assert code == 0
+    assert report_of(out)["payload"]["mode"] == "partition"
+
+
+def test_reduce_to_graph_is_gadget_formula(tmp_path):
+    formula = tmp_path / "f.nae"
+    formula.write_text(FORMULA_TEXT)
+    reports = []
+    for argv in (["gadget", "formula", str(formula)], ["reduce", "to-graph", str(formula)]):
+        code, out, err = run_cli(argv)
+        assert code == 0
+        reports.append(report_of(out))
+        assert err == "formula gadget: 72 vertices, 108 edges\n"
+    assert reports[0]["payload"] == reports[1]["payload"]
+
+
 def test_coarsen_invalid_decomposition_exits_one():
     obj = {
         "mode": "partition",

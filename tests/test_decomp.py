@@ -624,6 +624,25 @@ def test_long_path_solves_without_recursion():
     assert validate(result.decomposition) is None
 
 
+@pytest.mark.parametrize("k, mode", [(64, COVER), (40_000, PARTITION)])
+def test_search_makes_candidate_masks_on_demand(k, mode):
+    # built up front, the domain would be 2^64 - 1 cover masks, or 40,000
+    # partition masks of up to 40,000 bits (about 100 MB)
+    import tracemalloc
+
+    from cographkit.decomp import search_assignments
+
+    for prune, nodes in ((True, 3), (False, 4)):
+        tracemalloc.start()
+        try:
+            out = search_assignments(path_graph(4), k, mode, prune=prune)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.solutions, out.nodes, out.completed) == ([(1, 1, 2)], nodes, True)
+        assert peak < 1 << 20
+
+
 def test_constraint_building_counts_against_budget():
     # about 10^8 length-3 paths: building them all would not finish, so
     # the build stops once the constraints outnumber the node budget

@@ -337,7 +337,9 @@ def test_p4_witnesses_recheck_in_host():
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng.randint(4, 9), rng.random(), rng)
-        for w in enumerate_induced_p4(g):
+        witnesses = enumerate_induced_p4(g)
+        assert witnesses == sorted(witnesses)  # the scan order is already lexicographic
+        for w in witnesses:
             assert w.holds_in(g)
             assert w.a < w.d
 
