@@ -90,19 +90,6 @@ def _parse_graph(text: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _witness_payload(witness: P4Witness) -> dict:
-    return {"p4": list(witness)}
-
-
-def _violation_payload(v) -> dict:
-    return {
-        "axiom": v.axiom,
-        "vertices": list(v.vertices),
-        "symbol": v.symbol,
-        "p4": list(v.p4) if v.p4 is not None else None,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit_code, verdict, payload, stats, summary)
 # and imports the modules it runs only when it is called, so a command loads
@@ -116,7 +103,7 @@ def _cmd_recognize(args):
         return (
             EXIT_NEGATIVE,
             "not-cograph",
-            _witness_payload(result),
+            {"p4": result},
             {},
             f"not a cograph: induced path on {tuple(result)}",
         )
@@ -134,7 +121,7 @@ def _cmd_cotree(args):
 def _cmd_p4s(args):
     g = _read(args.graph, _parse_graph)
     witnesses = enumerate_induced_p4(g)
-    payload = {"count": len(witnesses), "witnesses": [list(w) for w in witnesses]}
+    payload = {"count": len(witnesses), "witnesses": witnesses}
     return EXIT_OK, "ok", payload, {}, f"{len(witnesses)} induced paths"
 
 
@@ -168,7 +155,7 @@ def _cmd_ultrametric(args):
     except symbolic.NotUltrametricError as exc:
         v = exc.violation
         where = f" at {v.vertices or v.symbol}" if check else ""
-        return EXIT_NEGATIVE, "not-ultrametric", _violation_payload(v), {}, f"violates {v.axiom}{where}"
+        return EXIT_NEGATIVE, "not-ultrametric", v._asdict(), {}, f"violates {v.axiom}{where}"
     if check:
         return EXIT_OK, "ultrametric", {"n": d.n, "symbols": d.num_symbols}, {}, "map is tree-representable"
     newick = to_newick(tree)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Union
 
-from .graph import Graph, P4Witness, _first_component, _is_int, _p4_scan
+from .graph import Graph, P4Witness, _check_vertex_count, _first_component, _induced_p4s, _is_int
 
 __all__ = [
     "Cotree",
@@ -210,31 +210,34 @@ def _split(splitters, mask: int) -> Nested:
             return node
 
 
-def recognize(g: Graph) -> Cotree | P4Witness:
-    """Canonical cotree of g, or an induced-path witness if g is not a cograph.
+def _cotree_or_witness(adj, mask: int) -> Nested | P4Witness:
+    """Nested cotree of the graph induced on ``mask`` (at least one vertex),
+    or an induced-path witness if that graph is not a cograph.
 
     ``_split`` with the graph as splitter 0 and its complement as
     splitter 1: a disconnected part becomes a 0-node over its components,
     a part with disconnected complement a 1-node over its co-components;
     a part that is neither (with more than one vertex) contains an
     induced P4; the witness is the lexicographically first one inside the
-    first such part.
+    first such part.  ``adj[v]`` is the adjacency bitmask of each v in
+    ``mask`` (list, tuple or dict).
     """
+    try:
+        return _split(((0, adj, False), (1, adj, True)), mask)
+    except _Prime as hit:
+        witness = next(_induced_p4s(adj, hit.mask), None)
+    if witness is None:
+        raise AssertionError("irreducible subgraph without an induced path")
+    return witness
+
+
+def recognize(g: Graph) -> Cotree | P4Witness:
+    """Canonical cotree of g, or an induced-path witness if g is not a
+    cograph (see ``_cotree_or_witness``)."""
     if g.n == 0:
         raise ValueError("recognition needs at least one vertex")
-    try:
-        return Cotree(_split(((0, g._adj, False), (1, g._adj, True)), (1 << g.n) - 1))
-    except _Prime as hit:
-        return _witness_in(g._adj, hit.mask)
-
-
-def _witness_in(adj, part: int) -> P4Witness:
-    """Lexicographically first induced path inside a part ``_split``
-    rejected, scanned on the part's adjacency masks."""
-    found = _p4_scan(adj, part, stop_at_first=True)
-    if not found:
-        raise AssertionError("irreducible subgraph without an induced path")
-    return found[0]
+    result = _cotree_or_witness(g._adj, (1 << g.n) - 1)
+    return result if isinstance(result, P4Witness) else Cotree(result)
 
 
 def _leaf_groups(t: Cotree) -> Iterator[tuple[int, list[list[int]]]]:
@@ -283,7 +286,8 @@ def to_newick(t: Cotree) -> str:
 
 
 def parse_newick(text: str) -> Cotree:
-    """Parse the serialization produced by ``to_newick`` (round-trip exact)."""
+    """Parse the serialization produced by ``to_newick`` (round-trip exact).
+    At most ``MAX_VERTICES`` leaves."""
     s = text.strip()
     pos = 0
 
@@ -322,7 +326,9 @@ def parse_newick(text: str) -> Cotree:
     pos += 1
     if pos != len(s):
         raise fail("trailing characters after ';'")
-    return Cotree(node)
+    tree = Cotree(node)
+    _check_vertex_count(tree.num_leaves)
+    return tree
 
 
 def random_labeled_tree(num_leaves: int, num_symbols: int, rng: random.Random) -> Cotree:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .cotree import _Prime, _split, _witness_in
+from .cotree import _cotree_or_witness
 from .graph import Graph, P4Witness, _bits, _check_vertex_count, _is_int, hypercube
 
 __all__ = [
@@ -141,15 +141,12 @@ def _adjacency(edges) -> dict[int, int]:
 def _class_witness(adj: dict[int, int]) -> P4Witness | None:
     """First induced path of the graph on the vertices of ``adj`` (a
     ``{vertex: adjacency mask}`` map), or None when it is a cograph: the
-    lexicographically first path inside the first part ``_split`` rejects.
-    An empty map is a cograph and never reaches ``_split``."""
+    witness ``cotree._cotree_or_witness`` reports.  An empty map is a
+    cograph and is not split."""
     if not adj:
         return None
-    try:
-        _split(((0, adj, False), (1, adj, True)), sum(1 << v for v in adj))
-    except _Prime as hit:
-        return _witness_in(adj, hit.mask)
-    return None
+    result = _cotree_or_witness(adj, sum(1 << v for v in adj))
+    return result if isinstance(result, P4Witness) else None
 
 
 # ---------------------------------------------------------------------------
@@ -867,8 +864,8 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
     comes from "n" and the host edges are the union of the classes.
 
     Malformed input raises ValueError: "classes" must be a list of
-    classes, each a list of [u, v] integer pairs, and "n" must be an
-    integer of at most ``graph.MAX_VERTICES``.
+    classes, each a list of [u, v] integer pairs, "k" must be an integer,
+    and "n" an integer of at most ``graph.MAX_VERTICES``.
     """
     if not isinstance(obj, dict):
         raise ValueError("decomposition JSON must be an object")
@@ -883,6 +880,8 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
     ):
         raise ValueError("decomposition JSON \"classes\" must be a list of lists of [u, v] integer pairs")
     classes = tuple(frozenset(_canon_edge((u, v)) for u, v in cls) for cls in raw)
+    if not _is_int(obj["k"]):
+        raise ValueError(f"decomposition JSON \"k\" must be an integer, got {obj['k']!r}")
     if obj["k"] != len(classes):
         raise ValueError(f"declared k={obj['k']} but found {len(classes)} classes")
     n = obj.get("n")

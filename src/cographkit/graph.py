@@ -32,9 +32,9 @@ __all__ = [
 
 MAX_VERTICES = 100_000
 """Largest vertex count the readers accept (edge lists, graph and
-decomposition JSON).  ``Graph`` allocates a slot per declared vertex, and
-an adjacency mask is up to n bits wide, so the bitset work of recognition
-grows with n^2 even on an edgeless graph."""
+decomposition JSON, newick cotrees).  ``Graph`` allocates a slot per
+declared vertex, and an adjacency mask is up to n bits wide, so the bitset
+work of recognition grows with n^2 even on an edgeless graph."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -230,11 +230,10 @@ def hypercube(d: int) -> Graph:
     return Graph(n, edges)
 
 
-def _p4_scan(adj, part: int, stop_at_first: bool) -> list[P4Witness]:
+def _induced_p4s(adj, part: int) -> Iterator[P4Witness]:
     """Induced paths a-b-c-d of the subgraph induced on the bitmask ``part``,
-    as canonical quadruples with a < d in lexicographic order; ``adj[v]`` is
-    the adjacency bitmask of each v in ``part`` (list, tuple or dict)."""
-    found = []
+    yielded lazily as canonical quadruples with a < d in lexicographic order;
+    ``adj[v]`` is the adjacency bitmask of each v in ``part`` (list, tuple or dict)."""
     for a in _bits(part):
         for b in _bits(adj[a] & part):
             # c adjacent to b, not adjacent or equal to a
@@ -243,10 +242,7 @@ def _p4_scan(adj, part: int, stop_at_first: bool) -> list[P4Witness]:
                 dmask = adj[c] & part & ~adj[b] & ~adj[a] & ~(1 << b)
                 dmask &= -1 << (a + 1)
                 for d in _bits(dmask):
-                    found.append(P4Witness(a, b, c, d))
-                    if stop_at_first:
-                        return found
-    return found
+                    yield P4Witness(a, b, c, d)
 
 
 def enumerate_induced_p4(g: Graph) -> list[P4Witness]:
@@ -256,13 +252,12 @@ def enumerate_induced_p4(g: Graph) -> list[P4Witness]:
     ab, bc, cd are edges and ac, bd, ad are not, in lexicographic order
     (the order of the scan).  The list is empty exactly when g is a cograph.
     """
-    return _p4_scan(g._adj, (1 << g.n) - 1, stop_at_first=False)
+    return list(_induced_p4s(g._adj, (1 << g.n) - 1))
 
 
 def first_induced_p4(g: Graph) -> P4Witness | None:
     """Lexicographically smallest induced-path witness, or None."""
-    found = _p4_scan(g._adj, (1 << g.n) - 1, stop_at_first=True)
-    return found[0] if found else None
+    return next(_induced_p4s(g._adj, (1 << g.n) - 1), None)
 
 
 def connected_components(g: Graph) -> list[tuple[int, ...]]:

@@ -1,12 +1,15 @@
 """Command-line behavior: verdicts, exit codes, JSON reports, piping,
 and byte-exact artifact round trips."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +17,7 @@ from cographkit import (
     Graph,
     decomposition_from_json,
     decomposition_to_json,
+    enumerate_induced_p4,
     format_edge_list,
     parse_newick,
     random_graph,
@@ -181,6 +185,25 @@ def test_p4s_lists_witnesses():
     assert len(payload["witnesses"]) == 5
 
 
+def test_p4s_holds_one_copy_of_its_witnesses(tmp_path):
+    # the report is written from the list enumerate_induced_p4 returns
+    g = random_graph(60, 0.5, random.Random(1))
+    path = tmp_path / "g.txt"
+    path.write_text(format_edge_list(g))
+    tracemalloc.start()
+    try:
+        assert len(enumerate_induced_p4(g)) == 93_176
+        oracle_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["p4s", str(path)]) == 0
+        cli_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli_peak < 1.25 * oracle_peak
+
+
 def test_hypercube_graph_payload():
     code, out, _ = run_cli(["hypercube", "3"])
     assert code == 0
@@ -254,6 +277,19 @@ def test_decompose_exact_on_literal_gadget():
     assert doc["payload"]["k"] == 2
     assert doc["payload"] == decomposition_to_json(literal_partition())
     assert doc["stats"]["nodes"] > 0
+
+
+@pytest.mark.parametrize("leaves", [MAX_VERTICES, MAX_VERTICES + 1])
+def test_cotree_newick_leaf_limit(tmp_path, leaves):
+    path = tmp_path / "star.newick"
+    path.write_text("(" + ",".join(map(str, range(leaves))) + ")0;\n")
+    code, out, err = run_cli(["cotree", str(path)])
+    if leaves <= MAX_VERTICES:
+        assert code == 0
+        assert report_of(out)["payload"]["edge_list"] == f"{leaves} 0\n"
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and "exceeds the limit" in err
 
 
 def test_cotree_malformed_newick_exits_two():
@@ -390,6 +426,7 @@ def test_coarsen_reports_unions_tested_and_merges():
 MALFORMED_DECOMPOSITIONS = [
     {"mode": "partition", "k": 1, "n": 3, "classes": [5]},
     {"mode": "partition", "k": 1, "n": None, "classes": [[[0, 1]]]},
+    {"mode": "partition", "k": "1", "n": 3, "classes": [[[0, 1]]]},
 ]
 
 

@@ -24,7 +24,7 @@ from cographkit import (
     to_newick,
     tree_to_map,
 )
-from cographkit import decomp
+from cographkit import cotree
 from cographkit.cotree import _Prime, _split
 from cographkit.decomp import PARTITION, Decomposition, coarsen
 from cographkit.graph import _bits, first_induced_p4
@@ -302,7 +302,7 @@ def test_split_matches_recursive_reference_on_coarsen_unions(monkeypatch):
         unions.append((splitters[0][1], mask))
         return _split(splitters, mask)
 
-    monkeypatch.setattr(decomp, "_split", recording)
+    monkeypatch.setattr(cotree, "_split", recording)
     assert coarsen(Decomposition(host, tuple(classes), PARTITION)).k == 6
     primes = 0
     for adj, mask in unions:

@@ -792,6 +792,9 @@ def test_decomposition_json_with_explicit_host():
         ({"mode": PARTITION, "k": 1, "n": 3, "classes": [[[0.9, 1.7]]]}, "integer pairs"),
         ({"mode": PARTITION, "k": 1, "n": None, "classes": [[[0, 1]]]}, '"n" must be an integer'),
         ({"mode": PARTITION, "k": 1, "n": "3", "classes": [[[0, 1]]]}, '"n" must be an integer'),
+        ({"mode": PARTITION, "k": 1.0, "n": 3, "classes": [[[0, 1]]]}, '"k" must be an integer'),
+        ({"mode": PARTITION, "k": True, "n": 3, "classes": [[[0, 1]]]}, '"k" must be an integer'),
+        ({"mode": PARTITION, "k": "1", "n": 3, "classes": [[[0, 1]]]}, '"k" must be an integer'),
     ],
 )
 def test_decomposition_json_errors(obj, match):
