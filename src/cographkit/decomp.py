@@ -525,14 +525,16 @@ def search_assignments(
     order = sorted(range(m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), edges[i]))
     if prune:
         return _propagating_search(order, constraints, k, mode, forced_mask, find_all, symmetry, node_budget)
-    # candidate masks are made on demand: cover mode has 2^k - 1 of them
-    domain = _SingletonMasks(k) if mode == PARTITION else range(1, 1 << k)
-
+    # an explicit loop over positions, so that the depth of the search is not
+    # bounded by recursion; candidate i is made on demand, as in
+    # _propagating_search: cover mode has 2^k - 1 of them
+    partition = mode == PARTITION
+    size = k if partition else (1 << k) - 1
     assign = [0] * m
+    used = [0] * m  # classes taken by the edges before each position
+    tried = [0] * m  # candidates tried at each position above the current one
     solutions: list[tuple[int, ...]] = []
     nodes = 0
-    out_of_budget = False
-    stop = False
 
     def full_check() -> bool:
         for p1, p2, p3, chords in constraints:
@@ -545,42 +547,36 @@ def search_assignments(
                     return False
         return True
 
-    def dfs(pos: int, used: int) -> None:
-        nonlocal nodes, stop, out_of_budget
-        if pos == m:
+    pos = i = 0
+    while True:
+        e = order[pos]
+        forced_e = forced_mask[e]
+        while i < (1 if forced_e else size):
+            mask = forced_e or (1 << i if partition else i + 1)
+            i += 1
+            if symmetry and _breaks_symmetry(mask, used[pos]):
+                continue
+            if node_budget is not None and nodes >= node_budget:
+                return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+            nodes += 1
+            assign[e] = mask
+            if pos < m - 1:
+                break
+            # the last position checks each complete assignment in place
             if full_check():
                 solutions.append(tuple(assign))
                 if not find_all:
-                    stop = True
-            return
-        e = order[pos]
-        candidates = (forced_mask[e],) if forced_mask[e] else domain
-        for mask in candidates:
-            if symmetry and _breaks_symmetry(mask, used):
-                continue
-            if node_budget is not None and nodes >= node_budget:
-                out_of_budget = True
-                stop = True
-                return
-            nodes += 1
-            assign[e] = mask
-            dfs(pos + 1, used | mask)
-            assign[e] = 0
-            if stop:
-                return
-
-    dfs(0, 0)
-    return SearchOutcome(solutions=solutions, nodes=nodes, completed=not out_of_budget)
-
-
-class _SingletonMasks:
-    """The partition-mode candidates 1 << c for c < k, made on each iteration."""
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-
-    def __iter__(self) -> Iterator[int]:
-        return (1 << c for c in range(self.k))
+                    return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+        else:
+            if pos == 0:
+                return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+            pos -= 1
+            i = tried[pos]
+            continue
+        tried[pos] = i
+        pos += 1
+        used[pos] = used[pos - 1] | mask
+        i = 0
 
 
 def _breaks_symmetry(mask: int, used: int) -> bool:

@@ -11,16 +11,12 @@ valid two-partition reads back to a satisfying assignment.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .decomp import (
-    PARTITION,
-    Decomposition,
-    SearchOutcome,
-    search_assignments,
-    validate,
-)
 from .graph import Graph, _check_vertex_count, _read_rows
+
+if TYPE_CHECKING:
+    from .decomp import Decomposition, SearchOutcome
 
 __all__ = [
     "NaeFormula",
@@ -57,9 +53,10 @@ _LITERAL_EDGES: tuple[Edge, ...] = (
     (7, 8),
     (0, 8),
 )
+_LITERAL_TRIANGLE = _LITERAL_EDGES[:3]
 # the unique two-class split: triangle plus the middle bridge edges on one
 # side, the six spokes on the other
-_LITERAL_TRIANGLE_SIDE: tuple[Edge, ...] = ((0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (7, 8))
+_LITERAL_TRIANGLE_SIDE: tuple[Edge, ...] = _LITERAL_TRIANGLE + ((3, 4), (5, 6), (7, 8))
 _LITERAL_SPOKE_SIDE: tuple[Edge, ...] = ((0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (0, 8))
 
 # connector p of a clause attaches to these two clause-triangle corners
@@ -115,12 +112,10 @@ def literal_graph() -> GadgetGraph:
 
 def literal_partition() -> Decomposition:
     """The gadget's unique two-class split (up to swapping the classes)."""
+    from . import decomp
+
     g = literal_graph().graph
-    return Decomposition(
-        g,
-        (frozenset(_LITERAL_TRIANGLE_SIDE), frozenset(_LITERAL_SPOKE_SIDE)),
-        PARTITION,
-    )
+    return decomp.Decomposition(g, (_LITERAL_TRIANGLE_SIDE, _LITERAL_SPOKE_SIDE), decomp.PARTITION)
 
 
 def extended_literal_graph() -> GadgetGraph:
@@ -133,45 +128,57 @@ def extended_literal_graph() -> GadgetGraph:
 def extended_literal_partition() -> Decomposition:
     """Unique split of the extended gadget: the pendant edge follows the
     triangle's class, the connector's leaf edges go opposite."""
+    from . import decomp
+
     g = extended_literal_graph().graph
-    side_a = frozenset(list(_LITERAL_TRIANGLE_SIDE) + [(6, 9)])
-    side_b = frozenset(list(_LITERAL_SPOKE_SIDE) + [(9, 10), (9, 11)])
-    return Decomposition(g, (side_a, side_b), PARTITION)
+    side_a = _LITERAL_TRIANGLE_SIDE + ((6, 9),)
+    side_b = _LITERAL_SPOKE_SIDE + ((9, 10), (9, 11))
+    return decomp.Decomposition(g, (side_a, side_b), decomp.PARTITION)
+
+
+def _formula_order(num_vars: int, num_clauses: int) -> int:
+    """Vertex count of a formula graph, and so where clause ``num_clauses``
+    starts: nine vertices per variable, then six per clause."""
+    return 9 * num_vars + 6 * num_clauses
+
+
+def _formula_pieces(f: NaeFormula) -> Iterator[tuple[int, list[Edge], list[Edge]]]:
+    """The formula graph's edges, each exactly once, as ``(var, same,
+    opposite)``: a two-partition that puts every ``same`` list in the class
+    of its variable's value and every ``opposite`` list in the other class
+    is valid whenever the assignment is not-all-equal.
+
+    Variable j occupies vertices 9j..9j+8; its piece is the literal
+    gadget's unique split.  Clause i occupies six vertices after the
+    literal block: connectors 9_1, 9_2, 9_3, then triangle corners a, b,
+    c.  Connector p hangs off vertex 6 of its literal gadget, which is its
+    piece's ``same`` edge, and attaches to two triangle corners following
+    clause literal order; those two edges and the triangle edge that
+    closes them are its ``opposite`` edges.  Each triangle edge closes
+    exactly one connector's triangle.
+    """
+    for j in range(f.num_vars):
+        yield j, _shift(_LITERAL_TRIANGLE_SIDE, 9 * j), _shift(_LITERAL_SPOKE_SIDE, 9 * j)
+    for i, clause in enumerate(f.clauses):
+        base = _formula_order(f.num_vars, i)
+        for p, var in enumerate(clause):
+            connector = base + p
+            # (u, v) may be unordered: Graph and Decomposition canonicalise pairs
+            u, v = (base + 3 + corner for corner in _ATTACH_CORNERS[p])
+            yield var, [(9 * var + 6, connector)], [(connector, u), (connector, v), (u, v)]
 
 
 def build_formula_graph(f: NaeFormula) -> GadgetGraph:
     """One literal gadget per variable, one triangle plus three fresh
-    connectors per clause.
-
-    Variable j occupies vertices 9j..9j+8.  Clause i occupies six
-    vertices after the literal block: connectors 9_1, 9_2, 9_3, then
-    triangle corners a, b, c.  Connector p hangs off vertex 6 of its
-    literal gadget and attaches to two triangle corners following clause
-    literal order.
-    """
-    edges: list[Edge] = []
-    roles: dict[str, int] = {}
-    for j in range(f.num_vars):
-        base = 9 * j
-        edges.extend(_shift(_LITERAL_EDGES, base))
-        for t in range(9):
-            roles[f"x{j}.v{t}"] = base + t
-    clause_start = 9 * f.num_vars
-    for i, clause in enumerate(f.clauses):
-        base = clause_start + 6 * i
-        corners = (base + 3, base + 4, base + 5)
-        roles[f"C{i}.a"], roles[f"C{i}.b"], roles[f"C{i}.c"] = corners
-        for p, var in enumerate(clause):
-            connector = base + p
-            roles[f"C{i}.9_{p + 1}"] = connector
-            edges.append((9 * var + 6, connector))
-            for corner in _ATTACH_CORNERS[p]:
-                edges.append((connector, corners[corner]))
-        edges.extend(
-            [(corners[0], corners[1]), (corners[1], corners[2]), (corners[0], corners[2])]
-        )
-    n = clause_start + 6 * len(f.clauses)
-    return GadgetGraph(Graph(n, edges), roles)
+    connectors per clause, laid out as ``_formula_pieces`` describes."""
+    roles = {f"x{j}.v{t}": 9 * j + t for j in range(f.num_vars) for t in range(9)}
+    for i in range(len(f.clauses)):
+        base = _formula_order(f.num_vars, i)
+        roles[f"C{i}.a"], roles[f"C{i}.b"], roles[f"C{i}.c"] = base + 3, base + 4, base + 5
+        for p in range(3):
+            roles[f"C{i}.9_{p + 1}"] = base + p
+    edges = [e for _, same, opposite in _formula_pieces(f) for e in (*same, *opposite)]
+    return GadgetGraph(Graph(_formula_order(f.num_vars, len(f.clauses)), edges), roles)
 
 
 def clause_gadget() -> GadgetGraph:
@@ -194,46 +201,23 @@ def partition_from_assignment(f: NaeFormula, values: Sequence[bool]) -> Decompos
     """Two-partition of the formula graph encoding a satisfying assignment.
 
     True variables put their triangle (and the edges tied to it) in
-    class 0, false variables in class 1.  Within each clause the
-    minority literal's triangle edge (the one joining its two attachment
-    corners) goes opposite to that literal's class and the other two
-    clause edges go with it.  The result is re-validated before return,
-    so a construction bug raises instead of leaking a bad certificate.
+    class 0, false variables in class 1; every clause edge goes opposite
+    the literal whose connector it attaches or whose connector triangle
+    it closes, and each pendant edge follows its literal.  The result is
+    re-validated before return, so a construction bug raises instead of
+    leaking a bad certificate.
     """
+    from . import decomp
+
     if not eval_nae(f, values):
         raise ValueError("assignment does not satisfy the not-all-equal condition")
-    gadget = build_formula_graph(f)
     cls: tuple[set[Edge], set[Edge]] = (set(), set())
-    for j in range(f.num_vars):
-        side = 0 if values[j] else 1
-        cls[side].update(_shift(_LITERAL_TRIANGLE_SIDE, 9 * j))
-        cls[1 - side].update(_shift(_LITERAL_SPOKE_SIDE, 9 * j))
-    clause_start = 9 * f.num_vars
-    for i, clause in enumerate(f.clauses):
-        base = clause_start + 6 * i
-        corners = (base + 3, base + 4, base + 5)
-        for p, var in enumerate(clause):
-            side = 0 if values[var] else 1
-            connector = base + p
-            cls[side].add((9 * var + 6, connector))
-            for corner in _ATTACH_CORNERS[p]:
-                cls[1 - side].add((connector, corners[corner]))
-        truths = [bool(values[var]) for var in clause]
-        minority = truths.index(True) if truths.count(True) == 1 else truths.index(False)
-        minority_side = 0 if truths[minority] else 1
-        joint = tuple(sorted(corners[c] for c in _ATTACH_CORNERS[minority]))
-        triangle = [
-            (corners[0], corners[1]),
-            (corners[1], corners[2]),
-            (corners[0], corners[2]),
-        ]
-        for e in triangle:
-            if e == joint:
-                cls[1 - minority_side].add(e)
-            else:
-                cls[minority_side].add(e)
-    d = Decomposition(gadget.graph, (frozenset(cls[0]), frozenset(cls[1])), PARTITION)
-    fault = validate(d)
+    for var, same, opposite in _formula_pieces(f):
+        side = 0 if values[var] else 1
+        cls[side].update(same)
+        cls[1 - side].update(opposite)
+    d = decomp.Decomposition(build_formula_graph(f).graph, cls, decomp.PARTITION)
+    fault = decomp.validate(d)
     if fault is not None:
         raise RuntimeError(f"internal construction fault: {fault}")
     return d
@@ -246,20 +230,21 @@ def assignment_from_partition(f: NaeFormula, d: Decomposition) -> tuple[bool, ..
     means true); a triangle split across classes is rejected.  The
     extracted assignment is re-checked against the formula.
     """
+    from . import decomp
+
     gadget = build_formula_graph(f)
     if d.host != gadget.graph:
         raise ValueError("decomposition host does not match the formula graph")
     if d.k != 2:
         raise ValueError(f"expected exactly 2 classes, got {d.k}")
-    fault = validate(d)
+    fault = decomp.validate(d)
     if fault is not None:
         raise ValueError(f"invalid decomposition: {fault}")
     values = []
     for j in range(f.num_vars):
-        base = 9 * j
-        triangle = [(base, base + 1), (base + 1, base + 2), (base, base + 2)]
         memberships = {
-            frozenset(idx for idx, cls in enumerate(d.classes) if e in cls) for e in triangle
+            frozenset(idx for idx, cls in enumerate(d.classes) if e in cls)
+            for e in _shift(_LITERAL_TRIANGLE, 9 * j)
         }
         if len(memberships) != 1 or len(next(iter(memberships))) != 1:
             raise ValueError(f"literal triangle of variable {j} is split across classes")
@@ -286,7 +271,9 @@ def enumerate_two_class_assignments(
     unless ``prune`` is off (then candidates are only checked at the
     leaves).
     """
-    return search_assignments(
+    from . import decomp
+
+    return decomp.search_assignments(
         g,
         2,
         mode,
@@ -302,7 +289,7 @@ def parse_formula(text: str) -> NaeFormula:
     """Read the ``v c`` / three-ids-per-line clause format; its formula
     graph may have at most ``MAX_VERTICES`` vertices."""
     (num_vars, num_clauses), rows = _read_rows(text, "v c")
-    _check_vertex_count(9 * num_vars + 6 * num_clauses)
+    _check_vertex_count(_formula_order(num_vars, num_clauses))
     clauses: list[tuple[int, int, int]] = []
     for lineno, raw, fields in rows:
         if len(fields) != 3:

@@ -11,6 +11,7 @@ from typing import Iterator
 
 from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, recognize, validate
 from cographkit.cotree import _Prime
+from cographkit.gadgets import GadgetGraph, NaeFormula, eval_nae
 from cographkit.graph import _bits, _is_int
 from cographkit.symbolic import NotUltrametricError, _pair_index, check_axioms
 
@@ -393,3 +394,116 @@ def reference_complement_edges(g: Graph) -> list[Edge]:
         for v in range(u + 1, g.n)
         if not g._adj[u] >> v & 1
     ]
+
+
+# ---------------------------------------------------------------------------
+# The formula graph and its certificate, each laid out by its own loops,
+# with the minority-literal rule for the clause triangle, kept verbatim as
+# oracles for the one walk in cographkit.gadgets
+# ---------------------------------------------------------------------------
+
+_LITERAL_EDGES: tuple[Edge, ...] = (
+    (0, 1),
+    (1, 2),
+    (0, 2),
+    (0, 3),
+    (3, 4),
+    (1, 4),
+    (1, 5),
+    (5, 6),
+    (2, 6),
+    (2, 7),
+    (7, 8),
+    (0, 8),
+)
+_LITERAL_TRIANGLE_SIDE: tuple[Edge, ...] = ((0, 1), (1, 2), (0, 2), (3, 4), (5, 6), (7, 8))
+_LITERAL_SPOKE_SIDE: tuple[Edge, ...] = ((0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (0, 8))
+_ATTACH_CORNERS = ((0, 2), (0, 1), (2, 1))
+
+
+def _shift(edges, offset: int) -> list[Edge]:
+    return [(u + offset, v + offset) for u, v in edges]
+
+
+def reference_build_formula_graph(f: NaeFormula) -> GadgetGraph:
+    """One literal gadget per variable, one triangle plus three fresh
+    connectors per clause.
+
+    Variable j occupies vertices 9j..9j+8.  Clause i occupies six
+    vertices after the literal block: connectors 9_1, 9_2, 9_3, then
+    triangle corners a, b, c.  Connector p hangs off vertex 6 of its
+    literal gadget and attaches to two triangle corners following clause
+    literal order.
+    """
+    edges: list[Edge] = []
+    roles: dict[str, int] = {}
+    for j in range(f.num_vars):
+        base = 9 * j
+        edges.extend(_shift(_LITERAL_EDGES, base))
+        for t in range(9):
+            roles[f"x{j}.v{t}"] = base + t
+    clause_start = 9 * f.num_vars
+    for i, clause in enumerate(f.clauses):
+        base = clause_start + 6 * i
+        corners = (base + 3, base + 4, base + 5)
+        roles[f"C{i}.a"], roles[f"C{i}.b"], roles[f"C{i}.c"] = corners
+        for p, var in enumerate(clause):
+            connector = base + p
+            roles[f"C{i}.9_{p + 1}"] = connector
+            edges.append((9 * var + 6, connector))
+            for corner in _ATTACH_CORNERS[p]:
+                edges.append((connector, corners[corner]))
+        edges.extend(
+            [(corners[0], corners[1]), (corners[1], corners[2]), (corners[0], corners[2])]
+        )
+    n = clause_start + 6 * len(f.clauses)
+    return GadgetGraph(Graph(n, edges), roles)
+
+
+def reference_partition_from_assignment(f: NaeFormula, values) -> Decomposition:
+    """Two-partition of the formula graph encoding a satisfying assignment.
+
+    True variables put their triangle (and the edges tied to it) in
+    class 0, false variables in class 1.  Within each clause the
+    minority literal's triangle edge (the one joining its two attachment
+    corners) goes opposite to that literal's class and the other two
+    clause edges go with it.  The result is re-validated before return,
+    so a construction bug raises instead of leaking a bad certificate.
+    """
+    if not eval_nae(f, values):
+        raise ValueError("assignment does not satisfy the not-all-equal condition")
+    gadget = reference_build_formula_graph(f)
+    cls: tuple[set[Edge], set[Edge]] = (set(), set())
+    for j in range(f.num_vars):
+        side = 0 if values[j] else 1
+        cls[side].update(_shift(_LITERAL_TRIANGLE_SIDE, 9 * j))
+        cls[1 - side].update(_shift(_LITERAL_SPOKE_SIDE, 9 * j))
+    clause_start = 9 * f.num_vars
+    for i, clause in enumerate(f.clauses):
+        base = clause_start + 6 * i
+        corners = (base + 3, base + 4, base + 5)
+        for p, var in enumerate(clause):
+            side = 0 if values[var] else 1
+            connector = base + p
+            cls[side].add((9 * var + 6, connector))
+            for corner in _ATTACH_CORNERS[p]:
+                cls[1 - side].add((connector, corners[corner]))
+        truths = [bool(values[var]) for var in clause]
+        minority = truths.index(True) if truths.count(True) == 1 else truths.index(False)
+        minority_side = 0 if truths[minority] else 1
+        joint = tuple(sorted(corners[c] for c in _ATTACH_CORNERS[minority]))
+        triangle = [
+            (corners[0], corners[1]),
+            (corners[1], corners[2]),
+            (corners[0], corners[2]),
+        ]
+        for e in triangle:
+            if e == joint:
+                cls[1 - minority_side].add(e)
+            else:
+                cls[minority_side].add(e)
+    d = Decomposition(gadget.graph, (frozenset(cls[0]), frozenset(cls[1])), PARTITION)
+    fault = validate(d)
+    if fault is not None:
+        raise RuntimeError(f"internal construction fault: {fault}")
+    return d

@@ -694,9 +694,11 @@ DECOMP, GADGETS, SYMBOLIC = "cographkit.decomp", "cographkit.gadgets", "cographk
         (["cotree", "-"], "(0,(1,2)1)0;\n", (), (DECOMP, GADGETS, SYMBOLIC, "dataclasses")),
         (["ultrametric", "check", "-"], MAP_OK, (SYMBOLIC,), (DECOMP, GADGETS)),
         (["decompose", "-"], P4_TEXT, (DECOMP,), (GADGETS, SYMBOLIC, "dataclasses", "inspect")),
+        (["gadget", "literal"], "", (GADGETS,), (DECOMP, SYMBOLIC)),
+        (["reduce", "to-graph", "-"], FORMULA_TEXT, (GADGETS,), (DECOMP, SYMBOLIC)),
         (None, "", ("cographkit.graph", "cographkit.cotree"), (DECOMP, GADGETS, SYMBOLIC, "cographkit.cli")),
     ],
-    ids=["recognize", "cotree", "ultrametric-check", "decompose", "import-only"],
+    ids=["recognize", "cotree", "ultrametric-check", "decompose", "gadget-literal", "reduce-to-graph", "import-only"],
 )
 def test_each_command_imports_only_the_modules_it_runs(argv, stdin, loaded, absent):
     """A fresh ``python -B`` child runs one command (or only imports the

@@ -371,5 +371,5 @@ def test_only_the_random_tree_and_the_unpruned_oracle_recurse():
         for path in sorted(src.glob("*.py"))
         for name in self_calling_functions(path.read_text(encoding="utf-8"))
     }
-    assert found == {"cotree.random_labeled_tree.build", "decomp.search_assignments.dfs"}
+    assert found == {"cotree.random_labeled_tree.build"}
     assert self_calling_functions("class A:\n    def f(self):\n        return self.f()\n") == {"A.f"}

@@ -624,6 +624,19 @@ def test_long_path_solves_without_recursion():
     assert validate(result.decomposition) is None
 
 
+def test_unpruned_search_on_a_long_path_runs_without_recursion():
+    # one position per edge: a recursive search would pass Python's
+    # default limit of 1,000 frames
+    from cographkit.decomp import search_assignments
+    from cographkit.gadgets import enumerate_two_class_assignments
+
+    g = path_graph(1_101)
+    assert search_assignments(g, 1, prune=False) == ([], 1_100, True)
+    assert search_assignments(g, 2, prune=False, node_budget=100_000) == ([], 100_000, False)
+    out = enumerate_two_class_assignments(g, PARTITION, prune=False, node_budget=100_000)
+    assert (out.solutions, out.nodes, out.completed) == ([], 100_000, False)
+
+
 @pytest.mark.parametrize("k, mode", [(64, COVER), (40_000, PARTITION)])
 def test_search_makes_candidate_masks_on_demand(k, mode):
     # built up front, the domain would be 2^64 - 1 cover masks, or 40,000

@@ -30,6 +30,7 @@ from cographkit.gadgets import (
     extended_literal_partition,
     literal_partition,
 )
+from helpers import reference_build_formula_graph, reference_partition_from_assignment
 
 FIG_FORMULA = NaeFormula(6, ((0, 3, 1), (1, 2, 3), (3, 4, 5)))
 
@@ -352,6 +353,27 @@ def test_random_formula_round_trips():
                 continue
             d = partition_from_assignment(f, values)
             assert assignment_from_partition(f, d) == values
+
+
+def test_formula_graph_and_certificate_match_the_reference():
+    """The one walk gives the edges, roles and certificate classes of the
+    separately laid out reference, minority-literal rule included."""
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(60):
+        num_vars = rng.randint(3, 6)
+        clauses = tuple(tuple(rng.sample(range(num_vars), 3)) for _ in range(rng.randint(0, 5)))
+        f = NaeFormula(num_vars, clauses)
+        gg, want = build_formula_graph(f), reference_build_formula_graph(f)
+        assert gg.graph.n == want.graph.n
+        assert gg.graph.edges == want.graph.edges
+        assert list(gg.roles.items()) == list(want.roles.items())
+        for values in all_assignments(num_vars):
+            if eval_nae(f, values):
+                d = partition_from_assignment(f, values)
+                assert d == reference_partition_from_assignment(f, values)
+                checked += 1
+    assert checked >= 900  # 968 NAE-satisfying assignments with this seed
 
 
 # ---------------------------------------------------------------------------
