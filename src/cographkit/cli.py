@@ -210,7 +210,7 @@ def _cmd_decompose(args):
 def _cmd_coarsen(args):
     from . import decomp
 
-    host = _read(args.graph, _parse_graph) if args.graph else None
+    host = None if args.graph is None else _read(args.graph, _parse_graph)
     d = _read(args.decomposition, lambda text: decomp.decomposition_from_json(_json_payload(text), host=host))
     fault = decomp.validate(d)
     if fault is not None:
@@ -300,9 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-nodes",
         type=int,
         default=None,
-        help="search node budget (default 10,000,000); at about 1,600-2,250 nodes/s on a "
-        "30-vertex G(30, 0.5) the default runs for 1.2-1.8 hours before exit 3, and a "
-        "smaller budget exits 3 sooner",
+        help="search node budget (default 10,000,000); on a 30-vertex G(30, 0.5) the "
+        "default can run for over an hour before exit 3, and a smaller budget exits 3 sooner",
     )
     p.set_defaults(handler=_cmd_decompose)
 

@@ -42,22 +42,20 @@ class Cotree:
     leaf i and None for inner nodes.
     """
 
-    __slots__ = ("parent", "children", "label", "leaf_vertex", "_vertex_node", "_depth")
+    __slots__ = ("parent", "children", "label", "leaf_vertex", "_vertex_node")
 
     def __init__(self, nested: Nested) -> None:
         parent: list[int] = []
         children: list[tuple[int, ...]] = []
         label: list[int | None] = []
         leaf_vertex: list[int | None] = []
-        depth: list[int] = []
         # popping children in order numbers the nodes in preorder
-        stack: list[tuple[Nested, int, int]] = [(nested, -1, 0)]
+        stack: list[tuple[Nested, int]] = [(nested, -1)]
         while stack:
-            node, par, dep = stack.pop()
+            node, par = stack.pop()
             idx = len(parent)
             parent.append(par)
             children.append([])
-            depth.append(dep)
             if par >= 0:
                 children[par].append(idx)
             if _is_int(node):
@@ -66,14 +64,13 @@ class Cotree:
             elif isinstance(node, tuple) and len(node) == 2 and _is_int(node[0]):
                 label.append(node[0])
                 leaf_vertex.append(None)
-                stack.extend((ch, idx, dep + 1) for ch in reversed(list(node[1])))
+                stack.extend((ch, idx) for ch in reversed(list(node[1])))
             else:
                 raise ValueError(f"malformed tree node {node!r}")
         self.parent = tuple(parent)
         self.children = tuple(map(tuple, children))
         self.label = tuple(label)
         self.leaf_vertex = tuple(leaf_vertex)
-        self._depth = tuple(depth)
         vmap: dict[int, int] = {}
         for idx, v in enumerate(self.leaf_vertex):
             if v is not None:
@@ -101,17 +98,13 @@ class Cotree:
     def lca(self, x: int, y: int) -> int:
         """Node id of the lowest common ancestor of two leaf vertices."""
         a, b = self.leaf_node(x), self.leaf_node(y)
-        da, db = self._depth[a], self._depth[b]
-        while da > db:
+        ancestors = {a}
+        while a:
             a = self.parent[a]
-            da -= 1
-        while db > da:
+            ancestors.add(a)
+        while b not in ancestors:
             b = self.parent[b]
-            db -= 1
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
+        return b
 
     def lca_label(self, x: int, y: int) -> int | None:
         """Label of lca(x, y); None (the empty symbol) exactly when x == y."""

@@ -178,7 +178,7 @@ def vizing_partition(g: Graph) -> Decomposition:
         # maximal fan of u starting at v: each next fan edge's color is
         # free at the previous fan vertex; the lowest such color wins
         at_u = at[u]
-        fan_colors = [0]  # fan_colors[i] is the color of edge u-fan[i], i > 0
+        fan_colors = []  # colors of the fan edges after u-v, in fan order
         avail = used[u]
         last = v
         while True:
@@ -194,49 +194,40 @@ def vizing_partition(g: Graph) -> Decomposition:
         d = _free_color(used[last])
         assert max(c, d) <= palette, "palette exhausted"
         if d != c and used[u] >> d & 1:
-            # swap d and c on the maximal alternating d/c path starting at u
-            path = []
-            x, col = u, d
-            while col in at[x]:
-                y = at[x][col]
-                path.append((x, y, col))
-                x, col = y, (c if col == d else d)
-            # interior path vertices keep both colors; the two ends swap one
+            # swap d and c on the maximal alternating d/c path starting at u;
+            # interior path vertices keep both colors, only the two ends flip
+            x, y = u, at_u.pop(d)
+            at_u[c] = y
+            a, b = d, c  # edge x-y was colored a and is now colored b
+            while True:
+                at_y = at[y]
+                z = at_y.get(b)
+                at_y[b] = x
+                if z is None:
+                    del at_y[a]
+                    break
+                at_y[a] = z
+                x, y, a, b = y, z, b, a
             used[u] ^= 1 << c | 1 << d
-            used[x] ^= 1 << c | 1 << d
-            for x, y, col in path:
-                del at[x][col]
-                del at[y][col]
-            for x, y, col in path:
-                col = c if col == d else d
-                at[x][col] = y
-                at[y][col] = x
-            assert not used[u] >> d & 1
+            used[y] ^= 1 << c | 1 << d
             # of the edges at u, only its former d-edge changed color
             if d in fan_colors:
                 fan_colors[fan_colors.index(d)] = c
-        # first fan vertex with d free, over a prefix that is still a fan
-        fan = [v]
-        j = None
-        for i, col in enumerate(fan_colors):
-            if i > 0:
-                if used[fan[-1]] >> col & 1:
-                    break
-                fan.append(at_u[col])
-            if not used[fan[-1]] >> d & 1:
-                j = i
+        # rotate up to the first fan vertex w with d free: each fan edge
+        # passes its color to the edge before it, then u-w takes d
+        w = v
+        for col in fan_colors:
+            if not used[w] >> d & 1:
                 break
-        assert j is not None, "fan rotation target must exist"
-        # rotate: edge u-fan[i] takes the color of u-fan[i + 1], u-fan[j] takes d
-        for i in range(1, j + 1):
-            col = fan_colors[i]
-            w, prev = fan[i], fan[i - 1]
-            at_u[col] = prev
-            at[prev][col] = u
-            used[prev] |= 1 << col
-            del at[w][col]
-            used[w] ^= 1 << col
-        w = fan[j]
+            assert not used[w] >> col & 1, "prefix is still a fan"
+            x = at_u[col]
+            at_u[col] = w
+            at[w][col] = u
+            used[w] |= 1 << col
+            del at[x][col]
+            used[x] ^= 1 << col
+            w = x
+        assert not used[w] >> d & 1, "fan rotation target must exist"
         at_u[d] = w
         at[w][d] = u
         used[w] |= 1 << d

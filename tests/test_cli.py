@@ -312,6 +312,14 @@ def test_coarsen_with_explicit_host(tmp_path):
     assert report_of(out)["payload"]["k"] == 1
 
 
+def test_coarsen_with_empty_host_path_exits_two():
+    # an empty path names a file that cannot be read; it does not mean "no host"
+    obj = {"mode": "partition", "k": 1, "n": 3, "classes": [[[0, 1]]]}
+    code, out, err = run_cli(["coarsen", "--graph", "", "-"], stdin=json.dumps(obj))
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read : No such file or directory\n"
+
+
 def test_decompose_vizing_pipe_from_gadget(tmp_path):
     path = tmp_path / "formula.nae"
     path.write_text(FORMULA_TEXT)

@@ -33,7 +33,7 @@ from cographkit import (
     vizing_partition,
 )
 import helpers
-from cographkit.decomp import _first_cograph_union
+from cographkit.decomp import SearchOutcome, SolveResult, _first_cograph_union, search_assignments
 from cographkit.graph import MAX_VERTICES, first_induced_p4
 from helpers import (
     all_graphs,
@@ -254,6 +254,10 @@ def test_vizing_matches_sorted_fan_reference():
     rng = random.Random(33)
     graphs += [random_graph(rng.randint(1, 40), rng.uniform(0.05, 0.9), rng) for _ in range(300)]
     graphs.append(random_graph(120, 0.3, rng))
+    # regular, dense graphs send nearly every edge through a Kempe swap
+    graphs += [complete_graph(n) for n in range(2, 31)]
+    graphs += [Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)]) for n in range(1, 21)]
+    graphs += [hypercube(d) for d in range(1, 8)]
     for g in graphs:
         assert vizing_partition(g).classes == reference_vizing_partition(g).classes, g.edges
 
@@ -566,6 +570,45 @@ def test_budget_exhaustion_reports_timeout_not_infeasible():
 def test_solver_rejects_bad_k_max():
     with pytest.raises(ValueError, match="k_max"):
         exact_min_partition(path_graph(3), 0)
+
+
+_P4 = path_graph(4)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: search_assignments(_P4, 0), "class count must be at least 1"),
+        (lambda: search_assignments(_P4, 2, "both"), "mode must be"),
+        (lambda: search_assignments(_P4, 2, forced={(0, 1): 1}), "require symmetry=False"),
+        (lambda: search_assignments(_P4, 2, forced={(0, 2): 1}, symmetry=False), "not a host edge"),
+        (lambda: search_assignments(_P4, 2, forced={(0, 1): 4}, symmetry=False), "out of range"),
+        (lambda: search_assignments(_P4, 2, forced={(0, 1): 3}, symmetry=False), "not a single class"),
+        # all three path edges forced into one class: a conflict before any node
+        (
+            lambda: search_assignments(_P4, 1, forced=dict.fromkeys(_P4.edges, 1), symmetry=False),
+            SearchOutcome([], 0, True),
+        ),
+        # k = 1 spends the whole budget and completes, so k = 2 starts with none
+        (lambda: exact_min_partition(_P4, 3, node_budget=2), SolveResult(TIMEOUT, None, 2, 1, (2,))),
+    ],
+    ids=[
+        "k-below-one",
+        "unknown-mode",
+        "forced-with-symmetry",
+        "forced-non-edge",
+        "forced-mask-out-of-range",
+        "forced-mask-two-classes",
+        "root-conflict",
+        "budget-spent-between-k",
+    ],
+)
+def test_search_rejections_and_early_exits(call, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_symmetry_breaking_is_complete():
