@@ -4,7 +4,10 @@ A tree here is a rooted structure whose leaves are bound one-to-one to
 graph vertices and whose inner nodes carry small integer labels.
 Cographs use the binary alphabet (0 = disjoint union, 1 = join); the
 symbolic-map machinery reuses the same structure and split (``_split``)
-with larger alphabets.  No code here recurses, so trees of any depth
+with larger alphabets.  The split finds its parts in preorder and
+returns a ``Cotree`` numbered in that order, built as it goes, with no
+nested intermediate; ``Cotree(nested)`` is the validating constructor
+for trees from elsewhere.  No code here recurses, so trees of any depth
 work, except the generator ``random_labeled_tree``: it recurses as deep as
 the tree it draws, which is 5 to 7 levels at 20,000 leaves.
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Iterator, Union
 
-from .graph import Graph, P4Witness, _check_vertex_count, _first_component, _induced_p4s, _is_int
+from .graph import MAX_VERTICES, Graph, P4Witness, _first_component, _induced_p4s, _is_int
 
 __all__ = [
     "Cotree",
@@ -46,7 +49,7 @@ class Cotree:
 
     def __init__(self, nested: Nested) -> None:
         parent: list[int] = []
-        children: list[tuple[int, ...]] = []
+        children: list[list[int]] = []
         label: list[int | None] = []
         leaf_vertex: list[int | None] = []
         # popping children in order numbers the nodes in preorder
@@ -67,6 +70,11 @@ class Cotree:
                 stack.extend((ch, idx) for ch in reversed(list(node[1])))
             else:
                 raise ValueError(f"malformed tree node {node!r}")
+        self._assign(parent, children, label, leaf_vertex)
+
+    def _assign(self, parent: list, children: list, label: list, leaf_vertex: list) -> None:
+        """Freeze preorder node lists into the fields and index the leaves;
+        the one construction path of ``Cotree(nested)`` and ``_split``."""
         self.parent = tuple(parent)
         self.children = tuple(map(tuple, children))
         self.label = tuple(label)
@@ -162,49 +170,64 @@ class _Prime(Exception):
         self.mask = mask
 
 
-def _split(splitters, mask: int) -> Nested:
-    """Nested tree of the part ``mask``, split top-down on an explicit stack.
+def _split(splitters, mask: int) -> Cotree:
+    """Tree of the part ``mask``, split top-down on an explicit stack.
 
     ``splitters`` lists ``(label, adj, in_complement)`` in the order tried,
     with ``adj[v]`` the adjacency bitmask of each v in ``mask``.  A part
     becomes a node labeled by the first splitter whose graph (or its
     complement) disconnects it, over its components, each split before the
     next is found, lowest vertex first, without retrying that splitter.
-    A part no splitter divides raises ``_Prime``.  An empty mask is no part:
-    it yields the bogus leaf -1, so callers pass at least one vertex.
+    Parts are found in preorder, so each becomes the next node of the
+    returned ``Cotree`` when it is found.  A part no splitter divides raises
+    ``_Prime``.  An empty mask is no part: it yields the bogus leaf -1, so
+    callers pass at least one vertex.
     """
-    stack: list[list] = []  # open nodes: [splitter index, rest of the part, children]
-    part, skip = mask, -1
+    parent: list[int] = []
+    children: list = []  # a list per inner node, () per leaf
+    label: list[int | None] = []
+    leaf_vertex: list[int | None] = []
+    stack: list[list[int]] = []  # open inner nodes: [node id, splitter index, rest of the part]
+    part, skip, par = mask, -1, -1
     while True:
+        idx = len(parent)
+        parent.append(par)
+        if par >= 0:
+            children[par].append(idx)
         if part & (part - 1):
-            for i, (_, adj, in_complement) in enumerate(splitters):
+            for i, (lab, adj, in_complement) in enumerate(splitters):
                 if i != skip:
                     comp = _first_component(adj, part, in_complement)
                     if comp != part:
                         break
             else:
                 raise _Prime(part)
-            stack.append([i, part ^ comp, []])
-            part, skip = comp, i
+            children.append([])
+            label.append(lab)
+            leaf_vertex.append(None)
+            stack.append([idx, i, part ^ comp])
+            part, skip, par = comp, i, idx
             continue
-        node: Nested = part.bit_length() - 1
+        children.append(())
+        label.append(None)
+        leaf_vertex.append(part.bit_length() - 1)
         while stack:
-            i, rest, kids = top = stack[-1]
-            kids.append(node)
+            top = stack[-1]
+            par, skip, rest = top
             if rest:
-                _, adj, in_complement = splitters[i]
+                _, adj, in_complement = splitters[skip]
                 part = _first_component(adj, rest, in_complement)
-                top[1] = rest ^ part
-                skip = i
+                top[2] = rest ^ part
                 break
             stack.pop()
-            node = (splitters[i][0], kids)
         else:
-            return node
+            tree = object.__new__(Cotree)
+            tree._assign(parent, children, label, leaf_vertex)
+            return tree
 
 
-def _cotree_or_witness(adj, mask: int) -> Nested | P4Witness:
-    """Nested cotree of the graph induced on ``mask`` (at least one vertex),
+def _cotree_or_witness(adj, mask: int) -> Cotree | P4Witness:
+    """Cotree of the graph induced on ``mask`` (at least one vertex),
     or an induced-path witness if that graph is not a cograph.
 
     ``_split`` with the graph as splitter 0 and its complement as
@@ -229,8 +252,7 @@ def recognize(g: Graph) -> Cotree | P4Witness:
     cograph (see ``_cotree_or_witness``)."""
     if g.n == 0:
         raise ValueError("recognition needs at least one vertex")
-    result = _cotree_or_witness(g._adj, (1 << g.n) - 1)
-    return result if isinstance(result, P4Witness) else Cotree(result)
+    return _cotree_or_witness(g._adj, (1 << g.n) - 1)
 
 
 def _leaf_groups(t: Cotree) -> Iterator[tuple[int, list[list[int]]]]:
@@ -267,20 +289,36 @@ def cotree_to_graph(t: Cotree) -> Graph:
 
 
 def to_newick(t: Cotree) -> str:
-    """Serialize: leaves as vertex ids, inner nodes as ``(...)label``, final ``;``."""
-    text: dict[int, str] = {}
-    for idx in range(t.num_nodes - 1, -1, -1):
-        if t.leaf_vertex[idx] is not None:
-            text[idx] = str(t.leaf_vertex[idx])
+    """Serialize: leaves as vertex ids, inner nodes as ``(...)label``, final ``;``.
+
+    One pass over the preorder ids: an inner node opens ``(``, every child
+    but the first (whose id follows its parent's) is preceded by ``,``,
+    and a leaf or childless inner node, once written, closes ``)label``
+    for each ancestor whose last child it ends."""
+    parent, children, label = t.parent, t.children, t.label
+    out: list[str] = []
+    for idx, v in enumerate(t.leaf_vertex):
+        par = parent[idx]
+        if par != idx - 1:
+            out.append(",")
+        if v is not None:
+            out.append(str(v))
+        elif children[idx]:
+            out.append("(")
+            continue
         else:
-            inner = ",".join([text.pop(c) for c in t.children[idx]])
-            text[idx] = f"({inner}){t.label[idx]}"
-    return text[0] + ";"
+            out.append(f"(){label[idx]}")
+        done = idx
+        while par >= 0 and children[par][-1] == done:
+            out.append(f"){label[par]}")
+            done, par = par, parent[par]
+    out.append(";")
+    return "".join(out)
 
 
 def parse_newick(text: str) -> Cotree:
     """Parse the serialization produced by ``to_newick`` (round-trip exact).
-    At most ``MAX_VERTICES`` leaves."""
+    At most ``MAX_VERTICES`` leaves: reading leaf ``MAX_VERTICES + 1`` raises."""
     s = text.strip()
     pos = 0
 
@@ -297,12 +335,16 @@ def parse_newick(text: str) -> Cotree:
         return int(s[start:pos])
 
     open_kids: list[list[Nested]] = []  # children read so far of each open '('
+    leaves = 0  # counted as read, so an oversized tree is rejected before it is built
     while True:
         if pos < len(s) and s[pos] == "(":
             pos += 1
             open_kids.append([])
             continue
         node: Nested = read_int()
+        leaves += 1
+        if leaves > MAX_VERTICES:
+            raise fail(f"more than {MAX_VERTICES} leaves: the vertex count exceeds the limit")
         while open_kids:
             open_kids[-1].append(node)
             if pos < len(s) and s[pos] == ",":
@@ -319,9 +361,7 @@ def parse_newick(text: str) -> Cotree:
     pos += 1
     if pos != len(s):
         raise fail("trailing characters after ';'")
-    tree = Cotree(node)
-    _check_vertex_count(tree.num_leaves)
-    return tree
+    return Cotree(node)
 
 
 def random_labeled_tree(num_leaves: int, num_symbols: int, rng: random.Random) -> Cotree:

@@ -274,13 +274,27 @@ def connected_components(g: Graph) -> list[tuple[int, ...]]:
 def _first_component(adj, subset: int, in_complement: bool) -> int:
     """Bitmask of the component of the lowest vertex of ``subset`` in the
     subgraph induced on ``subset``, or in its complement with ``in_complement``;
-    ``adj[v]`` is the adjacency bitmask of each v in ``subset`` (list, tuple or dict)."""
+    ``adj[v]`` is the adjacency bitmask of each v in ``subset`` (list, tuple or dict).
+
+    A vertex joins in the complement when some frontier vertex misses it,
+    that is when it is outside the AND of the frontier's masks, so each
+    round ANDs the masks of the frontier instead of ORing their negations."""
     comp = frontier = subset & -subset
     while frontier:
-        grow = 0
-        for v in _bits(frontier):
-            grow |= ~adj[v] if in_complement else adj[v]
-        frontier = grow & subset & ~comp
+        if in_complement:
+            common = -1
+            while frontier:
+                low = frontier & -frontier
+                common &= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = subset & ~(common | comp)
+        else:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & subset & ~comp
         comp |= frontier
     return comp
 

@@ -279,7 +279,7 @@ def build_representation(d: SymbolicMap) -> Cotree:
         adj[v] |= 1 << u
     else:
         try:
-            return Cotree(_split([(m, adjs[m], True) for m in sorted(adjs)], (1 << d.n) - 1))
+            return _split([(m, adjs[m], True) for m in sorted(adjs)], (1 << d.n) - 1)
         except _Prime:
             pass
     violation = check_axioms(d)

@@ -213,8 +213,9 @@ def reference_coarsen(d):
 
 # ---------------------------------------------------------------------------
 # reference implementations: the recursive split shared by recognition and
-# coarsening, and the per-node split of build_representation, kept verbatim
-# as oracles for cotree._split
+# coarsening, the per-node split of build_representation and the two-pass
+# newick writer, kept verbatim as oracles for cotree._split and
+# cotree.to_newick
 # ---------------------------------------------------------------------------
 
 
@@ -259,6 +260,20 @@ def reference_split(adj, mask: int):
     if len(cocomps) > 1:
         return (1, [reference_split(adj, c) for c in cocomps])
     raise _Prime(mask)
+
+
+def reference_to_newick(t: Cotree) -> str:
+    """Newick of ``t`` by joining each node's children's strings, children
+    before parents: preorder ids read backwards (the original two-pass
+    serializer, kept as the oracle for ``cotree.to_newick``)."""
+    text: dict[int, str] = {}
+    for idx in range(t.num_nodes - 1, -1, -1):
+        if t.leaf_vertex[idx] is not None:
+            text[idx] = str(t.leaf_vertex[idx])
+        else:
+            inner = ",".join([text.pop(c) for c in t.children[idx]])
+            text[idx] = f"({inner}){t.label[idx]}"
+    return text[0] + ";"
 
 
 def reference_build_representation(d):

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -20,14 +21,16 @@ from cographkit import (
     parse_newick,
     random_cotree,
     random_graph,
+    random_labeled_tree,
     recognize,
     to_newick,
     tree_to_map,
 )
 from cographkit import cotree
-from cographkit.cotree import _Prime, _split
+from cographkit.cotree import _Prime, _split, check_structure
 from cographkit.decomp import PARTITION, Decomposition, coarsen
 from cographkit.graph import _bits, first_induced_p4
+from cographkit.symbolic import build_representation
 from helpers import (
     all_graphs,
     alternating_threshold,
@@ -37,6 +40,7 @@ from helpers import (
     path_graph,
     reference_component_masks,
     reference_split,
+    reference_to_newick,
 )
 
 
@@ -223,11 +227,13 @@ def test_cycles_of_length_five_and_more_are_not_cographs():
 
 
 def _split_outcome(split, *args):
-    """The nested tree a split returns, or the part it rejects as prime."""
+    """The tree a split returns, as a ``Cotree`` (the reference returns a
+    nested tree), or the part it rejects as prime."""
     try:
-        return split(*args)
+        tree = split(*args)
     except _Prime as hit:
         return ("prime", hit.mask)
+    return tree if isinstance(tree, Cotree) else Cotree(tree)
 
 
 def _cograph_split(adj, mask):
@@ -254,7 +260,10 @@ def test_split_matches_recursive_reference():
     for g in graphs:
         full = (1 << g.n) - 1
         want = _split_outcome(reference_split, g._adj, full)
-        assert _split_outcome(_cograph_split, g._adj, full) == want, g.edges
+        got = _split_outcome(_cograph_split, g._adj, full)
+        assert got == want, g.edges
+        if isinstance(got, Cotree):
+            check_structure(got, binary=True)
         comps = reference_component_masks(g._adj, full, False)
         assert connected_components(g) == [tuple(_bits(c)) for c in comps]
 
@@ -307,9 +316,44 @@ def test_split_matches_recursive_reference_on_coarsen_unions(monkeypatch):
     primes = 0
     for adj, mask in unions:
         want = _split_outcome(reference_split, adj, mask)
-        assert _split_outcome(_cograph_split, adj, mask) == want
-        primes += want[0] == "prime"
+        got = _split_outcome(_cograph_split, adj, mask)
+        assert got == want
+        if isinstance(got, Cotree):
+            check_structure(got, binary=True)
+        primes += isinstance(want, tuple)
     assert 0 < primes < len(unions)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass newick writer against the two-pass reference, and the leaf
+# limit of the reader
+# ---------------------------------------------------------------------------
+
+
+def test_to_newick_matches_two_pass_reference():
+    rng = random.Random(61)
+    trees = [
+        random_labeled_tree(rng.randint(1, 60), rng.randint(1, 5), rng) for _ in range(2000)
+    ]
+    trees += [build_representation(tree_to_map(t)) for t in trees[:300]]
+    trees.append(parse_newick(caterpillar_newick(3000)))
+    # shapes Cotree accepts that are not canonical: a childless inner node,
+    # one that is not the last child, and an only child repeating its label
+    trees += [Cotree(nested) for nested in [(1, []), (0, [(1, []), 3]), (2, [(2, [5])])]]
+    for t in trees:
+        assert to_newick(t) == reference_to_newick(t)
+    assert [to_newick(t) for t in trees[-3:]] == ["()1;", "(()1,3)0;", "((5)2)2;"]
+
+
+def test_parse_newick_rejects_too_many_leaves_while_reading():
+    text = "(" + ",".join(map(str, range(10**6))) + ")1;"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_newick(text)
+    assert time.perf_counter() - start < 1.0
+    # a syntax error before the first leaf over the limit is reported first
+    with pytest.raises(ValueError, match="expected an integer"):
+        parse_newick("(0,," + text[1:])
 
 
 def test_recognize_threshold_graph_of_depth_two_thousand():

@@ -19,13 +19,14 @@ from cographkit import (
     parse_edge_list,
     random_graph,
 )
-from cographkit.graph import MAX_VERTICES
+from cographkit.graph import MAX_VERTICES, _first_component
 from helpers import (
     all_graphs,
     complete_graph,
     cycle_graph,
     path_graph,
     reference_complement_edges,
+    reference_component_masks,
     reference_graph,
 )
 
@@ -367,6 +368,26 @@ def test_max_degree_cases():
 def test_connected_components():
     g = Graph(5, [(0, 1), (3, 4)])
     assert connected_components(g) == [(0, 1), (2,), (3, 4)]
+
+
+def test_first_component_matches_reference():
+    # both modes, tuple and {vertex: mask} adjacency (as decomp passes it),
+    # on random subsets; every third subset gets an isolated lowest vertex
+    rng = random.Random(67)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        g = random_graph(n, rng.uniform(0.05, 0.95), rng)
+        subset = rng.getrandbits(n) | 1 << rng.randrange(n)
+        adj = g._adj
+        if rng.random() < 1 / 3:
+            low = (subset & -subset).bit_length() - 1
+            adj = tuple(a & ~(1 << low) for a in adj)
+            adj = adj[:low] + (0,) + adj[low + 1 :]
+        in_subset = {v: adj[v] for v in range(n) if subset >> v & 1}
+        for in_complement in (False, True):
+            want = reference_component_masks(adj, subset, in_complement)[0]
+            assert _first_component(adj, subset, in_complement) == want
+            assert _first_component(in_subset, subset, in_complement) == want
 
 
 def test_edge_list_round_trip():

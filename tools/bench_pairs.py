@@ -1,0 +1,134 @@
+"""Paired benchmark runs of two checkouts, summarized into a BENCH_*.json entry.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload recognize --seed 1 \
+        --pairs 10 --out BENCH_16.json
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` once in each checkout, T being ``run_seconds`` of the change's
+``BENCHMARK.json``; pair i runs the parent first when i is even and the
+change first when it is odd.  The last line of each run's output is its
+result object.  For every end-to-end metric the entry gives both sides'
+medians and quartiles, the parent's quartile distance as a share of its
+median, the change in percent, the number of pairs in which the change
+was better (ties count for neither side) and every pair's values.  The
+entry is stored under ``"<workload>/seed<seed>"`` in the output file, so
+one file collects several workloads and seeds.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """Run the benchmark in ``checkout`` and return its result object."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
+    return last_result(proc.stdout)
+
+
+def last_result(stdout: str) -> dict:
+    """The result object a run prints as its last line."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("the run printed no result line")
+    return json.loads(lines[-1])
+
+
+def _spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method; one value is its own quartiles)."""
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Summary of paired runs.
+
+    ``pairs`` holds ``{"first": side, "parent": result, "change": result}``
+    per pair, each result the last line of a run; ``end_to_end`` is the
+    ``BENCHMARK.json`` list of metrics with their units and directions.
+    """
+    summary = {
+        "pairs": len(pairs),
+        "first": [pair["first"] for pair in pairs],
+        "correct": {side: all(pair[side]["correct"] for pair in pairs) for side in SIDES},
+        "attempted": {side: sum(pair[side]["attempted"] for pair in pairs) for side in SIDES},
+        "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES},
+        "metrics": {},
+    }
+    for metric in end_to_end:
+        name = metric["name"]
+        values = [[pair[side]["metrics"][name]["value"] for side in SIDES] for pair in pairs]
+        parent = _spread([p for p, _ in values])
+        change = _spread([c for _, c in values])
+        sign = 1 if metric["better"] == "lower" else -1
+        base = parent["median"]
+        summary["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": parent,
+            "change": change,
+            "change_pct": 100 * (change["median"] - base) / base if base else None,
+            "parent_iqr_share": (parent["q3"] - parent["q1"]) / base if base else None,
+            "wins": sum(sign * (p - c) > 0 for p, c in values),
+            "values": values,
+        }
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to add the entry to")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    checkouts = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair: dict = {"first": order[0]}
+        for side in order:
+            pair[side] = run_once(checkouts[side], args.workload, args.seed, spec["run_seconds"])
+        pairs.append(pair)
+        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+            f"{side} {pair[side]['metrics']['op_p50_ms']['value']:.3f} ms p50" for side in SIDES),
+            file=sys.stderr)
+    doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
+    doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
+                   f"--seconds {spec['run_seconds']} --trace 0")
+    doc.setdefault("host", {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    })
+    entries = doc.setdefault("entries", {})
+    entries[f"{args.workload}/seed{args.seed}"] = summarize(pairs, spec["end_to_end"])
+    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
