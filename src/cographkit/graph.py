@@ -277,8 +277,8 @@ def _first_component(adj, subset: int, in_complement: bool) -> int:
     ``adj[v]`` is the adjacency bitmask of each v in ``subset`` (list, tuple or dict).
 
     A vertex joins in the complement when some frontier vertex misses it,
-    that is when it is outside the AND of the frontier's masks, so each
-    round ANDs the masks of the frontier instead of ORing their negations."""
+    that is when it lies outside the AND of the frontier's masks; ANDing
+    the masks builds no negative integer ``~adj[v]`` per vertex."""
     comp = frontier = subset & -subset
     while frontier:
         if in_complement:
