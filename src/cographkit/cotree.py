@@ -328,7 +328,9 @@ def parse_newick(text: str) -> Cotree:
     def read_int() -> int:
         nonlocal pos
         start = pos
-        while pos < len(s) and s[pos].isdigit():
+        # ASCII digits only: str.isdigit also takes other scripts' digits
+        # and superscripts, which int() reads as digits or rejects
+        while pos < len(s) and "0" <= s[pos] <= "9":
             pos += 1
         if pos == start:
             raise fail("expected an integer")

@@ -4,9 +4,12 @@ Vertices are dense integers 0..n-1.  Edges are kept canonically as a
 sorted tuple of (u, v) pairs with u < v; a per-vertex bitmask mirror of
 the adjacency gives O(1) membership tests, which the induced-path
 search below leans on heavily.  ``Graph`` validates the edges and ORs
-them into the masks in one pass, sorts them by the integer key u·n + v
-rather than as tuples, and builds ``edge_set`` on first use; memory stays
-bounded by the n-bit masks.
+them into the masks in one pass; a pair whose bit is already set is a
+repeat, and a new pair is filed in the row of its lower endpoint.  The
+rows are then sorted by upper endpoint and chained in vertex order, so no
+key or dictionary is built: beyond the masks and the edge tuple, the
+build holds two n-slot lists and O(m) row pointers.  ``edge_set`` is
+built on first use.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ __all__ = [
 
 MAX_VERTICES = 100_000
 """Largest vertex count the readers accept (edge lists, graph and
-decomposition JSON, newick cotrees).  ``Graph`` allocates a slot per
-declared vertex, and an adjacency mask is up to n bits wide, so the bitset
-work of recognition grows with n^2 even on an edgeless graph."""
+decomposition JSON, newick cotrees).  ``Graph`` allocates two n-slot
+lists (the masks and the rows of pairs) for the declared vertex count, and
+an adjacency mask is up to n bits wide, so the bitset work of recognition
+grows with n^2 even on an edgeless graph."""
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -86,11 +90,12 @@ class Graph:
     rejects self-loops, out-of-range endpoints and a negative vertex
     count, naming the offending item.  n = 0 and n = 1 are legal.
 
-    One pass over ``edges`` checks each pair, ORs it into the adjacency
-    masks and records it under the key u·n + v, keeping the first of equal
-    pairs; ``edges`` is read out in ascending key order, which is the
-    lexicographic order of the pairs.  The frozenset ``edge_set`` is built
-    the first time it is read.
+    One pass over ``edges`` checks each pair and ORs it into the adjacency
+    masks.  A pair whose mask bit was already set is a repeat and is
+    skipped, so the first of equal pairs is kept; a new pair goes into the
+    row of its lower endpoint.  Sorting each row by upper endpoint and
+    chaining the rows in vertex order gives ``edges`` in lexicographic
+    order.  The frozenset ``edge_set`` is built the first time it is read.
     """
 
     __slots__ = ("n", "edges", "_adj", "_edge_set")
@@ -100,12 +105,12 @@ class Graph:
             raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
         try:
             adj = [0] * n
+            rows = [None] * n
         except MemoryError:
             # an invalid pair is named even when n is too large to allocate
             for pair in edges:
                 _reject(pair, n)
             raise
-        keyed = {}
         for pair in edges:
             u, v = pair
             if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
@@ -120,15 +125,31 @@ class Graph:
                 _reject(pair, n)
             if u < 0 or v >= n:
                 _reject(pair, n)
-            key = u * n + v
-            if key not in keyed:
-                keyed[key] = edge
-                adj[u] |= 1 << v
+            mask = adj[u]
+            new = mask | 1 << v
+            if new != mask:
+                # the bit was clear, so the pair is new: a repeat is skipped
+                adj[u] = new
                 adj[v] |= 1 << u
+                # a row is None, its one pair, or a list of two or more:
+                # most rows of a sparse graph never allocate a list
+                row = rows[u]
+                if row is None:
+                    rows[u] = edge
+                elif type(row) is tuple:
+                    rows[u] = [row, edge]
+                else:
+                    row.append(edge)
         self.n = n
-        keys = sorted(keyed)
-        # one C call fetches the pairs; itemgetter needs two or more keys
-        self.edges = itemgetter(*keys)(keyed) if len(keys) > 1 else tuple(keyed.values())
+        out = []
+        for row in filter(None, rows):
+            if type(row) is tuple:
+                out.append(row)
+            else:
+                row.sort(key=itemgetter(1))
+                out += row
+        del rows  # freed before the tuple copies ``out``
+        self.edges = tuple(out)
         self._adj = tuple(adj)
         self._edge_set = None
 

@@ -424,7 +424,7 @@ def parse_symbolic_map(text: str) -> SymbolicMap:
         for y, token in enumerate(fields):
             if token == "-":
                 row.append(None)
-            elif token.startswith("s") and token[1:].isdigit():
+            elif token.startswith("s") and token[1:].isascii() and token[1:].isdigit():
                 s = int(token[1:])
                 if s >= k:
                     raise ValueError(f"line {lineno}: symbol {token} outside s0..s{k - 1}")

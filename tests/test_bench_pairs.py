@@ -73,3 +73,69 @@ def test_summary_counts_wins_by_direction_and_takes_one_pair():
 def test_a_run_without_output_has_no_result():
     with pytest.raises(ValueError, match="no result line"):
         bench_pairs.last_result("\n")
+
+
+def _pairs(parent_values, change_values, metric="op_p50_ms"):
+    """Canned pairs in which only ``metric`` varies."""
+    pairs = []
+    for i, (p, c) in enumerate(zip(parent_values, change_values)):
+        pair = {"first": "parent" if i % 2 == 0 else "change", "parent": _line(5.0, 1.0), "change": _line(5.0, 1.0)}
+        pair["parent"]["metrics"][metric]["value"] = p
+        pair["change"]["metrics"][metric]["value"] = c
+        pairs.append(pair)
+    return pairs
+
+
+def test_a_metric_is_resolved_only_when_its_parent_spread_is_below_its_bound():
+    # setup_s has a bound of 0.25: an IQR of 18.75% of the median is
+    # resolved, one of 25% is not, however far the change moves
+    narrow = bench_pairs.summarize(_pairs([0.8125, 0.90625, 1.0, 1.09375, 1.1875], [1.2] * 5, "setup_s"), END_TO_END)
+    wide = bench_pairs.summarize(_pairs([0.75, 0.875, 1.0, 1.125, 1.25], [1.2] * 5, "setup_s"), END_TO_END)
+    assert narrow["metrics"]["setup_s"]["parent_iqr_share"] == 0.1875
+    assert narrow["metrics"]["setup_s"]["resolved"] is True
+    assert wide["metrics"]["setup_s"]["parent_iqr_share"] == 0.25
+    assert wide["metrics"]["setup_s"]["resolved"] is False
+    # a zero parent median has no share and so is never resolved
+    zero = bench_pairs.summarize(_pairs([0.0] * 3, [1.0] * 3, "setup_s"), END_TO_END)
+    assert zero["metrics"]["setup_s"]["parent_iqr_share"] is None
+    assert zero["metrics"]["setup_s"]["resolved"] is False
+    text = bench_pairs.report("refute/seed1", wide)
+    assert text.splitlines()[-1] == "  unresolved: setup_s (parent IQR 25.0%, bound 25%)"
+    assert "setup_s      1 -> 1.2 s (+20.0%, change lower in 1/5)" in text
+    assert bench_pairs.report("refute/seed1", narrow).splitlines()[-1] == "  unresolved: none"
+
+
+def test_main_adds_one_traced_run_per_side_as_per_layer(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=0):
+        calls.append((checkout.name, workload, seed, seconds, trace))
+        if trace:
+            build = 0.4 if checkout == parent else 0.3
+            return {"correct": True, "attempted": 62, "failed": 0,
+                    "metrics": {"graph.build_s": {"value": build, "unit": "s"},
+                                "cotree.recognize_s": {"value": 0.31, "unit": "s"}}}
+        return _line(5.4 if checkout == parent else 5.1, 0.7)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--workload", "recognize", "--seed", "1", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    # the pairs alternate which side runs first; then one traced run a side
+    assert calls == [
+        ("parent", "recognize", 1, seconds, 0), ("change", "recognize", 1, seconds, 0),
+        ("change", "recognize", 1, seconds, 0), ("parent", "recognize", 1, seconds, 0),
+        ("parent", "recognize", 1, seconds, 1), ("change", "recognize", 1, seconds, 1),
+    ]
+    entry = json.loads(out.read_text())["entries"]["recognize/seed1"]
+    assert entry["pairs"] == 2 and entry["metrics"]["op_p50_ms"]["wins"] == 2
+    assert entry["per_layer"] == {
+        "parent": {"graph.build_s": 0.4, "cotree.recognize_s": 0.31},
+        "change": {"graph.build_s": 0.3, "cotree.recognize_s": 0.31},
+    }
+    assert "recognize/seed1: 2 pairs" in capsys.readouterr().err

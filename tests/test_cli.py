@@ -298,6 +298,13 @@ def test_cotree_malformed_newick_exits_two():
     assert "newick position" in err
 
 
+@pytest.mark.parametrize("text", ["(\u0663,1)0;", "(\u00b2,1)0;"])
+def test_cotree_non_ascii_digit_exits_two(text):
+    code, out, err = run_cli(["cotree", "-"], stdin=text + "\n")
+    assert (code, out) == (2, "")
+    assert "newick position 1: expected an integer" in err
+
+
 def test_coarsen_with_explicit_host(tmp_path):
     host = tmp_path / "k3.graph"
     host.write_text(K3_TEXT)

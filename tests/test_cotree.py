@@ -356,6 +356,13 @@ def test_parse_newick_rejects_too_many_leaves_while_reading():
         parse_newick("(0,," + text[1:])
 
 
+@pytest.mark.parametrize("text", ["(\u0663,1)0;", "(\u00b2,1)0;"])
+def test_parse_newick_reads_ascii_digits_only(text):
+    # an Arabic-Indic three and a superscript two are digits to str.isdigit
+    with pytest.raises(ValueError, match=r"^newick position 1: expected an integer$"):
+        parse_newick(text)
+
+
 def test_recognize_threshold_graph_of_depth_two_thousand():
     order = random.Random(47).sample(range(2000), 2000)
     g, want = alternating_threshold(order)

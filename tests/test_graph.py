@@ -1,6 +1,7 @@
 """Graph construction, operators, the induced-path oracle, and edge-list IO."""
 
 import random
+import tracemalloc
 from enum import IntEnum
 
 import pytest
@@ -103,7 +104,9 @@ def test_build_matches_reference_on_int_enum_endpoints():
     assert repr(Graph(4, edges).edges) == repr(reference_graph(4, edges)[0])
 
 
-def test_build_matches_reference_on_large_shapes():
+def _join_1000():
+    """The join of two sparse 500-vertex halves: 252,536 distinct pairs on 1,000
+    vertices, shuffled, each in a random orientation."""
     rng = random.Random(5)
     vs = list(range(1000))
     rng.shuffle(vs)
@@ -112,10 +115,62 @@ def test_build_matches_reference_on_large_shapes():
     for half in (left, right):
         join += [(half[i], half[j]) for i in range(500) for j in range(i + 1, 500) if rng.random() < 0.01]
     rng.shuffle(join)
+    return join
+
+
+def test_build_matches_reference_on_large_shapes():
+    join = _join_1000()
     n = 20_000
     matching = [(i, n - 1 - i) for i in range(n // 2)]
     for n, edges in ((1000, join), (n, matching), (100_000, [])):
         _assert_builds_like_reference(n, lambda: edges)
+
+
+def test_build_matches_reference_when_every_pair_comes_three_times():
+    rng = random.Random(17)
+    for n in (2, 30, 300):
+        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        pairs = rng.sample(all_pairs, rng.randint(1, min(len(all_pairs), 5000)))
+        copies = [
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for u, v in pairs
+            for _ in range(3)
+        ]
+        copies = [list(p) if rng.random() < 0.3 else p for p in copies]
+        rng.shuffle(copies)
+        _assert_builds_like_reference(n, lambda: copies)
+        _assert_builds_like_reference(n, lambda: iter(copies))
+
+
+def test_build_keeps_the_first_canonical_input_tuple():
+    # built at run time: equal tuple constants of one function are one object
+    first, second, later = tuple([0, 1]), tuple([0, 1]), tuple([1, 3])
+    reversed_pair, listed = tuple([3, 2]), [1, 4]
+    edges = [reversed_pair, [1, 3], first, (2, 3), second, listed, later]
+    g = Graph(5, edges)
+    assert g.edges == ((0, 1), (1, 3), (1, 4), (2, 3))
+    assert g.edges[0] is first
+    # a reversed pair or a list gives a new tuple, and that tuple is kept
+    # even when an equal canonical tuple follows
+    assert all(type(e) is tuple for e in g.edges)
+    assert g.edges[1] is not later
+    assert g.edges[3] is not edges[3]
+    # of two equal canonical tuples, the first is kept
+    g = Graph(5, [second, first])
+    assert g.edges[0] is second
+
+
+def test_build_of_the_dense_join_holds_no_transient_larger_than_the_graph():
+    join = _join_1000()
+    tracemalloc.start()
+    try:
+        g = Graph(1000, join)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(join)
+    # the kept graph is about 9 MB (masks, edge tuple, new reversed tuples)
+    assert peak < 16 * 2**20
 
 
 def _raised(build):

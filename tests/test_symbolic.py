@@ -427,6 +427,9 @@ def test_map_text_round_trip():
         ("2 1\n- -\n- -\n", r"off-diagonal entry \(0,1\)"),
         ("2 1\n- s1\ns1 -\n", "symbol s1 outside s0..s0"),
         ("2 1\n- q0\nq0 -\n", "bad token 'q0'"),
+        # digits to str.isdigit, not ASCII
+        ("4 4\n- s\u0663 s0 s0\ns\u0663 - s0 s0\ns0 s0 - s0\ns0 s0 s0 -\n", "bad token 's\u0663'"),
+        ("3 3\n- s\u00b2 s0\ns\u00b2 - s0\ns0 s0 -\n", "bad token 's\u00b2'"),
         ("3 2\n- s0 s0\ns1 - s0\ns0 s0 -\n", "not symmetric"),
     ],
 )

@@ -9,10 +9,16 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 change first when it is odd.  The last line of each run's output is its
 result object.  For every end-to-end metric the entry gives both sides'
 medians and quartiles, the parent's quartile distance as a share of its
-median, the change in percent, the number of pairs in which the change
-was better (ties count for neither side) and every pair's values.  The
-entry is stored under ``"<workload>/seed<seed>"`` in the output file, so
-one file collects several workloads and seeds.  Standard library only.
+median, whether that share is below the metric's bound (``resolved``: a
+metric whose own spread is as wide as its bound cannot show a change
+within the bound), the change in percent, the number of pairs in which
+the change was better (ties count for neither side) and every pair's
+values.  After the pairs, one ``--trace 1`` run per side gives the
+per-layer times (``graph.build_s``, ``cotree.recognize_s``, ...) that the
+entry keeps under ``per_layer``.  The entry is stored under
+``"<workload>/seed<seed>"`` in the output file, so one file collects
+several workloads and seeds, and a summary naming the unresolved metrics
+is printed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Run the benchmark in ``checkout`` and return its result object."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """Run the benchmark in ``checkout`` and return its result object; with
+    ``trace=1`` its metrics are the per-layer ones."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
@@ -79,6 +86,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         change = _spread([c for _, c in values])
         sign = 1 if metric["better"] == "lower" else -1
         base = parent["median"]
+        share = (parent["q3"] - parent["q1"]) / base if base else None
         summary["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -86,11 +94,29 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "parent": parent,
             "change": change,
             "change_pct": 100 * (change["median"] - base) / base if base else None,
-            "parent_iqr_share": (parent["q3"] - parent["q1"]) / base if base else None,
+            "parent_iqr_share": share,
+            "resolved": share is not None and share < metric["bound"],
             "wins": sum(sign * (p - c) > 0 for p, c in values),
             "values": values,
         }
     return summary
+
+
+def report(key: str, summary: dict) -> str:
+    """Lines that show an entry: each metric's medians, change and wins,
+    then the metrics the parent's spread leaves unresolved."""
+    lines = [f"{key}: {summary['pairs']} pairs; " + "; ".join(
+        f"{side} correct {summary['correct'][side]}, {summary['failed'][side]} failed" for side in SIDES)]
+    unresolved = []
+    for name, m in summary["metrics"].items():
+        pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
+        lines.append(f"  {name:12s} {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']}"
+                     f" ({pct}, change {m['better']} in {m['wins']}/{summary['pairs']})")
+        if not m["resolved"]:
+            share = "n/a" if m["parent_iqr_share"] is None else f"{100 * m['parent_iqr_share']:.1f}%"
+            unresolved.append(f"{name} (parent IQR {share}, bound {100 * m['bound']:.0f}%)")
+    lines.append("  unresolved: " + (", ".join(unresolved) if unresolved else "none"))
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -116,6 +142,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{side} {pair[side]['metrics']['op_p50_ms']['value']:.3f} ms p50" for side in SIDES),
             file=sys.stderr)
+    summary = summarize(pairs, spec["end_to_end"])
+    summary["per_layer"] = {
+        side: {name: m["value"] for name, m in run_once(
+            checkouts[side], args.workload, args.seed, spec["run_seconds"], trace=1)["metrics"].items()}
+        for side in SIDES
+    }
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {spec['run_seconds']} --trace 0")
@@ -124,9 +156,10 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
     })
-    entries = doc.setdefault("entries", {})
-    entries[f"{args.workload}/seed{args.seed}"] = summarize(pairs, spec["end_to_end"])
+    key = f"{args.workload}/seed{args.seed}"
+    doc.setdefault("entries", {})[key] = summary
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(report(key, summary), file=sys.stderr)
     return 0
 
 
