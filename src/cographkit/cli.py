@@ -212,12 +212,15 @@ def _cmd_coarsen(args):
 
     host = None if args.graph is None else _read(args.graph, _parse_graph)
     d = _read(args.decomposition, lambda text: decomp.decomposition_from_json(_json_payload(text), host=host))
-    fault = decomp.validate(d)
-    if fault is not None:
+    merging: dict = {}
+    try:
+        coarse = decomp.coarsen(d, merging)
+    except ValueError:
+        fault = decomp.validate(d)  # coarsen validated d and refused it: name the fault
+        if fault is None:
+            raise
         payload = {"kind": fault.kind, "detail": fault.detail or str(fault)}
         return EXIT_NEGATIVE, "invalid", payload, {}, f"input decomposition invalid: {fault.kind}"
-    merging: dict = {}
-    coarse = decomp.coarsen(d, merging)
     payload = decomp.decomposition_to_json(coarse)
     return EXIT_OK, "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
 

@@ -461,19 +461,19 @@ def search_assignments(
 
     With ``prune`` the induced-path constraints are propagated.  Each
     unassigned edge keeps the classes it may not contain and the classes
-    it must contain.  After an assignment, every constraint of that edge
-    is examined: when two path edges share a class, the third is
-    unassigned and every chord is assigned outside that class, the third
-    edge is banned from it; when all three path edges share a class and
-    the assigned chords miss it, a conflict is reported if no chord is
-    open, and a single open chord is required to take the class.  An
-    emptied domain backtracks; a domain left with one mask is assigned
-    at once and propagated in turn.  Such implied edges are not search
-    nodes: when the search reaches one, it only applies the symmetry
-    test below to its mask.  Propagation only removes masks that cannot
-    be part of a solution, so the solutions and their order are exactly
-    those of the unpruned search (``prune=False``), which checks each
-    complete assignment instead.  ``nodes`` counts the candidate masks
+    it must contain.  After an assignment, one rule is applied to every
+    constraint of that edge.  Let bad be the classes its assigned path
+    edges share and its assigned chords miss.  With two or more members
+    (path edges or chords) open nothing follows; with one open, an open
+    path edge is banned from bad and an open chord must take bad; with
+    none open, a non-empty bad is a conflict.  An emptied domain
+    backtracks; a domain left with one mask is assigned at once and
+    propagated in turn.  Such implied edges are not search nodes: when
+    the search reaches one, it only applies the symmetry test below to
+    its mask.  Propagation only removes masks that cannot be part of a
+    solution, so the solutions and their order are exactly those of the
+    unpruned search (``prune=False``), which checks each complete
+    assignment instead.  ``nodes`` counts the candidate masks
     actually tried.
 
     ``symmetry`` breaks class relabeling: a fresh class id may only be
@@ -637,42 +637,35 @@ def _propagating_search(
     def propagate() -> bool:
         while queue:
             for p1, p2, p3, chords in cons_of[queue.pop()]:
+                # bad: the classes the assigned path edges share and the
+                # assigned chords miss; last: the one open member, or -1
                 a1 = assign[p1]
                 a2 = assign[p2]
                 a3 = assign[p3]
-                if a1 and a2 and a3:
-                    bad = a1 & a2 & a3
-                    if not bad:
-                        continue
-                    open_chords = 0
-                    for ch in chords:
-                        a = assign[ch]
-                        if a:
-                            bad &= ~a
-                        else:
-                            open_chords += 1
-                            last = ch
-                    if not bad or open_chords > 1:
-                        continue
-                    if open_chords == 0 or not restrict(last, 0, bad):
-                        queue.clear()
-                        return False
-                    continue
                 if a1 and a2:
-                    bad, third = a1 & a2, p3
-                elif a1 and a3:
-                    bad, third = a1 & a3, p2
-                elif a2 and a3:
-                    bad, third = a2 & a3, p1
+                    bad = a1 & a2 & (a3 or full)
+                    last = -1 if a3 else p3
+                elif a3 and (a1 or a2):
+                    bad = a3 & (a1 or a2)
+                    last = p2 if a1 else p1
                 else:
+                    continue  # two path edges are open
+                if not bad:
                     continue
+                path_open = last >= 0
                 for ch in chords:
                     a = assign[ch]
-                    if not a:
-                        break  # an open chord may still break the path
-                    bad &= ~a
+                    if a:
+                        bad &= ~a
+                    elif last < 0:
+                        last = ch
+                    else:
+                        break  # two members are open
                 else:
-                    if bad and not restrict(third, bad, 0):
+                    # an open path edge is banned from bad, an open chord must
+                    # take it; with none open the path is induced in a class
+                    if bad and (last < 0 or not (
+                            restrict(last, bad, 0) if path_open else restrict(last, 0, bad))):
                         queue.clear()
                         return False
         return True

@@ -337,9 +337,9 @@ def _read_rows(
     """Header and body rows of the line formats (edge list, formula, map).
 
     Blank lines and lines starting with ``#`` are skipped.  The first
-    remaining line is the header of two integers named ``header_names``
-    (for example ``'n m'``); the rows after it come lazily as
-    ``(lineno, raw line, fields)``, so the text is read in one pass.
+    remaining line is the header of two non-negative integers named
+    ``header_names`` (for example ``'n m'``); the rows after it come
+    lazily as ``(lineno, raw line, fields)``, read in one pass.
     """
     rows = (
         (lineno, raw, line.split())
@@ -356,6 +356,9 @@ def _read_rows(
         header = (int(fields[0]), int(fields[1]))
     except ValueError:
         raise ValueError(f"line {lineno}: header values must be integers") from None
+    for name, value in zip(header_names.split(), header):
+        if value < 0:
+            raise ValueError(f"line {lineno}: header value {name} must be non-negative, got {value}")
     return header, rows
 
 

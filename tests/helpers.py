@@ -11,6 +11,7 @@ from typing import Iterator
 
 from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, recognize, validate
 from cographkit.cotree import _Prime
+from cographkit.decomp import SearchOutcome, _breaks_symmetry, _Constraint
 from cographkit.gadgets import GadgetGraph, NaeFormula, eval_nae
 from cographkit.graph import _bits, _is_int
 from cographkit.symbolic import NotUltrametricError, _pair_index, check_axioms
@@ -522,3 +523,169 @@ def reference_partition_from_assignment(f: NaeFormula, values) -> Decomposition:
     if fault is not None:
         raise RuntimeError(f"internal construction fault: {fault}")
     return d
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the propagating engine with its two deduction
+# cases (three path edges assigned, or two), kept verbatim (renamed) as the
+# oracle for the one-open-member rule of cographkit.decomp._propagating_search
+# ---------------------------------------------------------------------------
+
+
+def reference_propagating_search(
+    order: list[int],
+    constraints: list[_Constraint],
+    k: int,
+    mode: str,
+    forced_mask: list[int],
+    find_all: bool,
+    symmetry: bool,
+    node_budget: int | None,
+) -> SearchOutcome:
+    """The ``prune=True`` engine of ``search_assignments``, on an explicit
+    stack so that the depth of the search is not bounded by recursion.
+    Candidate i is made on demand: the mask 1 << i in partition mode, i + 1
+    in cover mode."""
+    m = len(order)
+    full = (1 << k) - 1
+    partition = mode == PARTITION
+    size = k if partition else full
+    cons_of: list[list[_Constraint]] = [[] for _ in range(m)]
+    for con in constraints:
+        p1, p2, p3, chords = con
+        for e in (p1, p2, p3, *chords):
+            cons_of[e].append(con)
+    assign = [0] * m
+    banned = [0] * m  # classes an unassigned edge may not contain
+    required = [0] * m  # classes an unassigned edge must contain
+    trail: list[tuple[int, int, int]] = []  # (edge, banned, required) before a change
+    queue: list[int] = []  # assigned edges whose constraints are still to examine
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            e, b, r = trail.pop()
+            assign[e] = 0
+            banned[e] = b
+            required[e] = r
+
+    def restrict(e: int, ban: int, req: int) -> bool:
+        """Narrow an unassigned edge's domain; False when it empties."""
+        b = banned[e] | ban
+        r = required[e] | req
+        if b == banned[e] and r == required[e]:
+            return True
+        trail.append((e, banned[e], required[e]))
+        banned[e] = b
+        required[e] = r
+        allowed = full & ~b
+        if r & b or not allowed:
+            return False
+        if partition and r:
+            if r & (r - 1):
+                return False
+            allowed = r
+        elif allowed & (allowed - 1) and allowed != r:
+            return True
+        assign[e] = allowed
+        queue.append(e)
+        return True
+
+    def propagate() -> bool:
+        while queue:
+            for p1, p2, p3, chords in cons_of[queue.pop()]:
+                a1 = assign[p1]
+                a2 = assign[p2]
+                a3 = assign[p3]
+                if a1 and a2 and a3:
+                    bad = a1 & a2 & a3
+                    if not bad:
+                        continue
+                    open_chords = 0
+                    for ch in chords:
+                        a = assign[ch]
+                        if a:
+                            bad &= ~a
+                        else:
+                            open_chords += 1
+                            last = ch
+                    if not bad or open_chords > 1:
+                        continue
+                    if open_chords == 0 or not restrict(last, 0, bad):
+                        queue.clear()
+                        return False
+                    continue
+                if a1 and a2:
+                    bad, third = a1 & a2, p3
+                elif a1 and a3:
+                    bad, third = a1 & a3, p2
+                elif a2 and a3:
+                    bad, third = a2 & a3, p1
+                else:
+                    continue
+                for ch in chords:
+                    a = assign[ch]
+                    if not a:
+                        break  # an open chord may still break the path
+                    bad &= ~a
+                else:
+                    if bad and not restrict(third, bad, 0):
+                        queue.clear()
+                        return False
+        return True
+
+    for e, mask in enumerate(forced_mask):
+        if mask:
+            restrict(e, full & ~mask, mask)  # a valid mask is a one-mask domain
+    if not propagate():
+        return SearchOutcome(solutions=[], nodes=0, completed=True)
+
+    solutions: list[tuple[int, ...]] = []
+    nodes = 0
+    stack: list[list[int]] = []  # open positions: [pos, used, trail mark, next candidate]
+    pos = used = 0
+    while True:
+        # walk over implied edges up to the next open position or a dead end
+        while pos < m:
+            mask = assign[order[pos]]
+            if not mask or (symmetry and _breaks_symmetry(mask, used)):
+                break
+            used |= mask
+            pos += 1
+        if pos == m:
+            solutions.append(tuple(assign))
+            if not find_all:
+                break
+        elif not assign[order[pos]]:
+            stack.append([pos, used, len(trail), 0])
+        # next candidate of the innermost open position, backtracking as needed
+        while stack:
+            frame = stack[-1]
+            fpos, fused, mark, i = frame
+            undo(mark)
+            e = order[fpos]
+            b = banned[e]
+            r = required[e]
+            while i < size:
+                mask = 1 << i if partition else i + 1
+                i += 1
+                if mask & b or mask & r != r or (symmetry and _breaks_symmetry(mask, fused)):
+                    continue
+                if node_budget is not None and nodes >= node_budget:
+                    return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+                nodes += 1
+                trail.append((e, b, r))
+                assign[e] = mask
+                queue.append(e)
+                if propagate():
+                    break
+                undo(mark)
+            else:
+                stack.pop()
+                continue
+            frame[3] = i
+            pos, used = fpos + 1, fused | mask
+            break
+        else:
+            break
+    return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+

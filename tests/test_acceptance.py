@@ -228,6 +228,7 @@ def test_07_clause_gadget_patterns_and_infeasibility():
         )
         assert out.completed, "node budget must cover the full refutation"
         assert out.solutions == []
+        assert out.nodes == 441
 
 
 def test_08_reduction_round_trip():

@@ -105,17 +105,18 @@ def test_a_metric_is_resolved_only_when_its_parent_spread_is_below_its_bound():
     assert bench_pairs.report("refute/seed1", narrow).splitlines()[-1] == "  unresolved: none"
 
 
-def test_main_adds_one_traced_run_per_side_as_per_layer(tmp_path, monkeypatch, capsys):
+def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for checkout in (parent, change):
         checkout.mkdir()
     (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     calls = []
+    builds = {"parent": [0.5, 1.5, 1.0], "change": [0.25, 0.75, 0.5]}
 
     def fake_run_once(checkout, workload, seed, seconds, trace=0):
         calls.append((checkout.name, workload, seed, seconds, trace))
         if trace:
-            build = 0.4 if checkout == parent else 0.3
+            build = builds[checkout.name].pop(0)
             return {"correct": True, "attempted": 62, "failed": 0,
                     "metrics": {"graph.build_s": {"value": build, "unit": "s"},
                                 "cotree.recognize_s": {"value": 0.31, "unit": "s"}}}
@@ -126,16 +127,21 @@ def test_main_adds_one_traced_run_per_side_as_per_layer(tmp_path, monkeypatch, c
     argv = [str(parent), str(change), "--workload", "recognize", "--seed", "1", "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
-    # the pairs alternate which side runs first; then one traced run a side
+    # the pairs alternate which side runs first; then three traced runs a
+    # side, alternating in the same way
+    assert bench_pairs.TRACED_RUNS == 3
     assert calls == [
         ("parent", "recognize", 1, seconds, 0), ("change", "recognize", 1, seconds, 0),
         ("change", "recognize", 1, seconds, 0), ("parent", "recognize", 1, seconds, 0),
         ("parent", "recognize", 1, seconds, 1), ("change", "recognize", 1, seconds, 1),
+        ("change", "recognize", 1, seconds, 1), ("parent", "recognize", 1, seconds, 1),
+        ("parent", "recognize", 1, seconds, 1), ("change", "recognize", 1, seconds, 1),
     ]
     entry = json.loads(out.read_text())["entries"]["recognize/seed1"]
     assert entry["pairs"] == 2 and entry["metrics"]["op_p50_ms"]["wins"] == 2
+    recognize = {"median": 0.31, "q1": 0.31, "q3": 0.31}
     assert entry["per_layer"] == {
-        "parent": {"graph.build_s": 0.4, "cotree.recognize_s": 0.31},
-        "change": {"graph.build_s": 0.3, "cotree.recognize_s": 0.31},
+        "parent": {"graph.build_s": {"median": 1.0, "q1": 0.75, "q3": 1.25}, "cotree.recognize_s": recognize},
+        "change": {"graph.build_s": {"median": 0.5, "q1": 0.375, "q3": 0.625}, "cotree.recognize_s": recognize},
     }
     assert "recognize/seed1: 2 pairs" in capsys.readouterr().err

@@ -574,6 +574,30 @@ def test_coarsen_invalid_decomposition_exits_one():
     assert report_of(out)["verdict"] == "invalid"
 
 
+def test_coarsen_validates_a_valid_input_once(tmp_path, monkeypatch):
+    from cographkit import decomp
+
+    calls = []
+    real = decomp.validate
+
+    def counting(d):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(decomp, "validate", counting)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"mode": "partition", "k": 3, "n": 3, "classes": [[[0, 1]], [[1, 2]], [[0, 2]]]}))
+    assert run_cli(["coarsen", str(path)])[0] == 0
+    assert len(calls) == 1
+    # an invalid input still reports the first fault
+    path.write_text(json.dumps({"mode": "partition", "k": 2, "n": 3, "classes": [[[0, 1], [1, 2]], [[1, 2]]]}))
+    code, out, _ = run_cli(["coarsen", str(path)])
+    assert code == 1
+    doc = report_of(out)
+    assert doc["payload"] == {"kind": "overlap", "detail": "classes 0 and 1 share edges [(1, 2)]"}
+    assert set(doc["stats"]) == {"elapsed_s"}
+
+
 def test_gadget_payloads_round_trip_roles():
     for kind, n in (("literal", 9), ("extended", 12), ("clause", 33)):
         code, out, _ = run_cli(["gadget", kind])

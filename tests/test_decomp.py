@@ -659,6 +659,43 @@ def test_propagating_search_matches_unpruned_oracle():
             agree(g, 2, PARTITION, symmetry, find_all)
 
 
+def test_one_open_member_rule_matches_the_two_case_engine(monkeypatch):
+    # the propagating engine against its two-case form kept in helpers: the
+    # same restrict calls in the same order, so equal outcomes, nodes and
+    # timeouts included, through the search and the minimum-k solver
+    from cographkit import decomp
+
+    rng = random.Random(39)
+    hosts = [random_graph(rng.randint(2, 8), rng.random(), rng) for _ in range(40)]
+    budgets = (0, 5, 50, 500, None)
+
+    def runs() -> list:
+        out = []
+        for g in hosts:
+            forced = {g.edges[rng.randrange(len(g.edges))]: 1} if g.edges else None
+            for mode in (PARTITION, COVER):
+                for budget in budgets:
+                    out.append(decomp._exact_min(g, 4, budget, mode))
+                for k in (1, 2, 3, 4):
+                    for pins in (None, forced):
+                        for find_all in (False, True):
+                            # unbounded, find-all would list every cover of the host
+                            for budget in budgets[:-1] if find_all else budgets:
+                                out.append(search_assignments(
+                                    g, k, mode, forced=pins, symmetry=pins is None,
+                                    find_all=find_all, node_budget=budget))
+        return out
+
+    rng.seed(40)
+    engine = runs()
+    monkeypatch.setattr(decomp, "_propagating_search", helpers.reference_propagating_search)
+    rng.seed(40)
+    reference = runs()
+    assert engine == reference
+    assert any(isinstance(r, SolveResult) and r.status == TIMEOUT for r in engine)
+    assert any(isinstance(r, SearchOutcome) and len(r.solutions) > 1 for r in engine)
+
+
 def test_long_path_solves_without_recursion():
     g = path_graph(10_001)
     result = exact_min_partition(g, 2, node_budget=50_000)

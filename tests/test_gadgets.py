@@ -400,6 +400,8 @@ def test_formula_graph_at_vertex_limit_parses():
         ("3 2\n0 1 2\n", "declared 2 clauses"),
         ("3 1\n0 1 x\n", "line 2: variable ids"),
         ("11111 1\n0 1 2\n", "vertex count 100005 exceeds the limit"),
+        ("1 -1\n", "line 1: header value c must be non-negative, got -1"),
+        ("-1 0\n", "line 1: header value v must be non-negative, got -1"),
     ],
 )
 def test_formula_text_errors(text, match):

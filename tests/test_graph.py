@@ -468,6 +468,8 @@ def test_edge_list_accepts_comments():
         ("3 2\n0 1\n", "declared 2 edges but found 1"),
         ("3 1\n0 1\n1 2\n", "line 3: more edge lines"),
         ("3 1\nx y\n", "line 2: edge endpoints"),
+        ("3 -1\n0 1\n", "line 1: header value m must be non-negative, got -1"),
+        ("# comment\n-3 0\n", "line 2: header value n must be non-negative, got -3"),
     ],
 )
 def test_edge_list_parse_errors(text, match):

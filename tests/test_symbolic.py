@@ -431,6 +431,8 @@ def test_map_text_round_trip():
         ("4 4\n- s\u0663 s0 s0\ns\u0663 - s0 s0\ns0 s0 - s0\ns0 s0 s0 -\n", "bad token 's\u0663'"),
         ("3 3\n- s\u00b2 s0\ns\u00b2 - s0\ns0 s0 -\n", "bad token 's\u00b2'"),
         ("3 2\n- s0 s0\ns1 - s0\ns0 s0 -\n", "not symmetric"),
+        ("-1 1\n", "line 1: header value n must be non-negative, got -1"),
+        ("2 -1\n- s0\ns0 -\n", "line 1: header value k must be non-negative, got -1"),
     ],
 )
 def test_map_text_errors(text, match):

@@ -13,9 +13,10 @@ median, whether that share is below the metric's bound (``resolved``: a
 metric whose own spread is as wide as its bound cannot show a change
 within the bound), the change in percent, the number of pairs in which
 the change was better (ties count for neither side) and every pair's
-values.  After the pairs, one ``--trace 1`` run per side gives the
-per-layer times (``graph.build_s``, ``cotree.recognize_s``, ...) that the
-entry keeps under ``per_layer``.  The entry is stored under
+values.  After the pairs, ``TRACED_RUNS`` ``--trace 1`` runs per side,
+alternating in the same way, give the per-layer metrics
+(``graph.build_s``, ``cotree.recognize_s``, ...) whose medians and
+quartiles the entry keeps under ``per_layer``.  The entry is stored under
 ``"<workload>/seed<seed>"`` in the output file, so one file collects
 several workloads and seeds, and a summary naming the unresolved metrics
 is printed.  Standard library only.
@@ -33,6 +34,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACED_RUNS = 3  # --trace 1 runs per side: a single one is too noisy to compare layers
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -53,6 +55,11 @@ def last_result(stdout: str) -> dict:
     if not lines:
         raise ValueError("the run printed no result line")
     return json.loads(lines[-1])
+
+
+def _order(i: int) -> tuple[str, ...]:
+    """Sides in the order of run i: the parent first when i is even."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
 
 
 def _spread(values: list[float]) -> dict:
@@ -134,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     pairs = []
     for i in range(args.pairs):
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        order = _order(i)
         pair: dict = {"first": order[0]}
         for side in order:
             pair[side] = run_once(checkouts[side], args.workload, args.seed, spec["run_seconds"])
@@ -143,10 +150,14 @@ def main(argv: list[str] | None = None) -> int:
             f"{side} {pair[side]['metrics']['op_p50_ms']['value']:.3f} ms p50" for side in SIDES),
             file=sys.stderr)
     summary = summarize(pairs, spec["end_to_end"])
+    traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+    for i in range(TRACED_RUNS):
+        for side in _order(i):
+            traced[side].append(run_once(
+                checkouts[side], args.workload, args.seed, spec["run_seconds"], trace=1)["metrics"])
     summary["per_layer"] = {
-        side: {name: m["value"] for name, m in run_once(
-            checkouts[side], args.workload, args.seed, spec["run_seconds"], trace=1)["metrics"].items()}
-        for side in SIDES
+        side: {name: _spread([run[name]["value"] for run in runs]) for name in runs[0]}
+        for side, runs in traced.items()
     }
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
