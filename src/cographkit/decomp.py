@@ -419,14 +419,52 @@ def p4_constraints(g: Graph, limit: int | None = None) -> list[_Constraint]:
                     continue
                 at_a = ids[a]
                 ac = at_a.get(c)
+                ac_only = () if ac is None else (ac,)
                 for d, cd in at_c.items():
                     if d == b or d <= a:
                         continue
-                    chords = tuple(e for e in (ac, at_b.get(d), at_a.get(d)) if e is not None)
+                    bd = at_b.get(d)
+                    ad = at_a.get(d)
+                    if bd is None:
+                        chords = ac_only if ad is None else ac_only + (ad,)
+                    else:
+                        chords = ac_only + ((bd,) if ad is None else (bd, ad))
                     out.append((ab, bc, cd, chords))
                     if limit is not None and len(out) > limit:
                         return out
     return out
+
+
+class _SearchIndex(NamedTuple):
+    """The search input of one host, built once by ``_search_index`` and
+    shared by every search on it: its ``p4_constraints`` list, the edge ids
+    in search order, and the constraints of each edge, which only the
+    propagating engine reads (None when no pruned search will run)."""
+
+    constraints: list[_Constraint]
+    order: list[int]
+    cons_of: list[list[_Constraint]] | None
+
+
+def _search_index(host: Graph, constraints: list[_Constraint], per_edge: bool) -> _SearchIndex:
+    """Index ``constraints`` for searches on ``host``: edges by endpoint
+    degree sum descending, then in host edge order, and with ``per_edge``
+    the constraints of each edge (its path edges' and chords')."""
+    deg = [host.degree(v) for v in range(host.n)]
+    sums = [deg[u] + deg[v] for u, v in host.edges]
+    # a stable sort keeps equal sums in host edge order, reversed or not
+    order = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
+    cons_of = None
+    if per_edge:
+        cons_of = [[] for _ in order]
+        for con in constraints:
+            p1, p2, p3, chords = con
+            cons_of[p1].append(con)
+            cons_of[p2].append(con)
+            cons_of[p3].append(con)
+            for ch in chords:
+                cons_of[ch].append(con)
+    return _SearchIndex(constraints, order, cons_of)
 
 
 class SearchOutcome(NamedTuple):
@@ -451,7 +489,7 @@ def search_assignments(
     symmetry: bool = True,
     prune: bool = True,
     node_budget: int | None = None,
-    constraints: list[_Constraint] | None = None,
+    constraints: list[_Constraint] | _SearchIndex | None = None,
 ) -> SearchOutcome:
     """Backtracking search over per-edge class assignments.
 
@@ -482,7 +520,11 @@ def search_assignments(
     the host's ``p4_constraints`` list, edge-id tuples used as they are,
     when the caller already has it; otherwise it is built here, and a
     budget smaller than its length ends the search before it starts, as
-    not completed.  A negative ``node_budget`` is rejected.
+    not completed.  Either way the search indexes the list for this
+    call: the edge order, and for the pruned search the constraints of
+    each edge.  ``constraints`` may instead be that index, prepared once
+    per host, which ``exact_min_partition`` and ``exact_min_cover`` pass
+    to the search of every k.  A negative ``node_budget`` is rejected.
     """
     if k < 1:
         raise ValueError(f"class count must be at least 1, got {k}")
@@ -496,26 +538,30 @@ def search_assignments(
     m = len(edges)
     if m == 0:
         return SearchOutcome(solutions=[()], nodes=0, completed=True)
-    eidx = {e: i for i, e in enumerate(edges)}
     forced_mask = [0] * m
-    for e, mask in (forced or {}).items():
-        ce = _canon_edge(e)
-        if ce not in eidx:
-            raise ValueError(f"forced edge {e} is not a host edge")
-        if not 0 < mask < 1 << k:
-            raise ValueError(f"forced mask {mask} for edge {e} is out of range")
-        if mode == PARTITION and mask & (mask - 1):
-            raise ValueError(f"forced mask {mask} is not a single class in partition mode")
-        forced_mask[eidx[ce]] = mask
+    if forced:
+        eidx = {e: i for i, e in enumerate(edges)}
+        for e, mask in forced.items():
+            ce = _canon_edge(e)
+            if ce not in eidx:
+                raise ValueError(f"forced edge {e} is not a host edge")
+            if not 0 < mask < 1 << k:
+                raise ValueError(f"forced mask {mask} for edge {e} is out of range")
+            if mode == PARTITION and mask & (mask - 1):
+                raise ValueError(f"forced mask {mask} is not a single class in partition mode")
+            forced_mask[eidx[ce]] = mask
     if constraints is None:
         constraints = p4_constraints(host, node_budget)
         if node_budget is not None and len(constraints) > node_budget:
             return SearchOutcome(solutions=[], nodes=0, completed=False)
-
-    deg = [host.degree(v) for v in range(host.n)]
-    order = sorted(range(m), key=lambda i: (-(deg[edges[i][0]] + deg[edges[i][1]]), edges[i]))
+    if isinstance(constraints, _SearchIndex):
+        index = constraints
+    else:
+        index = _search_index(host, constraints, per_edge=prune)
     if prune:
-        return _propagating_search(order, constraints, k, mode, forced_mask, find_all, symmetry, node_budget)
+        return _propagating_search(index, k, mode, forced_mask, find_all, symmetry, node_budget)
+    order = index.order
+    constraints = index.constraints
     # an explicit loop over positions, so that the depth of the search is not
     # bounded by recursion; candidate i is made on demand, as in
     # _propagating_search: cover mode has 2^k - 1 of them
@@ -577,8 +623,7 @@ def _breaks_symmetry(mask: int, used: int) -> bool:
 
 
 def _propagating_search(
-    order: list[int],
-    constraints: list[_Constraint],
+    index: _SearchIndex,
     k: int,
     mode: str,
     forced_mask: list[int],
@@ -590,15 +635,12 @@ def _propagating_search(
     stack so that the depth of the search is not bounded by recursion.
     Candidate i is made on demand: the mask 1 << i in partition mode, i + 1
     in cover mode."""
+    order = index.order
+    cons_of = index.cons_of
     m = len(order)
     full = (1 << k) - 1
     partition = mode == PARTITION
     size = k if partition else full
-    cons_of: list[list[_Constraint]] = [[] for _ in range(m)]
-    for con in constraints:
-        p1, p2, p3, chords = con
-        for e in (p1, p2, p3, *chords):
-            cons_of[e].append(con)
     assign = [0] * m
     banned = [0] * m  # classes an unassigned edge may not contain
     required = [0] * m  # classes an unassigned edge must contain
@@ -767,6 +809,7 @@ def _exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> Solv
     constraints = p4_constraints(g, node_budget)
     if node_budget is not None and len(constraints) > node_budget:
         return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
+    index = _search_index(g, constraints, per_edge=True)  # shared by the search of every k
     per_k: list[int] = []
 
     def result(status: str, proven: int, d: Decomposition | None = None) -> SolveResult:
@@ -776,7 +819,7 @@ def _exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> Solv
         remaining = None if node_budget is None else node_budget - sum(per_k)
         if remaining is not None and remaining <= 0:
             return result(TIMEOUT, k - 1)
-        out = search_assignments(g, k, mode, node_budget=remaining, constraints=constraints)
+        out = search_assignments(g, k, mode, node_budget=remaining, constraints=index)
         per_k.append(out.nodes)
         if out.solutions:
             return result(SOLVED, k - 1, _masks_to_decomposition(g, out.solutions[0], k, mode))
@@ -792,7 +835,9 @@ def exact_min_partition(g: Graph, k_max: int, node_budget: int | None = None) ->
     the returned partition is the canonical first solution.  The budget
     counts explored assignment nodes, summed over k; the constraints are
     built once, and more of them than the budget also reports timeout.
-    Exceeding it reports timeout, never infeasibility.
+    Exceeding it reports timeout, never infeasibility.  The search input
+    is prepared once per host, not per k: the constraint list, the edge
+    order and the constraints of each edge, shared by every k's search.
     """
     return _exact_min(g, k_max, node_budget, PARTITION)
 

@@ -87,8 +87,9 @@ class Graph:
     """Undirected simple graph, immutable after construction.
 
     Edges are canonicalized (u < v, deduplicated, sorted).  Construction
-    rejects self-loops, out-of-range endpoints and a negative vertex
-    count, naming the offending item.  n = 0 and n = 1 are legal.
+    rejects an item that is not a pair, self-loops, out-of-range
+    endpoints and a negative vertex count, naming the offending item.
+    n = 0 and n = 1 are legal.
 
     One pass over ``edges`` checks each pair and ORs it into the adjacency
     masks.  A pair whose mask bit was already set is a repeat and is
@@ -112,7 +113,10 @@ class Graph:
                 _reject(pair, n)
             raise
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise _not_a_pair(pair) from None
             if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
                 _reject(pair, n)
             if u < v:
@@ -192,10 +196,19 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _not_a_pair(item) -> ValueError:
+    """The error for an item that does not unpack into two endpoints;
+    Python's own unpacking errors name neither the item nor the rule."""
+    return ValueError(f"edge {item!r} is not a pair of endpoints")
+
+
 def _reject(pair, n: int) -> None:
     """Raise the ``ValueError`` naming what is wrong with ``pair`` as an
     edge of a graph on n vertices; return if nothing is."""
-    u, v = pair
+    try:
+        u, v = pair
+    except (TypeError, ValueError):
+        raise _not_a_pair(pair) from None
     if not (_is_int(u) and _is_int(v)):
         raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
     if u == v:

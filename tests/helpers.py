@@ -11,7 +11,18 @@ from typing import Iterator
 
 from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, recognize, validate
 from cographkit.cotree import _Prime
-from cographkit.decomp import SearchOutcome, _breaks_symmetry, _Constraint
+from cographkit.decomp import (
+    INFEASIBLE,
+    SOLVED,
+    TIMEOUT,
+    SearchOutcome,
+    SolveResult,
+    _breaks_symmetry,
+    _Constraint,
+    _masks_to_decomposition,
+    p4_constraints,
+    search_assignments,
+)
 from cographkit.gadgets import GadgetGraph, NaeFormula, eval_nae
 from cographkit.graph import _bits, _is_int
 from cographkit.symbolic import NotUltrametricError, _pair_index, check_axioms
@@ -375,7 +386,8 @@ def reference_p4_constraints(g: Graph, limit: int | None = None) -> list[P4Const
 
 # ---------------------------------------------------------------------------
 # The canonicalising Graph constructor and the pairwise complement, kept
-# verbatim as oracles for the one-pass build and the mask complement
+# verbatim as oracles for the one-pass build and the mask complement; the
+# constructor also names an item that is not a pair, as Graph does
 # ---------------------------------------------------------------------------
 
 
@@ -386,7 +398,10 @@ def reference_graph(n: int, edges) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
         raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
     canon = set()
     for pair in edges:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {pair!r} is not a pair of endpoints") from None
         if not (_is_int(u) and _is_int(v)):
             raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
         if u == v:
@@ -689,3 +704,39 @@ def reference_propagating_search(
             break
     return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
 
+
+# ---------------------------------------------------------------------------
+# reference implementation: the minimum-k solver that hands the plain
+# constraint list to the search of each k, so that every search indexes the
+# host afresh; kept verbatim (renamed) as the oracle for the index that
+# cographkit.decomp._exact_min prepares once per host
+# ---------------------------------------------------------------------------
+
+
+def reference_exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> SolveResult:
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    if not g.edges:
+        d = Decomposition(g, (frozenset(),), mode)
+        return SolveResult(SOLVED, d, nodes=0, infeasible_below=0)
+    constraints = p4_constraints(g, node_budget)
+    if node_budget is not None and len(constraints) > node_budget:
+        return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
+    per_k: list[int] = []
+
+    def result(status: str, proven: int, d: Decomposition | None = None) -> SolveResult:
+        return SolveResult(status, d, sum(per_k), proven, tuple(per_k))
+
+    for k in range(1, k_max + 1):
+        remaining = None if node_budget is None else node_budget - sum(per_k)
+        if remaining is not None and remaining <= 0:
+            return result(TIMEOUT, k - 1)
+        out = search_assignments(g, k, mode, node_budget=remaining, constraints=constraints)
+        per_k.append(out.nodes)
+        if out.solutions:
+            return result(SOLVED, k - 1, _masks_to_decomposition(g, out.solutions[0], k, mode))
+        if not out.completed:
+            return result(TIMEOUT, k - 1)
+    return result(INFEASIBLE, k_max)

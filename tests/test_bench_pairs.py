@@ -141,7 +141,43 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     assert entry["pairs"] == 2 and entry["metrics"]["op_p50_ms"]["wins"] == 2
     recognize = {"median": 0.31, "q1": 0.31, "q3": 0.31}
     assert entry["per_layer"] == {
-        "parent": {"graph.build_s": {"median": 1.0, "q1": 0.75, "q3": 1.25}, "cotree.recognize_s": recognize},
-        "change": {"graph.build_s": {"median": 0.5, "q1": 0.375, "q3": 0.625}, "cotree.recognize_s": recognize},
+        "graph.build_s": {
+            "unit": "s",
+            "parent": {"median": 1.0, "q1": 0.75, "q3": 1.25},
+            "change": {"median": 0.5, "q1": 0.375, "q3": 0.625},
+            "change_pct": -50.0,
+            "resolved": True,
+        },
+        # equal on both sides: the quartile ranges overlap
+        "cotree.recognize_s": {
+            "unit": "s", "parent": recognize, "change": recognize, "change_pct": 0.0, "resolved": False,
+        },
     }
-    assert "recognize/seed1: 2 pairs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "recognize/seed1: 2 pairs" in err
+    assert err.splitlines()[-1] == "  unresolved layers: none; 1 equal on both sides"
+
+
+def test_a_layer_is_resolved_only_when_the_quartile_ranges_are_disjoint():
+    def runs(values):
+        return [{"decomp.search_s": {"value": v, "unit": "s"}} for v in values]
+
+    def layer(parent, change):
+        return bench_pairs.compare_layers({"parent": runs(parent), "change": runs(change)})["decomp.search_s"]
+
+    apart = layer([0.040, 0.039, 0.041], [0.024, 0.025, 0.023])
+    assert apart["parent"] == {"median": 0.040, "q1": 0.0395, "q3": 0.0405}
+    assert apart["change_pct"] == pytest.approx(-40.0)
+    assert apart["resolved"] is True
+    # slower but overlapping: the change's lower quartile is below the
+    # parent's upper one
+    overlap = layer([0.030, 0.040, 0.050], [0.042, 0.044, 0.060])
+    assert overlap["change_pct"] == pytest.approx(10.0)
+    assert overlap["resolved"] is False
+    unused = layer([0.0] * 3, [0.0] * 3)
+    assert (unused["change_pct"], unused["resolved"]) == (None, False)
+    # the summary names the overlapping layer and counts the equal one
+    summary = bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)
+    summary["per_layer"] = {"decomp.search_s": overlap, "symbolic.check_s": unused, "decomp.p4_constraints_s": apart}
+    assert bench_pairs.report("decompose/seed1", summary).splitlines()[-1] == (
+        "  unresolved layers: decomp.search_s; 1 equal on both sides")

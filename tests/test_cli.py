@@ -98,6 +98,13 @@ def test_non_integer_graph_json_exits_two(text):
     assert err.startswith("error:")
 
 
+def test_graph_json_item_that_is_not_a_pair_is_named():
+    for edges, shown in (("[[0, 1, 2]]", "[0, 1, 2]"), ("[5]", "5")):
+        code, out, err = run_cli(["recognize", "-"], stdin='{"n": 3, "edges": ' + edges + "}")
+        assert (code, out) == (2, "")
+        assert f"bad graph JSON: edge {shown} is not a pair of endpoints" in err
+
+
 def test_deeply_nested_graph_json_exits_two():
     text = '{"n": ' + "[" * 100_000 + "]" * 100_000 + ', "edges": []}'
     code, out, err = run_cli(["recognize", "-"], stdin=text)

@@ -688,12 +688,75 @@ def test_one_open_member_rule_matches_the_two_case_engine(monkeypatch):
 
     rng.seed(40)
     engine = runs()
-    monkeypatch.setattr(decomp, "_propagating_search", helpers.reference_propagating_search)
+
+    def two_case_engine(index, *args):
+        # the reference takes the order and the flat list the index holds
+        return helpers.reference_propagating_search(index.order, index.constraints, *args)
+
+    monkeypatch.setattr(decomp, "_propagating_search", two_case_engine)
     rng.seed(40)
     reference = runs()
     assert engine == reference
     assert any(isinstance(r, SolveResult) and r.status == TIMEOUT for r in engine)
     assert any(isinstance(r, SearchOutcome) and len(r.solutions) > 1 for r in engine)
+
+
+def test_exact_min_with_one_index_per_host_matches_the_per_k_index():
+    # the index prepared once per host against the solver that hands the
+    # plain list to each k's search: equal results, nodes_per_k included
+    from cographkit import decomp
+
+    rng = random.Random(41)
+    hosts = [random_graph(rng.randint(2, 10), rng.random(), rng) for _ in range(60)]
+    statuses = set()
+    for g in hosts:
+        count = len(decomp.p4_constraints(g))
+        below = [count - 1] if count else []
+        for mode in (PARTITION, COVER):
+            for budget in [0, 5, 50, 500, None] + below:
+                for k_max in (1, 4):
+                    got = decomp._exact_min(g, k_max, budget, mode)
+                    assert got == helpers.reference_exact_min(g, k_max, budget, mode), (g.edges, mode, budget)
+                    statuses.add(got.status)
+    assert statuses == {SOLVED, INFEASIBLE, TIMEOUT}
+
+
+def test_exact_min_builds_constraints_once_and_searches_each_k(monkeypatch):
+    # the solver goes through the module attributes, so wrappers see one
+    # constraint scan per call and one search per k it reports, each
+    # handed the one index prepared for the host
+    from cographkit import decomp
+
+    calls = []
+
+    def wrap(name):
+        fn = getattr(decomp, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("constraints")))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(decomp, name, wrapper)
+
+    wrap("p4_constraints")
+    wrap("search_assignments")
+    rng = random.Random(1)
+    seen = set()
+    for _ in range(20):
+        g = random_graph(rng.randint(5, 9), rng.random(), rng)
+        if not g.edges:
+            continue  # solved without a constraint scan or a search
+        for solve in (exact_min_partition, exact_min_cover):
+            for budget in (None, 400):
+                calls.clear()
+                result = solve(g, 4, budget)
+                names = [name for name, _ in calls]
+                assert names == ["p4_constraints"] + ["search_assignments"] * len(result.nodes_per_k)
+                indexes = [index for _, index in calls[1:]]
+                assert all(isinstance(i, decomp._SearchIndex) and i is indexes[0] for i in indexes)
+                seen.add((result.status, len(result.nodes_per_k)))
+    # host 17 needs three classes, and in cover mode spends 400 nodes at k = 2
+    assert {(SOLVED, 3), (TIMEOUT, 2)} <= seen
 
 
 def test_long_path_solves_without_recursion():

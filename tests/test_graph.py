@@ -188,11 +188,13 @@ def _raised(build):
         (2, 2), (0, 5), (-1, 2), (2, -1),  # self-loop, out of range
         (7, 7), (-1, -1), (1.5, 1.5), (True, True), (9, 0.5), ("a", -1), (False, 0),  # two rules at once
         (0,), (0, 1, 2),  # not a pair
+        5, None,  # not iterable
     ],
 )
 def test_build_errors_match_reference(bad):
     valid = [(0, 1), (3, 2), [1, 4], (0, 1)]
-    for edges in (valid + [bad], valid + [list(bad)], [bad] + valid):
+    as_list = list(bad) if isinstance(bad, tuple) else bad
+    for edges in (valid + [bad], valid + [as_list], [bad] + valid):
         got = _raised(lambda: Graph(5, iter(edges)))
         assert got is not None and got == _raised(lambda: reference_graph(5, iter(edges)))
     for n in (-1, 2.0, True, "3", None):
@@ -202,7 +204,7 @@ def test_build_errors_match_reference(bad):
 def test_invalid_pair_is_named_when_the_masks_cannot_be_allocated():
     # CPython refuses a list of 2**61 slots at once, without allocating
     n = 2**61
-    for bad in [(0, 0), (1.0, 2), (-1, 2), (0, n), (0, 1, 2)]:
+    for bad in [(0, 0), (1.0, 2), (-1, 2), (0, n), (0, 1, 2), 5]:
         edges = [(0, 1), bad]
         got = _raised(lambda: Graph(n, iter(edges)))
         assert got[0] is ValueError and got == _raised(lambda: reference_graph(n, iter(edges)))

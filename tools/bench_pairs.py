@@ -15,11 +15,14 @@ within the bound), the change in percent, the number of pairs in which
 the change was better (ties count for neither side) and every pair's
 values.  After the pairs, ``TRACED_RUNS`` ``--trace 1`` runs per side,
 alternating in the same way, give the per-layer metrics
-(``graph.build_s``, ``cotree.recognize_s``, ...) whose medians and
-quartiles the entry keeps under ``per_layer``.  The entry is stored under
-``"<workload>/seed<seed>"`` in the output file, so one file collects
-several workloads and seeds, and a summary naming the unresolved metrics
-is printed.  Standard library only.
+(``graph.build_s``, ``cotree.recognize_s``, ...).  The entry keeps each
+under ``per_layer`` with both sides' medians and quartiles, the change in
+percent and ``resolved``: these metrics have no bound, so a layer counts
+as resolved only when the two sides' quartile ranges do not overlap.  The
+entry is stored under ``"<workload>/seed<seed>"`` in the output file, so
+one file collects several workloads and seeds, and a summary naming the
+unresolved metrics, end-to-end and per layer, is printed (layers equal on
+both sides are counted, not named).  Standard library only.
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def _change_pct(parent: dict, change: dict) -> float | None:
+    base = parent["median"]
+    return 100 * (change["median"] - base) / base if base else None
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Summary of paired runs.
 
@@ -100,7 +108,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "bound": metric["bound"],
             "parent": parent,
             "change": change,
-            "change_pct": 100 * (change["median"] - base) / base if base else None,
+            "change_pct": _change_pct(parent, change),
             "parent_iqr_share": share,
             "resolved": share is not None and share < metric["bound"],
             "wins": sum(sign * (p - c) > 0 for p, c in values),
@@ -109,9 +117,28 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def compare_layers(traced: dict[str, list[dict]]) -> dict:
+    """Per-layer entry from the traced runs' metrics of each side: both
+    sides' spreads, the change in percent, and whether the quartile
+    ranges are disjoint (``resolved``)."""
+    layers = {}
+    for name, first in traced["parent"][0].items():
+        parent, change = (_spread([run[name]["value"] for run in traced[side]]) for side in SIDES)
+        layers[name] = {
+            "unit": first["unit"],
+            "parent": parent,
+            "change": change,
+            "change_pct": _change_pct(parent, change),
+            "resolved": parent["q3"] < change["q1"] or change["q3"] < parent["q1"],
+        }
+    return layers
+
+
 def report(key: str, summary: dict) -> str:
     """Lines that show an entry: each metric's medians, change and wins,
-    then the metrics the parent's spread leaves unresolved."""
+    then the metrics the parent's spread leaves unresolved, then the layer
+    metrics whose two sides' quartile ranges overlap and the number that
+    read the same on both sides."""
     lines = [f"{key}: {summary['pairs']} pairs; " + "; ".join(
         f"{side} correct {summary['correct'][side]}, {summary['failed'][side]} failed" for side in SIDES)]
     unresolved = []
@@ -123,6 +150,15 @@ def report(key: str, summary: dict) -> str:
             share = "n/a" if m["parent_iqr_share"] is None else f"{100 * m['parent_iqr_share']:.1f}%"
             unresolved.append(f"{name} (parent IQR {share}, bound {100 * m['bound']:.0f}%)")
     lines.append("  unresolved: " + (", ".join(unresolved) if unresolved else "none"))
+    if "per_layer" in summary:
+        # a layer equal on both sides (a count, or one the workload never
+        # enters) is unresolved but shows no change, so it is only counted
+        layers = summary["per_layer"]
+        same = sum(layer["parent"] == layer["change"] for layer in layers.values())
+        overlap = [name for name, layer in layers.items()
+                   if not layer["resolved"] and layer["parent"] != layer["change"]]
+        lines.append("  unresolved layers: " + (", ".join(overlap) if overlap else "none")
+                     + f"; {same} equal on both sides")
     return "\n".join(lines)
 
 
@@ -155,10 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in _order(i):
             traced[side].append(run_once(
                 checkouts[side], args.workload, args.seed, spec["run_seconds"], trace=1)["metrics"])
-    summary["per_layer"] = {
-        side: {name: _spread([run[name]["value"] for run in runs]) for name in runs[0]}
-        for side, runs in traced.items()
-    }
+    summary["per_layer"] = compare_layers(traced)
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {spec['run_seconds']} --trace 0")
