@@ -438,32 +438,35 @@ def p4_constraints(g: Graph, limit: int | None = None) -> list[_Constraint]:
 class _SearchIndex(NamedTuple):
     """The search input of one host, built once by ``_search_index`` and
     shared by every search on it: its ``p4_constraints`` list, the edge ids
-    in search order, and the constraints of each edge, which only the
-    propagating engine reads (None when no pruned search will run)."""
+    in search order, and the constraints of each edge."""
 
     constraints: list[_Constraint]
     order: list[int]
-    cons_of: list[list[_Constraint]] | None
+    cons_of: list[list[_Constraint]]
 
 
-def _search_index(host: Graph, constraints: list[_Constraint], per_edge: bool) -> _SearchIndex:
-    """Index ``constraints`` for searches on ``host``: edges by endpoint
-    degree sum descending, then in host edge order, and with ``per_edge``
-    the constraints of each edge (its path edges' and chords')."""
+def _search_index(host: Graph, node_budget: int | None) -> _SearchIndex | None:
+    """The search input of ``host``, or None when its constraints outnumber
+    ``node_budget`` (a negative budget is rejected): edges by endpoint degree
+    sum descending, then in host edge order, and the constraints of each
+    edge (its path edges' and chords')."""
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    constraints = p4_constraints(host, node_budget)
+    if node_budget is not None and len(constraints) > node_budget:
+        return None
     deg = [host.degree(v) for v in range(host.n)]
     sums = [deg[u] + deg[v] for u, v in host.edges]
     # a stable sort keeps equal sums in host edge order, reversed or not
     order = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
-    cons_of = None
-    if per_edge:
-        cons_of = [[] for _ in order]
-        for con in constraints:
-            p1, p2, p3, chords = con
-            cons_of[p1].append(con)
-            cons_of[p2].append(con)
-            cons_of[p3].append(con)
-            for ch in chords:
-                cons_of[ch].append(con)
+    cons_of: list[list[_Constraint]] = [[] for _ in order]
+    for con in constraints:
+        p1, p2, p3, chords = con
+        cons_of[p1].append(con)
+        cons_of[p2].append(con)
+        cons_of[p3].append(con)
+        for ch in chords:
+            cons_of[ch].append(con)
     return _SearchIndex(constraints, order, cons_of)
 
 
@@ -489,7 +492,7 @@ def search_assignments(
     symmetry: bool = True,
     prune: bool = True,
     node_budget: int | None = None,
-    constraints: list[_Constraint] | _SearchIndex | None = None,
+    constraints: _SearchIndex | None = None,
 ) -> SearchOutcome:
     """Backtracking search over per-edge class assignments.
 
@@ -516,15 +519,15 @@ def search_assignments(
 
     ``symmetry`` breaks class relabeling: a fresh class id may only be
     introduced as the next unused one.  ``forced`` pins host edges to
-    fixed bitmasks (only with ``symmetry=False``).  ``constraints`` is
-    the host's ``p4_constraints`` list, edge-id tuples used as they are,
-    when the caller already has it; otherwise it is built here, and a
-    budget smaller than its length ends the search before it starts, as
-    not completed.  Either way the search indexes the list for this
-    call: the edge order, and for the pruned search the constraints of
-    each edge.  ``constraints`` may instead be that index, prepared once
-    per host, which ``exact_min_partition`` and ``exact_min_cover`` pass
-    to the search of every k.  A negative ``node_budget`` is rejected.
+    fixed bitmasks (only with ``symmetry=False``).
+
+    ``node_budget`` bounds the nodes and, first, the host's induced-path
+    constraints: more of them than the budget end the search before it
+    starts, with no node and not completed.  A negative budget is rejected.
+    ``constraints`` is the host's search input from ``_search_index``, whose
+    budget has bounded the constraints already; ``exact_min_partition`` and
+    ``exact_min_cover`` prepare it once and pass it to the search of every
+    k.  Without it the search prepares it under ``node_budget``.
     """
     if k < 1:
         raise ValueError(f"class count must be at least 1, got {k}")
@@ -550,14 +553,9 @@ def search_assignments(
             if mode == PARTITION and mask & (mask - 1):
                 raise ValueError(f"forced mask {mask} is not a single class in partition mode")
             forced_mask[eidx[ce]] = mask
-    if constraints is None:
-        constraints = p4_constraints(host, node_budget)
-        if node_budget is not None and len(constraints) > node_budget:
-            return SearchOutcome(solutions=[], nodes=0, completed=False)
-    if isinstance(constraints, _SearchIndex):
-        index = constraints
-    else:
-        index = _search_index(host, constraints, per_edge=prune)
+    index = _search_index(host, node_budget) if constraints is None else constraints
+    if index is None:
+        return SearchOutcome(solutions=[], nodes=0, completed=False)
     if prune:
         return _propagating_search(index, k, mode, forced_mask, find_all, symmetry, node_budget)
     order = index.order
@@ -801,15 +799,12 @@ def _masks_to_decomposition(g: Graph, masks: tuple[int, ...], k: int, mode: str)
 def _exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> SolveResult:
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    index = _search_index(g, node_budget)  # shared by the search of every k
+    if index is None:
+        return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
     if not g.edges:
         d = Decomposition(g, (frozenset(),), mode)
         return SolveResult(SOLVED, d, nodes=0, infeasible_below=0)
-    constraints = p4_constraints(g, node_budget)
-    if node_budget is not None and len(constraints) > node_budget:
-        return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
-    index = _search_index(g, constraints, per_edge=True)  # shared by the search of every k
     per_k: list[int] = []
 
     def result(status: str, proven: int, d: Decomposition | None = None) -> SolveResult:
@@ -832,12 +827,12 @@ def exact_min_partition(g: Graph, k_max: int, node_budget: int | None = None) ->
     """Smallest k <= k_max admitting a valid k-partition, by exhaustive search.
 
     Classes are tried in ascending k with relabeling symmetry broken, so
-    the returned partition is the canonical first solution.  The budget
-    counts explored assignment nodes, summed over k; the constraints are
-    built once, and more of them than the budget also reports timeout.
-    Exceeding it reports timeout, never infeasibility.  The search input
-    is prepared once per host, not per k: the constraint list, the edge
-    order and the constraints of each edge, shared by every k's search.
+    the returned partition is the canonical first solution.  The search
+    input (the constraint list, the edge order and the constraints of each
+    edge) is prepared once per host and shared by the search of every k.
+    ``node_budget`` bounds the nodes, summed over k, and first the
+    constraints, as in ``search_assignments``; running out reports timeout,
+    never infeasibility.
     """
     return _exact_min(g, k_max, node_budget, PARTITION)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .graph import Graph, _check_vertex_count, _read_rows
+from .graph import Graph, _check_vertex_count, _read_ints, _read_rows
 
 if TYPE_CHECKING:
     from .decomp import Decomposition, SearchOutcome
@@ -295,7 +295,7 @@ def parse_formula(text: str) -> NaeFormula:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected three variable ids, got {raw!r}")
         try:
-            a, b, c = (int(x) for x in fields)
+            a, b, c = _read_ints(fields)
         except ValueError:
             raise ValueError(f"line {lineno}: variable ids must be integers") from None
         clauses.append((a, b, c))

@@ -344,19 +344,35 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, edges)
 
 
+# everything but ASCII digits and '-', which int() reads along with other
+# scripts' digits, '_' between digits and a '+' sign
+_NOT_INT_CHARS = str.maketrans("", "", "-0123456789")
+
+
+def _read_ints(fields: list[str]) -> Iterator[int]:
+    """The integers of a row's fields, each ASCII digits with an optional
+    leading ``-``; ValueError on any other field."""
+    joined = "".join(fields)
+    # ASCII digits alone are the common case, checked first as the cheaper
+    if not (joined.isascii() and joined.isdigit()) and joined.translate(_NOT_INT_CHARS):
+        raise ValueError(f"not integers: {fields!r}")
+    return map(int, fields)  # int rejects a '-' anywhere but in front
+
+
 def _read_rows(
     text: str, header_names: str
 ) -> tuple[tuple[int, int], Iterator[tuple[int, str, list[str]]]]:
     """Header and body rows of the line formats (edge list, formula, map).
 
-    Blank lines and lines starting with ``#`` are skipped.  The first
-    remaining line is the header of two non-negative integers named
-    ``header_names`` (for example ``'n m'``); the rows after it come
-    lazily as ``(lineno, raw line, fields)``, read in one pass.
+    Lines end at ``\n`` alone (``\r\n`` reads as ``\n``).  Blank lines and
+    lines starting with ``#`` are skipped.  The first remaining line is the
+    header of two non-negative integers named ``header_names`` (for example
+    ``'n m'``); the rows after it come lazily as ``(lineno, raw line,
+    fields)``, read in one pass.
     """
     rows = (
         (lineno, raw, line.split())
-        for lineno, raw in enumerate(text.splitlines(), start=1)
+        for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1)
         if (line := raw.strip()) and not line.startswith("#")
     )
     first = next(rows, None)
@@ -366,7 +382,7 @@ def _read_rows(
     if len(fields) != 2:
         raise ValueError(f"line {lineno}: expected header '{header_names}', got {raw!r}")
     try:
-        header = (int(fields[0]), int(fields[1]))
+        header = tuple(_read_ints(fields))
     except ValueError:
         raise ValueError(f"line {lineno}: header values must be integers") from None
     for name, value in zip(header_names.split(), header):
@@ -391,7 +407,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected an edge 'u v', got {raw!r}")
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _read_ints(fields)
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be integers") from None
         if len(edges) >= m:

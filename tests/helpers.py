@@ -20,6 +20,7 @@ from cographkit.decomp import (
     _breaks_symmetry,
     _Constraint,
     _masks_to_decomposition,
+    _search_index,
     p4_constraints,
     search_assignments,
 )
@@ -706,10 +707,10 @@ def reference_propagating_search(
 
 
 # ---------------------------------------------------------------------------
-# reference implementation: the minimum-k solver that hands the plain
-# constraint list to the search of each k, so that every search indexes the
-# host afresh; kept verbatim (renamed) as the oracle for the index that
-# cographkit.decomp._exact_min prepares once per host
+# reference implementation: the minimum-k solver that hands a fresh index of
+# the host to the search of each k; kept verbatim (renamed) but for that one
+# argument, which was the plain constraint list, as the oracle for the index
+# that cographkit.decomp._exact_min prepares once per host
 # ---------------------------------------------------------------------------
 
 
@@ -733,7 +734,7 @@ def reference_exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str
         remaining = None if node_budget is None else node_budget - sum(per_k)
         if remaining is not None and remaining <= 0:
             return result(TIMEOUT, k - 1)
-        out = search_assignments(g, k, mode, node_budget=remaining, constraints=constraints)
+        out = search_assignments(g, k, mode, node_budget=remaining, constraints=_search_index(g, None))
         per_k.append(out.nodes)
         if out.solutions:
             return result(SOLVED, k - 1, _masks_to_decomposition(g, out.solutions[0], k, mode))

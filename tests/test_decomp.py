@@ -2,6 +2,7 @@
 constraints, exact solvers, and the hypercube layer partition."""
 
 import random
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -702,8 +703,9 @@ def test_one_open_member_rule_matches_the_two_case_engine(monkeypatch):
 
 
 def test_exact_min_with_one_index_per_host_matches_the_per_k_index():
-    # the index prepared once per host against the solver that hands the
-    # plain list to each k's search: equal results, nodes_per_k included
+    # the index prepared once per host against the solver that hands a fresh
+    # index to each k's search: equal results, nodes_per_k included; and one
+    # index serves both engines, in both modes, as if each call built its own
     from cographkit import decomp
 
     rng = random.Random(41)
@@ -712,12 +714,28 @@ def test_exact_min_with_one_index_per_host_matches_the_per_k_index():
     for g in hosts:
         count = len(decomp.p4_constraints(g))
         below = [count - 1] if count else []
+        index = decomp._search_index(g, None)
         for mode in (PARTITION, COVER):
             for budget in [0, 5, 50, 500, None] + below:
                 for k_max in (1, 4):
                     got = decomp._exact_min(g, k_max, budget, mode)
                     assert got == helpers.reference_exact_min(g, k_max, budget, mode), (g.edges, mode, budget)
                     statuses.add(got.status)
+            # a budget of at least the count, so that the call without the
+            # index searches too; the few denser hosts would only add time
+            for prune in (True, False) if count <= 300 else ():
+                for find_all in (False, True):
+                    for k in (1, 2, 3):
+                        call = partial(search_assignments, g, k, mode, find_all=find_all, prune=prune,
+                                       node_budget=300)
+                        assert call(constraints=index) == call(), (g.edges, mode, prune, find_all, k)
+            if count:
+                # the constraints alone spend the budget one short of their
+                # count; at exactly the count the search reaches a node
+                assert search_assignments(g, 2, mode, node_budget=count - 1) == SearchOutcome([], 0, False)
+                assert decomp._exact_min(g, 4, count - 1, mode) == SolveResult(TIMEOUT, None, 0, 0, ())
+                assert search_assignments(g, 2, mode, node_budget=count).nodes > 0
+                assert decomp._exact_min(g, 4, count, mode).nodes > 0
     assert statuses == {SOLVED, INFEASIBLE, TIMEOUT}
 
 

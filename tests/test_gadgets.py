@@ -402,6 +402,9 @@ def test_formula_graph_at_vertex_limit_parses():
         ("11111 1\n0 1 2\n", "vertex count 100005 exceeds the limit"),
         ("1 -1\n", "line 1: header value c must be non-negative, got -1"),
         ("-1 0\n", "line 1: header value v must be non-negative, got -1"),
+        ("3 1\n0 1 \u0662\n", "line 2: variable ids must be integers"),
+        ("3 1\n0 1 +2\n", "line 2: variable ids must be integers"),
+        ("\u0663 0\n", "line 1: header values must be integers"),
     ],
 )
 def test_formula_text_errors(text, match):

@@ -472,6 +472,13 @@ def test_edge_list_accepts_comments():
         ("3 1\nx y\n", "line 2: edge endpoints"),
         ("3 -1\n0 1\n", "line 1: header value m must be non-negative, got -1"),
         ("# comment\n-3 0\n", "line 2: header value n must be non-negative, got -3"),
+        # integers are ASCII digits with an optional '-'; int() alone would
+        # read another script's digit, '_' between digits and a '+' sign
+        ("3 1\n0 \u0663\n", "line 2: edge endpoints must be integers"),
+        ("11 1\n0 1_0\n", "line 2: edge endpoints must be integers"),
+        ("+3 0\n", "line 1: header values must be integers"),
+        # lines end at '\n' alone, so U+0085 splits no line and shifts no number
+        ("4 3\n0 1\x852 3\n1 x\n", "line 2: expected an edge 'u v'"),
     ],
 )
 def test_edge_list_parse_errors(text, match):
