@@ -393,7 +393,7 @@ def is_coarsest(d: Decomposition) -> bool:
 _Constraint = tuple[int, int, int, tuple[int, ...]]
 
 
-def p4_constraints(g: Graph, limit: int | None = None) -> list[_Constraint]:
+def p4_constraints(g: Graph) -> list[_Constraint]:
     """One constraint per length-3 path (as a subgraph) of g.
 
     A path a-b-c-d with a < d becomes ``(ab, bc, cd, chords)``: ids into
@@ -401,10 +401,7 @@ def p4_constraints(g: Graph, limit: int | None = None) -> list[_Constraint]:
     order) that are host edges, possibly none.  A class violates the
     constraint exactly when it holds the three path edges and none of the
     chords.  Paths come edge by edge in host order, each edge b-c in both
-    orientations, then by a and d ascending.  With ``limit`` the scan
-    stops as soon as it holds limit + 1 constraints, so a longer result
-    than ``limit`` is a truncated prefix that only shows the count is
-    over it.
+    orientations, then by a and d ascending.
     """
     ids: list[dict[int, int]] = [{} for _ in range(g.n)]  # neighbour -> edge id, ascending
     for i, (u, v) in enumerate(g.edges):
@@ -430,16 +427,15 @@ def p4_constraints(g: Graph, limit: int | None = None) -> list[_Constraint]:
                     else:
                         chords = ac_only + ((bd,) if ad is None else (bd, ad))
                     out.append((ab, bc, cd, chords))
-                    if limit is not None and len(out) > limit:
-                        return out
     return out
 
 
 class _SearchIndex(NamedTuple):
     """The search input of one host, built once by ``_search_index`` and
-    shared by every search on it: its ``p4_constraints`` list, the edge ids
-    in search order, and the constraints of each edge."""
+    shared by every search on it: the host, its ``p4_constraints`` list, the
+    edge ids in search order, and the constraints of each edge."""
 
+    host: Graph
     constraints: list[_Constraint]
     order: list[int]
     cons_of: list[list[_Constraint]]
@@ -449,13 +445,17 @@ def _search_index(host: Graph, node_budget: int | None) -> _SearchIndex | None:
     """The search input of ``host``, or None when its constraints outnumber
     ``node_budget`` (a negative budget is rejected): edges by endpoint degree
     sum descending, then in host edge order, and the constraints of each
-    edge (its path edges' and chords')."""
+    edge (its path edges' and chords').  They are counted before any is
+    built: an edge bc is the middle of (deg b - 1)(deg c - 1) - |N(b) & N(c)| of them."""
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
-    constraints = p4_constraints(host, node_budget)
-    if node_budget is not None and len(constraints) > node_budget:
-        return None
+    adj = host._adj
     deg = [host.degree(v) for v in range(host.n)]
+    if node_budget is not None and node_budget < sum(
+        (deg[b] - 1) * (deg[c] - 1) - (adj[b] & adj[c]).bit_count() for b, c in host.edges
+    ):
+        return None
+    constraints = p4_constraints(host)
     sums = [deg[u] + deg[v] for u, v in host.edges]
     # a stable sort keeps equal sums in host edge order, reversed or not
     order = sorted(range(len(sums)), key=sums.__getitem__, reverse=True)
@@ -467,7 +467,7 @@ def _search_index(host: Graph, node_budget: int | None) -> _SearchIndex | None:
         cons_of[p3].append(con)
         for ch in chords:
             cons_of[ch].append(con)
-    return _SearchIndex(constraints, order, cons_of)
+    return _SearchIndex(host, constraints, order, cons_of)
 
 
 class SearchOutcome(NamedTuple):
@@ -522,10 +522,11 @@ def search_assignments(
     fixed bitmasks (only with ``symmetry=False``).
 
     ``node_budget`` bounds the nodes and, first, the host's induced-path
-    constraints: more of them than the budget end the search before it
-    starts, with no node and not completed.  A negative budget is rejected.
-    ``constraints`` is the host's search input from ``_search_index``, whose
-    budget has bounded the constraints already; ``exact_min_partition`` and
+    constraints, counted before any is built: more of them than the budget
+    end the search before it starts, with no node and not completed.  A
+    negative budget is rejected.  ``constraints`` is the host's search input
+    from ``_search_index``, whose budget has bounded the constraints already
+    (an index of another host is rejected); ``exact_min_partition`` and
     ``exact_min_cover`` prepare it once and pass it to the search of every
     k.  Without it the search prepares it under ``node_budget``.
     """
@@ -537,6 +538,8 @@ def search_assignments(
         raise ValueError("forced assignments require symmetry=False")
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    if constraints is not None and constraints.host != host:
+        raise ValueError("the search index was built for another host")
     edges = host.edges
     m = len(edges)
     if m == 0:

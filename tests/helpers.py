@@ -21,7 +21,6 @@ from cographkit.decomp import (
     _Constraint,
     _masks_to_decomposition,
     _search_index,
-    p4_constraints,
     search_assignments,
 )
 from cographkit.gadgets import GadgetGraph, NaeFormula, eval_nae
@@ -708,9 +707,11 @@ def reference_propagating_search(
 
 # ---------------------------------------------------------------------------
 # reference implementation: the minimum-k solver that hands a fresh index of
-# the host to the search of each k; kept verbatim (renamed) but for that one
-# argument, which was the plain constraint list, as the oracle for the index
-# that cographkit.decomp._exact_min prepares once per host
+# the host to the search of each k, and tests the budget on a constraint list
+# built up to budget + 1; kept verbatim (renamed) but for two calls, which
+# passed the plain constraint list and called p4_constraints with a limit it
+# no longer has, as the oracle for the index that cographkit.decomp._exact_min
+# prepares once per host and for the count it tests the budget against
 # ---------------------------------------------------------------------------
 
 
@@ -722,7 +723,7 @@ def reference_exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str
     if not g.edges:
         d = Decomposition(g, (frozenset(),), mode)
         return SolveResult(SOLVED, d, nodes=0, infeasible_below=0)
-    constraints = p4_constraints(g, node_budget)
+    constraints = reference_p4_constraints(g, node_budget)
     if node_budget is not None and len(constraints) > node_budget:
         return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
     per_k: list[int] = []

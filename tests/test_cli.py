@@ -389,6 +389,31 @@ def test_decompose_constraint_budget_timeout_exits_three():
     assert report_of(out)["verdict"] == "timeout"
 
 
+def test_decompose_counts_constraints_over_the_default_budget(tmp_path):
+    # about 10^8 length-3 paths against the default budget of 10^7: they are
+    # counted, and none is built, so the timeout is quick and small
+    import time
+
+    path = tmp_path / "g300.txt"
+    path.write_text(format_edge_list(random_graph(300, 0.3, random.Random(1))))
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["decompose", "--strategy", "exact", str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    stats = report_of(out.getvalue())["stats"]
+    assert stats["nodes"] == 0 and stats["nodes_per_k"] == []
+    assert "budget exhausted; no partition with k <= 0" in err.getvalue()
+    assert peak < 16 << 20
+    assert elapsed < 2.0
+
+
 def test_decompose_exact_reports_nodes_per_k():
     code, out, _ = run_cli(
         ["decompose", "--strategy", "exact", "--k-max", "3", "-"],

@@ -34,7 +34,13 @@ from cographkit import (
     vizing_partition,
 )
 import helpers
-from cographkit.decomp import SearchOutcome, SolveResult, _first_cograph_union, search_assignments
+from cographkit.decomp import (
+    SearchOutcome,
+    SolveResult,
+    _first_cograph_union,
+    _search_index,
+    search_assignments,
+)
 from cographkit.graph import MAX_VERTICES, first_induced_p4
 from helpers import (
     all_graphs,
@@ -480,10 +486,12 @@ def test_constraints_match_edge_tuple_reference():
     for g in hosts:
         full = _in_edge_ids(g, helpers.reference_p4_constraints(g))
         assert p4_constraints(g) == full
-        for limit in {0, 1, len(full) - 1} - {-1}:
-            cut = p4_constraints(g, limit)
-            assert cut == _in_edge_ids(g, helpers.reference_p4_constraints(g, limit))
-            assert cut == full[: limit + 1]
+        # the count the budget is tested against, before any constraint is
+        # built, is exact: a budget one short of it refuses the host
+        count = len(full)
+        assert _search_index(g, count).constraints == full
+        if count:
+            assert _search_index(g, count - 1) is None
 
 
 def test_constraints_of_triangle_empty():
@@ -574,6 +582,8 @@ def test_solver_rejects_bad_k_max():
 
 
 _P4 = path_graph(4)
+_P3 = path_graph(3)
+_C5 = cycle_graph(5)
 
 
 @pytest.mark.parametrize(
@@ -592,6 +602,8 @@ _P4 = path_graph(4)
         ),
         # k = 1 spends the whole budget and completes, so k = 2 starts with none
         (lambda: exact_min_partition(_P4, 3, node_budget=2), SolveResult(TIMEOUT, None, 2, 1, (2,))),
+        (lambda: search_assignments(_C5, 2, constraints=_search_index(_P3, None)), "built for another host"),
+        (lambda: search_assignments(_P3, 2, constraints=_search_index(_C5, None)), "built for another host"),
     ],
     ids=[
         "k-below-one",
@@ -602,6 +614,8 @@ _P4 = path_graph(4)
         "forced-mask-two-classes",
         "root-conflict",
         "budget-spent-between-k",
+        "index-of-a-smaller-host",
+        "index-of-a-larger-host",
     ],
 )
 def test_search_rejections_and_early_exits(call, expected):
@@ -742,7 +756,8 @@ def test_exact_min_with_one_index_per_host_matches_the_per_k_index():
 def test_exact_min_builds_constraints_once_and_searches_each_k(monkeypatch):
     # the solver goes through the module attributes, so wrappers see one
     # constraint scan per call and one search per k it reports, each
-    # handed the one index prepared for the host
+    # handed the one index prepared for the host; a host whose constraints
+    # are counted over the budget is neither scanned nor searched
     from cographkit import decomp
 
     calls = []
@@ -764,17 +779,20 @@ def test_exact_min_builds_constraints_once_and_searches_each_k(monkeypatch):
         g = random_graph(rng.randint(5, 9), rng.random(), rng)
         if not g.edges:
             continue  # solved without a constraint scan or a search
+        count = len(helpers.reference_p4_constraints(g))
         for solve in (exact_min_partition, exact_min_cover):
             for budget in (None, 400):
                 calls.clear()
                 result = solve(g, 4, budget)
                 names = [name for name, _ in calls]
-                assert names == ["p4_constraints"] + ["search_assignments"] * len(result.nodes_per_k)
-                indexes = [index for _, index in calls[1:]]
+                scans = [] if budget is not None and count > budget else ["p4_constraints"]
+                assert names == scans + ["search_assignments"] * len(result.nodes_per_k)
+                indexes = [index for name, index in calls if name == "search_assignments"]
                 assert all(isinstance(i, decomp._SearchIndex) and i is indexes[0] for i in indexes)
-                seen.add((result.status, len(result.nodes_per_k)))
-    # host 17 needs three classes, and in cover mode spends 400 nodes at k = 2
-    assert {(SOLVED, 3), (TIMEOUT, 2)} <= seen
+                seen.add((result.status, len(result.nodes_per_k), not scans))
+    # host 17 needs three classes, and in cover mode spends 400 nodes at k = 2;
+    # some hosts have more than 400 constraints
+    assert {(SOLVED, 3, False), (TIMEOUT, 2, False), (TIMEOUT, 0, True)} <= seen
 
 
 def test_long_path_solves_without_recursion():
@@ -819,7 +837,8 @@ def test_search_makes_candidate_masks_on_demand(k, mode):
 
 def test_constraint_building_counts_against_budget():
     # about 10^8 length-3 paths: building them all would not finish, so
-    # the build stops once the constraints outnumber the node budget
+    # they are counted first, and none is built once they outnumber the
+    # node budget
     import time
 
     g = random_graph(300, 0.3, random.Random(300))
