@@ -668,8 +668,6 @@ def _propagating_search(
         if r & b or not allowed:
             return False
         if partition and r:
-            if r & (r - 1):
-                return False
             allowed = r
         elif allowed & (allowed - 1) and allowed != r:
             return True

@@ -243,11 +243,10 @@ def check_via_graphs(d: SymbolicMap) -> AxiomViolation | None:
     triple = _first_u2(d.pair_symbols, d.n)
     if triple is not None:
         return AxiomViolation(axiom="U2'", vertices=triple)
-    if d.n >= 1:
-        for m in range(d.num_symbols):
-            result = recognize(color_graph(d, m))
-            if isinstance(result, P4Witness):
-                return AxiomViolation(axiom="U3'", symbol=m, p4=result)
+    for m in sorted(set(d.pair_symbols)):
+        result = recognize(color_graph(d, m))
+        if isinstance(result, P4Witness):
+            return AxiomViolation(axiom="U3'", symbol=m, p4=result)
     return None
 
 
@@ -329,31 +328,43 @@ def bell_number(m: int) -> int:
     return row[0]
 
 
+def _growth_strings(m: int, split: int = 0, limit: int | None = None) -> Iterator[tuple[list[int], int]]:
+    """Restricted-growth strings of length m with their block counts, in
+    lexicographic order; one list is rewritten in place between yields.
+
+    An item at or after ``split`` only joins blocks opened at or after
+    ``split``, and a prefix opening more than ``limit`` blocks is never
+    pushed.  Prefixes live on an explicit stack, extensions pushed from the
+    highest block down so that they pop in increasing order.
+    """
+    limit = m if limit is None else limit
+    string = [0] * m
+    stack = [(0, 0, 0)] if limit >= 0 else []  # (prefix length, its last block, blocks opened)
+    while stack:
+        i, b, count = stack.pop()
+        if i:
+            string[i - 1] = b
+        if i == m:
+            yield string, count
+            continue
+        if count < limit:
+            stack.append((i + 1, count, count + 1))
+        # item split opens a block, so string[split] is the lowest one after it
+        low = 0 if i < split else count if i == split else string[split]
+        for b in range(count - 1, low - 1, -1):
+            stack.append((i + 1, b, count))
+
+
 def set_partitions(m: int) -> Iterator[list[tuple[int, ...]]]:
     """All set partitions of range(m) as block lists, in restricted-growth
     lexicographic order; blocks are ordered by first occurrence."""
-    if m == 0:
-        yield []
-        return
-    rgs = [0] * m
-    maxes = [0] * m
-    while True:
-        blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
-        for item, b in enumerate(rgs):
+    if m < 0:
+        raise ValueError("m must be non-negative")
+    for string, count in _growth_strings(m):
+        blocks: list[list[int]] = [[] for _ in range(count)]
+        for item, b in enumerate(string):
             blocks[b].append(item)
         yield [tuple(b) for b in blocks]
-        pos = None
-        for i in range(m - 1, 0, -1):
-            if rgs[i] <= maxes[i - 1]:
-                pos = i
-                break
-        if pos is None:
-            return
-        rgs[pos] += 1
-        maxes[pos] = max(maxes[pos - 1], rgs[pos])
-        for i in range(pos + 1, m):
-            rgs[i] = 0
-            maxes[i] = maxes[i - 1]
 
 
 def search_separating_delta(
@@ -365,11 +376,11 @@ def search_separating_delta(
 
     Screens every set partition of the pair set: a partition with a
     block mixing an edge and a non-edge can never separate the two pair
-    families, so the candidate stream enumerates partitions of the edge
-    pairs and of the non-edge pairs independently (restricted-growth
-    order on each side, edge side outermost).  Candidates within the
-    symbol budget are checked against the representability axioms; the
-    first passing map is returned, None if the whole space fails.
+    families, so one growth-string walk over the pairs, edge pairs first,
+    lets a non-edge pair join only blocks that non-edge pairs opened.
+    Each string within the symbol budget is a candidate map, checked
+    against the representability axioms; the first passing map is
+    returned, None if the whole space fails.
 
     ``stats``, when given, receives the size of the screened partition
     space and the number of candidates actually checked.
@@ -377,32 +388,19 @@ def search_separating_delta(
     if g.n > 6:
         raise ValueError(f"exhaustive search is limited to 6 vertices, got {g.n}")
     pairs = list(combinations(range(g.n), 2))
-    edge_positions = [i for i, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
-    non_positions = [i for i, (u, v) in enumerate(pairs) if not g.has_edge(u, v)]
+    order = sorted(range(len(pairs)), key=lambda i: not g.has_edge(*pairs[i]))  # edge pairs first
     if stats is not None:
         stats["pairs"] = len(pairs)
         stats["partitions_screened"] = bell_number(len(pairs))
         stats["candidates"] = 0
-    n = g.n
     symbols = [0] * len(pairs)
-    for edge_blocks in set_partitions(len(edge_positions)):
-        edge_count = len(edge_blocks)
-        if max_symbols is not None and edge_count > max_symbols:
-            continue
-        for b, block in enumerate(edge_blocks):
-            for pos in block:
-                symbols[edge_positions[pos]] = b
-        for non_blocks in set_partitions(len(non_positions)):
-            k = edge_count + len(non_blocks)
-            if max_symbols is not None and k > max_symbols:
-                continue
-            for b, block in enumerate(non_blocks):
-                for pos in block:
-                    symbols[non_positions[pos]] = edge_count + b
-            if stats is not None:
-                stats["candidates"] += 1
-            if _first_u2(symbols, n) is None and _first_u3(symbols, n) is None:
-                return SymbolicMap(n, max(k, 1), list(symbols))
+    for string, k in _growth_strings(len(pairs), len(g.edges), max_symbols):
+        for pos, s in zip(order, string):
+            symbols[pos] = s
+        if stats is not None:
+            stats["candidates"] += 1
+        if _first_u2(symbols, g.n) is None and _first_u3(symbols, g.n) is None:
+            return SymbolicMap(g.n, max(k, 1), list(symbols))
     return None
 
 

@@ -25,7 +25,15 @@ from cographkit.decomp import (
 )
 from cographkit.gadgets import GadgetGraph, NaeFormula, eval_nae
 from cographkit.graph import _bits, _is_int
-from cographkit.symbolic import NotUltrametricError, _pair_index, check_axioms
+from cographkit.symbolic import (
+    NotUltrametricError,
+    SymbolicMap,
+    _first_u2,
+    _first_u3,
+    _pair_index,
+    bell_number,
+    check_axioms,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -742,3 +750,89 @@ def reference_exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str
         if not out.completed:
             return result(TIMEOUT, k - 1)
     return result(INFEASIBLE, k_max)
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the restricted-growth successor machine behind
+# set_partitions and the separating-map oracle that takes the product of one
+# enumeration of the edge pairs and one of the non-edge pairs, kept verbatim
+# (renamed) as the oracle for the one growth-string walk that
+# cographkit.symbolic.set_partitions and search_separating_delta share
+# ---------------------------------------------------------------------------
+
+
+def reference_set_partitions(m: int) -> Iterator[list[tuple[int, ...]]]:
+    """All set partitions of range(m) as block lists, in restricted-growth
+    lexicographic order; blocks are ordered by first occurrence."""
+    if m == 0:
+        yield []
+        return
+    rgs = [0] * m
+    maxes = [0] * m
+    while True:
+        blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+        for item, b in enumerate(rgs):
+            blocks[b].append(item)
+        yield [tuple(b) for b in blocks]
+        pos = None
+        for i in range(m - 1, 0, -1):
+            if rgs[i] <= maxes[i - 1]:
+                pos = i
+                break
+        if pos is None:
+            return
+        rgs[pos] += 1
+        maxes[pos] = max(maxes[pos - 1], rgs[pos])
+        for i in range(pos + 1, m):
+            rgs[i] = 0
+            maxes[i] = maxes[i - 1]
+
+
+def reference_search_separating_delta(
+    g: Graph,
+    max_symbols: int | None = None,
+    stats: dict | None = None,
+) -> SymbolicMap | None:
+    """Exhaustive oracle for maps separating edges from non-edges.
+
+    Screens every set partition of the pair set: a partition with a
+    block mixing an edge and a non-edge can never separate the two pair
+    families, so the candidate stream enumerates partitions of the edge
+    pairs and of the non-edge pairs independently (restricted-growth
+    order on each side, edge side outermost).  Candidates within the
+    symbol budget are checked against the representability axioms; the
+    first passing map is returned, None if the whole space fails.
+
+    ``stats``, when given, receives the size of the screened partition
+    space and the number of candidates actually checked.
+    """
+    if g.n > 6:
+        raise ValueError(f"exhaustive search is limited to 6 vertices, got {g.n}")
+    pairs = list(combinations(range(g.n), 2))
+    edge_positions = [i for i, (u, v) in enumerate(pairs) if g.has_edge(u, v)]
+    non_positions = [i for i, (u, v) in enumerate(pairs) if not g.has_edge(u, v)]
+    if stats is not None:
+        stats["pairs"] = len(pairs)
+        stats["partitions_screened"] = bell_number(len(pairs))
+        stats["candidates"] = 0
+    n = g.n
+    symbols = [0] * len(pairs)
+    for edge_blocks in reference_set_partitions(len(edge_positions)):
+        edge_count = len(edge_blocks)
+        if max_symbols is not None and edge_count > max_symbols:
+            continue
+        for b, block in enumerate(edge_blocks):
+            for pos in block:
+                symbols[edge_positions[pos]] = b
+        for non_blocks in reference_set_partitions(len(non_positions)):
+            k = edge_count + len(non_blocks)
+            if max_symbols is not None and k > max_symbols:
+                continue
+            for b, block in enumerate(non_blocks):
+                for pos in block:
+                    symbols[non_positions[pos]] = edge_count + b
+            if stats is not None:
+                stats["candidates"] += 1
+            if _first_u2(symbols, n) is None and _first_u3(symbols, n) is None:
+                return SymbolicMap(n, max(k, 1), list(symbols))
+    return None

@@ -233,6 +233,10 @@ def test_hypercube_layers_needs_even_dimension():
     assert "even" in err
 
 
+def test_hypercube_negative_dimension_exits_two():
+    assert run_cli(["hypercube", "-1"]) == (2, "", "error: dimension must be non-negative\n")
+
+
 def test_ultrametric_check_verdicts():
     code, out, _ = run_cli(["ultrametric", "check", "-"], stdin=MAP_OK)
     assert code == 0

@@ -3,6 +3,7 @@ and the exhaustive separating-map search."""
 
 import json
 import random
+import time
 import tracemalloc
 from itertools import combinations, permutations
 
@@ -20,6 +21,7 @@ from cographkit import (
     delta_from_graph,
     format_symbolic_map,
     parse_symbolic_map,
+    random_graph,
     random_labeled_tree,
     recognize,
     search_separating_delta,
@@ -34,6 +36,8 @@ from helpers import (
     cycle_graph,
     path_graph,
     reference_build_representation,
+    reference_search_separating_delta,
+    reference_set_partitions,
     run_cli,
 )
 
@@ -75,6 +79,8 @@ def first_violation_by_brute_force(d):
 def test_map_construction_validates_length():
     with pytest.raises(ValueError, match="expected 3 pair symbols"):
         SymbolicMap(3, 2, [0, 1])
+    with pytest.raises(ValueError, match=r"missing symbol for pair \(0, 2\)"):
+        SymbolicMap.from_pairs(3, 2, {(0, 1): 0, (1, 2): 1})
 
 
 def test_map_construction_validates_symbols():
@@ -89,6 +95,7 @@ def test_value_reads_both_orders_and_diagonal():
     assert d.value(2, 2) is None
     with pytest.raises(ValueError, match="out of range"):
         d.value(0, 3)
+    assert SymbolicMap.from_pairs(3, 3, {(1, 0): 0, (2, 0): 1, (1, 2): 2}) == d
 
 
 def test_constant_map_is_representable():
@@ -216,13 +223,33 @@ def test_check_via_graphs_witness_names_offending_symbol():
     assert violation.axiom == "U3'"
     assert violation.symbol == 0
     assert violation.p4.holds_in(color_graph(forbidden_quadruple_map(), 0))
+    # unused symbols below and above the pattern's leave the witness alone
+    shifted = [s + 3 for s in forbidden_quadruple_map().pair_symbols]
+    tight = check_via_graphs(SymbolicMap(4, 5, shifted))
+    assert tight.symbol == 3
+    assert check_via_graphs(SymbolicMap(4, 10**9, shifted)) == tight
 
 
-def test_two_symbol_map_of_cograph_passes_both_checkers():
+def test_two_symbol_map_of_cograph_passes_both_checkers(monkeypatch):
+    import cographkit.symbolic as symbolic
+
     g = Graph(4, [(0, 1), (2, 3)])
     d = delta_from_graph(g)
     assert check_axioms(d) is None
     assert check_via_graphs(d) is None
+    # one symbol graph per symbol that occurs, not per declared symbol
+    built = []
+
+    def counting_recognize(h):
+        built.append(h)
+        assert len(built) <= 2, "a symbol graph was built for a symbol that does not occur"
+        return recognize(h)
+
+    monkeypatch.setattr(symbolic, "recognize", counting_recognize)
+    start = time.perf_counter()
+    assert check_via_graphs(SymbolicMap(4, 10**9, d.pair_symbols)) is None
+    assert time.perf_counter() - start < 1.0
+    assert len(built) == 2
 
 
 def test_delta_from_graph_matches_recognition_exhaustively():
@@ -373,6 +400,38 @@ def test_separating_search_finds_map_for_square():
     assert not (edge_symbols & non_symbols)
 
 
+def test_separating_search_matches_the_product_oracle():
+    for n in range(6):
+        for g in all_graphs(n):
+            stats, expected = {}, {}
+            found = search_separating_delta(g, stats=stats)
+            assert found == reference_search_separating_delta(g, stats=expected), g.edges
+            assert stats == expected, g.edges
+
+
+def test_separating_search_matches_the_product_oracle_under_symbol_budgets():
+    # Random graphs are mostly cographs, so the 4- and 5-vertex paths and
+    # the 5-cycle join them.  The oracle walks the whole of each side's
+    # enumeration whatever the budget, so on 6 vertices it can only finish
+    # on cographs (found at the first candidate when the budget allows two
+    # symbols) with 7 or 8 edges (Bell(8) = 4,140 partitions per side).
+    from cographkit import P4Witness
+
+    rng = random.Random(27)
+    graphs = [path_graph(4), path_graph(5), cycle_graph(5)]
+    graphs += [random_graph(rng.randint(1, 5), rng.random(), rng) for _ in range(40)]
+    while len(graphs) < 51:
+        g = random_graph(6, rng.random(), rng)
+        if 7 <= len(g.edges) <= 8 and not isinstance(recognize(g), P4Witness):
+            graphs.append(g)
+    for g in graphs:
+        for max_symbols in (None, 0, 1, 2, 3, 4, 5):
+            stats, expected = {}, {}
+            found = search_separating_delta(g, max_symbols, stats)
+            assert found == reference_search_separating_delta(g, max_symbols, expected), (g.edges, max_symbols)
+            assert stats == expected, (g.edges, max_symbols)
+
+
 def test_separating_search_five_cycle_fails():
     assert search_separating_delta(cycle_graph(5)) is None
 
@@ -405,6 +464,12 @@ def test_set_partitions_enumeration():
         [(0,), (1,), (2,)],
     ]
     assert len(list(set_partitions(5))) == bell_number(5)
+    for m in range(11):
+        assert list(set_partitions(m)) == list(reference_set_partitions(m)), m
+    # the first of 5,000 items is the one-block partition, built without recursion
+    assert next(set_partitions(5000)) == [tuple(range(5000))]
+    with pytest.raises(ValueError, match="must be non-negative"):
+        next(set_partitions(-1))
 
 
 def test_map_text_round_trip():
