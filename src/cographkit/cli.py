@@ -58,7 +58,7 @@ def _read(path: str, parse):
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "m": len(g.edges), "edges": [[u, v] for u, v in g.edges]}
+    return {"n": g.n, "m": len(g.edges), "edges": g.edges}
 
 
 def graph_from_json(obj) -> Graph:

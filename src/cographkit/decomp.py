@@ -100,13 +100,12 @@ def validate(d: Decomposition) -> ValidationFault | None:
     the one it would report."""
     host_edges = d.host.edge_set
     for idx, cls in enumerate(d.classes):
-        for e in sorted(cls):
-            if e not in host_edges:
-                return ValidationFault(
-                    kind="foreign-edge",
-                    class_index=idx,
-                    detail=f"class {idx} contains non-host edge {e}",
-                )
+        if foreign := cls - host_edges:
+            return ValidationFault(
+                kind="foreign-edge",
+                class_index=idx,
+                detail=f"class {idx} contains non-host edge {min(foreign)}",
+            )
     covered = set()
     for cls in d.classes:
         covered.update(cls)

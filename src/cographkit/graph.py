@@ -15,6 +15,7 @@ built on first use.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -419,7 +420,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph) -> str:
-    """Canonical edge-list text; parse_edge_list round-trips it byte for byte."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    """Canonical edge-list text, which parse_edge_list round-trips byte for byte;
+    the body is one template filled from the flat edge tuple, no string per edge."""
+    m = len(g.edges)
+    return f"{g.n} {m}\n" + "%d %d\n" * m % tuple(chain.from_iterable(g.edges))

@@ -836,3 +836,23 @@ def reference_search_separating_delta(
             if _first_u2(symbols, n) is None and _first_u3(symbols, n) is None:
                 return SymbolicMap(n, max(k, 1), list(symbols))
     return None
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the graph-report builders that copied every
+# edge, once into a [u, v] list and once into an "u v" line, kept verbatim
+# (renamed) as oracles for cographkit.cli.graph_to_json, which puts the
+# graph's own edge tuple in the payload, and for format_edge_list, which
+# fills one template from the flattened edges
+# ---------------------------------------------------------------------------
+
+
+def reference_graph_to_json(g: Graph) -> dict:
+    return {"n": g.n, "m": len(g.edges), "edges": [[u, v] for u, v in g.edges]}
+
+
+def reference_format_edge_list(g: Graph) -> str:
+    """Canonical edge-list text; parse_edge_list round-trips it byte for byte."""
+    lines = [f"{g.n} {len(g.edges)}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"

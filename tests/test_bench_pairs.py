@@ -3,6 +3,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -181,3 +182,62 @@ def test_a_layer_is_resolved_only_when_the_quartile_ranges_are_disjoint():
     summary["per_layer"] = {"decomp.search_s": overlap, "symbolic.check_s": unused, "decomp.p4_constraints_s": apart}
     assert bench_pairs.report("decompose/seed1", summary).splitlines()[-1] == (
         "  unresolved layers: decomp.search_s; 1 equal on both sides")
+
+
+def _report(latencies: dict[str, list[float]]) -> dict:
+    """The parts of a run's report file that ``op_latencies`` reads: each
+    operation's samples, one per round (more when an operation runs twice)."""
+    return {"workload": "refute", "ops": {
+        name: {"latency_ms": samples, "raw_ms": [2 * t for t in samples], "nodes": 441}
+        for name, samples in latencies.items()}}
+
+
+def test_op_latencies_are_each_operations_median():
+    report = _report({"criterion7_refutation": [3.0, 1.0, 2.0], "literal_unpruned": [400.0, 410.0]})
+    assert bench_pairs.op_latencies(report) == {"criterion7_refutation": 2.0, "literal_unpruned": 405.0}
+
+
+def test_run_once_reads_the_untraced_runs_report(tmp_path, monkeypatch):
+    checkout = tmp_path / "change"
+    (checkout / ".perfbench").mkdir(parents=True)
+    (checkout / ".perfbench" / "report-refute-seed7-trace0.json").write_text(
+        json.dumps(_report({"criterion7_refutation": [0.5, 0.25, 0.75]})))
+    # a traced run's report is not read: its file is left out on purpose
+    line = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {}})
+    commands = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        commands.append((cmd[1:], cwd))
+        return subprocess.CompletedProcess(cmd, 0, stdout="table\n" + line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    untraced = bench_pairs.run_once(checkout, "refute", 7, 20)
+    assert untraced["ops"] == {"criterion7_refutation": 0.5}
+    assert "ops" not in bench_pairs.run_once(checkout, "refute", 7, 20, trace=1)
+    assert commands[0] == (["perfbench/run.py", "--workload", "refute", "--seed", "7",
+                            "--seconds", "20", "--trace", "0"], checkout)
+
+
+def test_summary_pairs_each_operations_latency():
+    headline = [(0.40, 0.30), (0.50, 0.35), (0.45, 0.45), (0.42, 0.50)]  # lower in 2, a tie, higher in 1
+    pairs = []
+    for i, (p, c) in enumerate(headline):
+        pair = {"first": "parent" if i % 2 == 0 else "change", "parent": _line(5.0, 1.0), "change": _line(5.0, 1.0)}
+        pair["parent"]["ops"] = {"criterion7_refutation": p, "literal_unpruned": 400.0}
+        pair["change"]["ops"] = {"criterion7_refutation": c, "literal_unpruned": 380.0}
+        pairs.append(pair)
+    s = bench_pairs.summarize(pairs, END_TO_END)
+    assert set(s["ops"]) == {"criterion7_refutation", "literal_unpruned"}
+    c7 = s["ops"]["criterion7_refutation"]
+    assert c7["unit"] == "ms"
+    assert c7["parent"] == {"median": 0.435, "q1": pytest.approx(0.415), "q3": pytest.approx(0.4625)}
+    assert c7["change"]["median"] == pytest.approx(0.40)
+    assert c7["change_pct"] == pytest.approx(100 * (0.40 - 0.435) / 0.435)
+    assert c7["wins"] == 2
+    assert c7["values"] == [list(v) for v in headline]
+    assert s["ops"]["literal_unpruned"]["wins"] == 4
+    text = bench_pairs.report("refute/seed1", s)
+    assert "  op criterion7_refutation: 0.435 -> 0.4 ms (-8.0%, change lower in 2/4)" in text
+    assert text.splitlines()[-1] == "  unresolved: none"
+    # results without ops (a canned line) add no operation
+    assert bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)["ops"] == {}

@@ -15,11 +15,16 @@ import pytest
 
 from cographkit import (
     Graph,
+    build_formula_graph,
+    cotree_to_graph,
     decomposition_from_json,
     decomposition_to_json,
     enumerate_induced_p4,
     format_edge_list,
+    hypercube,
+    parse_formula,
     parse_newick,
+    random_cotree,
     random_graph,
     to_newick,
     validate,
@@ -27,7 +32,13 @@ from cographkit import (
 from cographkit import cli
 from cographkit.cli import graph_from_json, graph_to_json
 from cographkit.graph import MAX_VERTICES
-from helpers import alternating_threshold, caterpillar_newick, run_cli
+from helpers import (
+    alternating_threshold,
+    caterpillar_newick,
+    reference_format_edge_list,
+    reference_graph_to_json,
+    run_cli,
+)
 
 P4_TEXT = "4 3\n0 1\n1 2\n2 3\n"
 K3_TEXT = "3 3\n0 1\n1 2\n0 2\n"
@@ -209,6 +220,54 @@ def test_p4s_holds_one_copy_of_its_witnesses(tmp_path):
     finally:
         tracemalloc.stop()
     assert cli_peak < 1.25 * oracle_peak
+
+
+def test_cotree_holds_one_copy_of_its_edges(tmp_path):
+    # the payload holds the graph's own edge tuple and the edge-list text,
+    # which is written without an object per edge
+    text = "(" + ",".join(map(str, range(600))) + ")1;\n"
+    path = tmp_path / "k600.tree"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        assert cotree_to_graph(parse_newick(text)).m == 179_700
+        oracle_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["cotree", str(path)]) == 0
+        cli_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cli_peak < 1.5 * oracle_peak
+
+
+def test_graph_reports_match_the_per_edge_oracle(tmp_path):
+    # each graph report is byte for byte the one written from [u, v] lists
+    # and one "u v" line per edge
+    rng = random.Random(31)
+    formula = tmp_path / "f.nae"
+    formula.write_text(FORMULA_TEXT)
+    gadget = build_formula_graph(parse_formula(FORMULA_TEXT))
+    cases = [(["hypercube", str(d)], "", hypercube(d), {}) for d in range(6)]
+    for newick in [to_newick(random_cotree(rng.randint(1, 30), rng)) for _ in range(8)] + [caterpillar_newick(40)]:
+        g = cotree_to_graph(parse_newick(newick))
+        cases.append((["cotree", "-"], newick, g, {"edge_list": reference_format_edge_list(g)}))
+    roles = {"roles": dict(sorted(gadget.roles.items()))}
+    for argv in (["gadget", "formula", str(formula)], ["reduce", "to-graph", str(formula)]):
+        cases.append((argv, "", gadget.graph, roles))
+    for argv, stdin, g, extra in cases:
+        assert graph_to_json(g)["edges"] is g.edges
+        code, out, _ = run_cli(argv, stdin)
+        assert code == 0
+        want = {
+            "command": argv[0],
+            "argv": argv,
+            "verdict": "ok",
+            "payload": {**reference_graph_to_json(g), **extra},
+            "stats": {"elapsed_s": json.loads(out)["stats"]["elapsed_s"]},
+        }
+        assert out == json.dumps(want, indent=2) + "\n", argv
 
 
 def test_hypercube_graph_payload():

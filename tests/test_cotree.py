@@ -178,6 +178,17 @@ def test_newick_parse_errors(text):
         parse_newick(text)
 
 
+@pytest.mark.parametrize("nested", ["x", (0, [1, 2.5])])
+def test_malformed_nested_nodes_rejected(nested):
+    with pytest.raises(ValueError, match="malformed tree node"):
+        Cotree(nested)
+
+
+def test_structure_rejects_negative_label():
+    with pytest.raises(ValueError, match="inner node 0 needs a non-negative integer label"):
+        check_structure(Cotree((-1, [0, 1])))
+
+
 def test_structure_rejects_single_child():
     t = parse_newick("((0)1,2)0;")
     with pytest.raises(ValueError, match="1 children, need at least 2"):
@@ -200,6 +211,16 @@ def test_structure_rejects_sparse_leaf_ids():
     t = parse_newick("(0,5)1;")
     with pytest.raises(ValueError, match="leaf vertices must be exactly 0..1"):
         cotree_to_graph(t)
+    with pytest.raises(ValueError, match="leaf vertices must be exactly 0..1"):
+        tree_to_map(Cotree((0, [0, 2])))
+
+
+def test_random_labeled_tree_needs_a_leaf_and_a_symbol():
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="need at least one leaf"):
+        random_labeled_tree(0, 2, rng)
+    with pytest.raises(ValueError, match="need at least one symbol"):
+        random_labeled_tree(3, 0, rng)
 
 
 def test_duplicate_leaf_vertices_rejected():

@@ -97,6 +97,10 @@ def test_validate_foreign_edge():
     fault = validate(d)
     assert fault.kind == "foreign-edge"
     assert "(0, 2)" in fault.detail
+    # the smallest foreign edge of the first class that has one is named
+    classes = (frozenset([(0, 1)]), frozenset([(3, 4), (2, 4), (1, 3), (1, 2)]), frozenset([(0, 2)]))
+    fault = validate(Decomposition(path_graph(5), classes, PARTITION))
+    assert (fault.class_index, fault.detail) == (1, "class 1 contains non-host edge (1, 3)")
 
 
 def test_validate_coverage():

@@ -319,6 +319,14 @@ def test_assignment_extraction_rejects_wrong_host():
         assignment_from_partition(f, other)
 
 
+def test_assignment_extraction_rejects_a_third_class():
+    f = NaeFormula(3, ((0, 1, 2),))
+    d = partition_from_assignment(f, (True, False, False))
+    three = Decomposition(d.host, d.classes + (frozenset(),), PARTITION)
+    with pytest.raises(ValueError, match="expected exactly 2 classes, got 3"):
+        assignment_from_partition(f, three)
+
+
 def test_assignment_extraction_rejects_invalid_decomposition():
     f = NaeFormula(3, ((0, 1, 2),))
     g = build_formula_graph(f).graph

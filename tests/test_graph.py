@@ -28,6 +28,7 @@ from helpers import (
     path_graph,
     reference_complement_edges,
     reference_component_masks,
+    reference_format_edge_list,
     reference_graph,
 )
 
@@ -389,6 +390,9 @@ def test_witness_with_non_integer_vertex_does_not_hold():
         for i in range(4):
             w = P4Witness(*[bad if j == i else j for j in range(4)])
             assert w.holds_in(path) is False
+    # integers in range, but a vertex repeats or lies below 0
+    assert P4Witness(0, 1, 1, 2).holds_in(path) is False
+    assert Graph(2, [(0, 1)]).has_edge(-1, 0) is False
 
 
 def test_p4_witnesses_recheck_in_host():
@@ -454,6 +458,19 @@ def test_edge_list_round_trip():
         text = format_edge_list(g)
         assert parse_edge_list(text) == g
         assert format_edge_list(parse_edge_list(text)) == text
+
+
+def test_edge_list_text_matches_the_per_edge_oracle():
+    # one template filled from the flattened edges writes the bytes that one
+    # "u v" string per edge did
+    rng = random.Random(23)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(rng.randint(0, 40), rng.random(), rng) for _ in range(200)]
+    V = IntEnum("V", "A B C D", start=0)
+    graphs += [Graph(0), Graph(7), Graph(4, [(V.A, V.B), (V.C, V.D), (1, 2)])]
+    for g in graphs:
+        assert format_edge_list(g) == reference_format_edge_list(g), g
+    assert format_edge_list(Graph(0)) == "0 0\n"
 
 
 def test_edge_list_accepts_comments():

@@ -83,6 +83,13 @@ def test_map_construction_validates_length():
         SymbolicMap.from_pairs(3, 2, {(0, 1): 0, (1, 2): 1})
 
 
+def test_map_construction_validates_vertex_count_and_alphabet():
+    with pytest.raises(ValueError, match="vertex count must be non-negative, got -1"):
+        SymbolicMap(-1, 2, [])
+    with pytest.raises(ValueError, match="alphabet must contain at least one symbol, got 0"):
+        SymbolicMap(2, 0, [0])
+
+
 def test_map_construction_validates_symbols():
     with pytest.raises(ValueError, match=r"pair \(0, 2\) carries invalid symbol 5"):
         SymbolicMap(3, 2, [0, 5, 1])
@@ -470,6 +477,8 @@ def test_set_partitions_enumeration():
     assert next(set_partitions(5000)) == [tuple(range(5000))]
     with pytest.raises(ValueError, match="must be non-negative"):
         next(set_partitions(-1))
+    with pytest.raises(ValueError, match="m must be non-negative"):
+        bell_number(-1)
 
 
 def test_map_text_round_trip():

@@ -13,8 +13,14 @@ median, whether that share is below the metric's bound (``resolved``: a
 metric whose own spread is as wide as its bound cannot show a change
 within the bound), the change in percent, the number of pairs in which
 the change was better (ties count for neither side) and every pair's
-values.  After the pairs, ``TRACED_RUNS`` ``--trace 1`` runs per side,
-alternating in the same way, give the per-layer metrics
+values.  After each untraced run its report,
+``.perfbench/report-<workload>-seed<S>-trace0.json`` in the checkout,
+gives the median ``latency_ms`` of each operation; the entry keeps these
+under ``ops``, paired like the metrics, so the ``refute`` headline
+(``criterion7_refutation``) is timed on its own and not only through
+``op_p50_ms``, which times the unpruned oracle.  After the pairs,
+``TRACED_RUNS`` ``--trace 1`` runs per side, alternating in the same
+way, give the per-layer metrics
 (``graph.build_s``, ``cotree.recognize_s``, ...).  The entry keeps each
 under ``per_layer`` with both sides' medians and quartiles, the change in
 percent and ``resolved``: these metrics have no bound, so a layer counts
@@ -42,14 +48,24 @@ TRACED_RUNS = 3  # --trace 1 runs per side: a single one is too noisy to compare
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """Run the benchmark in ``checkout`` and return its result object; with
-    ``trace=1`` its metrics are the per-layer ones."""
+    ``trace=1`` its metrics are the per-layer ones, and without it the
+    object also holds ``ops``, each operation's latency from the run's report."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
-    return last_result(proc.stdout)
+    result = last_result(proc.stdout)
+    if not trace:
+        report = checkout / ".perfbench" / f"report-{workload}-seed{seed}-trace0.json"
+        result["ops"] = op_latencies(json.loads(report.read_text(encoding="utf-8")))
+    return result
+
+
+def op_latencies(report: dict) -> dict[str, float]:
+    """Median ``latency_ms`` of each operation of a run's report."""
+    return {name: statistics.median(row["latency_ms"]) for name, row in report["ops"].items()}
 
 
 def last_result(stdout: str) -> dict:
@@ -79,12 +95,29 @@ def _change_pct(parent: dict, change: dict) -> float | None:
     return 100 * (change["median"] - base) / base if base else None
 
 
+def _paired(values: list[list[float]], better: str) -> dict:
+    """Both sides' spreads, the change in percent, the pairs the change won
+    and the values, from ``[parent, change]`` per pair."""
+    parent = _spread([p for p, _ in values])
+    change = _spread([c for _, c in values])
+    sign = 1 if better == "lower" else -1
+    return {
+        "parent": parent,
+        "change": change,
+        "change_pct": _change_pct(parent, change),
+        "wins": sum(sign * (p - c) > 0 for p, c in values),
+        "values": values,
+    }
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Summary of paired runs.
 
     ``pairs`` holds ``{"first": side, "parent": result, "change": result}``
-    per pair, each result the last line of a run; ``end_to_end`` is the
-    ``BENCHMARK.json`` list of metrics with their units and directions.
+    per pair, each result the last line of a run with the ``ops`` that
+    ``run_once`` adds; ``end_to_end`` is the ``BENCHMARK.json`` list of
+    metrics with their units and directions.  A result without ``ops``
+    adds no operation to the summary.
     """
     summary = {
         "pairs": len(pairs),
@@ -93,27 +126,25 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         "attempted": {side: sum(pair[side]["attempted"] for pair in pairs) for side in SIDES},
         "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES},
         "metrics": {},
+        "ops": {},
     }
     for metric in end_to_end:
         name = metric["name"]
-        values = [[pair[side]["metrics"][name]["value"] for side in SIDES] for pair in pairs]
-        parent = _spread([p for p, _ in values])
-        change = _spread([c for _, c in values])
-        sign = 1 if metric["better"] == "lower" else -1
-        base = parent["median"]
-        share = (parent["q3"] - parent["q1"]) / base if base else None
+        entry = _paired([[pair[side]["metrics"][name]["value"] for side in SIDES] for pair in pairs],
+                        metric["better"])
+        base = entry["parent"]["median"]
+        share = (entry["parent"]["q3"] - entry["parent"]["q1"]) / base if base else None
         summary["metrics"][name] = {
             "unit": metric["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
-            "parent": parent,
-            "change": change,
-            "change_pct": _change_pct(parent, change),
             "parent_iqr_share": share,
             "resolved": share is not None and share < metric["bound"],
-            "wins": sum(sign * (p - c) > 0 for p, c in values),
-            "values": values,
+            **entry,
         }
+    for name in pairs[0]["parent"].get("ops", {}):
+        entry = _paired([[pair[side]["ops"][name] for side in SIDES] for pair in pairs], "lower")
+        summary["ops"][name] = {"unit": "ms", **entry}
     return summary
 
 
@@ -135,10 +166,10 @@ def compare_layers(traced: dict[str, list[dict]]) -> dict:
 
 
 def report(key: str, summary: dict) -> str:
-    """Lines that show an entry: each metric's medians, change and wins,
-    then the metrics the parent's spread leaves unresolved, then the layer
-    metrics whose two sides' quartile ranges overlap and the number that
-    read the same on both sides."""
+    """Lines that show an entry: each metric's and each operation's medians,
+    change and wins, then the metrics the parent's spread leaves unresolved,
+    then the layer metrics whose two sides' quartile ranges overlap and the
+    number that read the same on both sides."""
     lines = [f"{key}: {summary['pairs']} pairs; " + "; ".join(
         f"{side} correct {summary['correct'][side]}, {summary['failed'][side]} failed" for side in SIDES)]
     unresolved = []
@@ -149,6 +180,10 @@ def report(key: str, summary: dict) -> str:
         if not m["resolved"]:
             share = "n/a" if m["parent_iqr_share"] is None else f"{100 * m['parent_iqr_share']:.1f}%"
             unresolved.append(f"{name} (parent IQR {share}, bound {100 * m['bound']:.0f}%)")
+    for name, op in summary["ops"].items():
+        pct = "n/a" if op["change_pct"] is None else f"{op['change_pct']:+.1f}%"
+        lines.append(f"  op {name}: {op['parent']['median']:.6g} -> {op['change']['median']:.6g} ms"
+                     f" ({pct}, change lower in {op['wins']}/{summary['pairs']})")
     lines.append("  unresolved: " + (", ".join(unresolved) if unresolved else "none"))
     if "per_layer" in summary:
         # a layer equal on both sides (a count, or one the workload never
