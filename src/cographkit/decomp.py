@@ -162,8 +162,10 @@ def _free_color(taken: int) -> int:
 def vizing_partition(g: Graph) -> Decomposition:
     """Partition into at most max_degree + 1 matchings via proper edge coloring.
 
-    Uses the Misra-Gries fan/rotation scheme, so the bound holds for
-    every input; each color class is a matching and therefore a cograph.
+    Edges are colored in host edge order.  Each takes the lowest color
+    free at both of its ends; an edge with no such color gets the
+    Misra-Gries fan/rotation step, so the bound holds for every input.
+    Each color class is a matching and therefore a cograph.
     An edgeless graph yields the single empty class, keeping k total.
     Classes come out in ascending color order.
     """
@@ -174,6 +176,13 @@ def vizing_partition(g: Graph) -> Decomposition:
     used = [0] * g.n  # bit c set when color c (1..palette) is taken at v
 
     for u, v in g.edges:
+        c = _free_color(used[u] | used[v])
+        if c <= palette:  # a color free at both ends needs no fan
+            at[u][c] = v
+            at[v][c] = u
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+            continue
         # maximal fan of u starting at v: each next fan edge's color is
         # free at the previous fan vertex; the lowest such color wins
         at_u = at[u]

@@ -117,9 +117,14 @@ def _is_cograph(n: int, edges) -> bool:
     return not isinstance(recognize(Graph(n, edges)), P4Witness)
 
 
-def reference_vizing_partition(g: Graph):
-    """Misra-Gries colouring with a sorted scan per fan step; returns the
-    same ``Decomposition`` as ``vizing_partition``."""
+def reference_vizing_partition(g: Graph, counts: dict | None = None):
+    """Lowest colour free at both ends, else a Misra-Gries step with a
+    sorted scan per fan step; returns the same ``Decomposition`` as
+    ``vizing_partition``.  ``counts``, when given, gains the number of
+    edges that took the fan (``"fan"``) and of Kempe swaps (``"swaps"``)."""
+    if counts is not None:
+        counts.setdefault("fan", 0)
+        counts.setdefault("swaps", 0)
     if not g.edges:
         return Decomposition(g, (frozenset(),), PARTITION)
     palette = g.max_degree() + 1
@@ -148,6 +153,12 @@ def reference_vizing_partition(g: Graph):
         del at[v][c]
 
     for u, v in g.edges:
+        common = [c for c in range(1, palette + 1) if c not in at[u] and c not in at[v]]
+        if common:
+            assign(u, v, common[0])
+            continue
+        if counts is not None:
+            counts["fan"] += 1
         # maximal fan of u starting at v: each next fan edge's color is
         # free at the previous fan vertex
         fan = [v]
@@ -167,6 +178,8 @@ def reference_vizing_partition(g: Graph):
         c = free_color(u)
         d = free_color(fan[-1])
         if d != c and d in at[u]:
+            if counts is not None:
+                counts["swaps"] += 1
             # invert the maximal alternating d/c path starting at u
             path = []
             x, col = u, d

@@ -114,8 +114,13 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     calls = []
     builds = {"parent": [0.5, 1.5, 1.0], "change": [0.25, 0.75, 0.5]}
 
+    run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    traced_seconds = 3 * run_seconds
+
     def fake_run_once(checkout, workload, seed, seconds, trace=0):
         calls.append((checkout.name, workload, seed, seconds, trace))
+        # a traced run gets three times run_seconds, an untraced one run_seconds
+        assert seconds == (traced_seconds if trace else run_seconds)
         if trace:
             build = builds[checkout.name].pop(0)
             return {"correct": True, "attempted": 62, "failed": 0,
@@ -127,18 +132,18 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     out = tmp_path / "bench.json"
     argv = [str(parent), str(change), "--workload", "recognize", "--seed", "1", "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     # the pairs alternate which side runs first; then three traced runs a
-    # side, alternating in the same way
+    # side, alternating in the same way, each three times as long
     assert bench_pairs.TRACED_RUNS == 3
     assert calls == [
-        ("parent", "recognize", 1, seconds, 0), ("change", "recognize", 1, seconds, 0),
-        ("change", "recognize", 1, seconds, 0), ("parent", "recognize", 1, seconds, 0),
-        ("parent", "recognize", 1, seconds, 1), ("change", "recognize", 1, seconds, 1),
-        ("change", "recognize", 1, seconds, 1), ("parent", "recognize", 1, seconds, 1),
-        ("parent", "recognize", 1, seconds, 1), ("change", "recognize", 1, seconds, 1),
+        ("parent", "recognize", 1, run_seconds, 0), ("change", "recognize", 1, run_seconds, 0),
+        ("change", "recognize", 1, run_seconds, 0), ("parent", "recognize", 1, run_seconds, 0),
+        ("parent", "recognize", 1, traced_seconds, 1), ("change", "recognize", 1, traced_seconds, 1),
+        ("change", "recognize", 1, traced_seconds, 1), ("parent", "recognize", 1, traced_seconds, 1),
+        ("parent", "recognize", 1, traced_seconds, 1), ("change", "recognize", 1, traced_seconds, 1),
     ]
     entry = json.loads(out.read_text())["entries"]["recognize/seed1"]
+    assert entry["traced_seconds"] == traced_seconds
     assert entry["pairs"] == 2 and entry["metrics"]["op_p50_ms"]["wins"] == 2
     recognize = {"median": 0.31, "q1": 0.31, "q3": 0.31}
     assert entry["per_layer"] == {

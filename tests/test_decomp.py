@@ -259,7 +259,9 @@ def test_vizing_random_graphs_proper_and_bounded():
 
 
 def test_vizing_matches_sorted_fan_reference():
-    # the bitset fan scan must pick the same fan vertices, free colors and
+    # each edge takes the lowest color free at both ends, found by a sorted
+    # scan in the reference; an edge with none takes the fan, where the
+    # bitset scan must pick the same fan vertices, free colors and
     # rotations as the sorted scan, so the classes are equal, not just valid
     graphs = [g for n in range(6) for g in all_graphs(n)]
     rng = random.Random(33)
@@ -269,8 +271,35 @@ def test_vizing_matches_sorted_fan_reference():
     graphs += [complete_graph(n) for n in range(2, 31)]
     graphs += [Graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)]) for n in range(1, 21)]
     graphs += [hypercube(d) for d in range(1, 8)]
+    counts = {}
     for g in graphs:
-        assert vizing_partition(g).classes == reference_vizing_partition(g).classes, g.edges
+        assert vizing_partition(g).classes == reference_vizing_partition(g, counts).classes, g.edges
+    # the fan path and its Kempe swaps stay exercised
+    assert counts["fan"] >= 1_000
+    assert counts["swaps"] >= 500
+
+
+def test_vizing_gives_each_edge_the_lowest_color_free_at_both_ends():
+    assert vizing_partition(path_graph(5)).classes == (
+        frozenset({(0, 1), (2, 3)}), frozenset({(1, 2), (3, 4)}))
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert vizing_partition(star).classes == (
+        frozenset({(0, 1)}), frozenset({(0, 2)}), frozenset({(0, 3)}))
+
+
+def test_vizing_on_the_decompose_workload_host_uses_max_degree_plus_one():
+    # G(300, 0.3) at seed 1, drawn after the 60 partition and 60 cover
+    # hosts from the same generator, as the benchmark's decompose workload does
+    rng = random.Random(1)
+    for _ in range(60):
+        random_graph(9, 0.4, rng)
+    for _ in range(60):
+        random_graph(7, 0.5, rng)
+    g = random_graph(300, 0.3, rng)
+    d = vizing_partition(g)
+    assert d.k == g.max_degree() + 1 == 111
+    assert all(is_matching(cls) for cls in d.classes)
+    assert validate(d) is None
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +448,7 @@ def test_coarsen_skips_every_superset_of_a_chordless_failing_pair(monkeypatch):
 
 def test_greedy_partition_of_dense_forty_vertex_graph():
     # the Vizing partition of G(40, 0.5) has 27 classes; the unpruned scan
-    # did not finish a round of its 2^27 subsets, the pruned one tests 949
+    # did not finish a round of its 2^27 subsets, the pruned one tests 737
     g = random_graph(40, 0.5, random.Random(1))
     assert vizing_partition(g).k == 27
     stats = {}

@@ -20,11 +20,13 @@ under ``ops``, paired like the metrics, so the ``refute`` headline
 (``criterion7_refutation``) is timed on its own and not only through
 ``op_p50_ms``, which times the unpruned oracle.  After the pairs,
 ``TRACED_RUNS`` ``--trace 1`` runs per side, alternating in the same
-way, give the per-layer metrics
-(``graph.build_s``, ``cotree.recognize_s``, ...).  The entry keeps each
+way and each given ``TRACED_SECONDS_FACTOR`` times T, give the
+per-layer metrics (``graph.build_s``, ``cotree.recognize_s``, ...).
+The entry keeps each
 under ``per_layer`` with both sides' medians and quartiles, the change in
 percent and ``resolved``: these metrics have no bound, so a layer counts
 as resolved only when the two sides' quartile ranges do not overlap.  The
+entry records the seconds of a traced run as ``traced_seconds``.  The
 entry is stored under ``"<workload>/seed<seed>"`` in the output file, so
 one file collects several workloads and seeds, and a summary naming the
 unresolved metrics, end-to-end and per layer, is printed (layers equal on
@@ -44,6 +46,9 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 TRACED_RUNS = 3  # --trace 1 runs per side: a single one is too noisy to compare layers
+# a traced run's --seconds as a multiple of run_seconds: at run_seconds a
+# traced decompose run has time for a single round, too few to resolve a layer
+TRACED_SECONDS_FACTOR = 3
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -222,10 +227,12 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr)
     summary = summarize(pairs, spec["end_to_end"])
     traced: dict[str, list[dict]] = {side: [] for side in SIDES}
+    traced_seconds = TRACED_SECONDS_FACTOR * spec["run_seconds"]
     for i in range(TRACED_RUNS):
         for side in _order(i):
             traced[side].append(run_once(
-                checkouts[side], args.workload, args.seed, spec["run_seconds"], trace=1)["metrics"])
+                checkouts[side], args.workload, args.seed, traced_seconds, trace=1)["metrics"])
+    summary["traced_seconds"] = traced_seconds
     summary["per_layer"] = compare_layers(traced)
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
