@@ -2,9 +2,10 @@
 
 Every invocation prints exactly one JSON report on stdout (command echo,
 verdict, payload, statistics) and a short human summary on stderr.
-Exit codes: 0 positive verdict / success, 1 negative verdict (not a
-cograph, infeasible, failed certificate extraction), 2 usage or input
-error, 3 node budget exhausted, 4 internal error (no report is written).
+The exit code follows the verdict: 1 for ``not-cograph``,
+``not-ultrametric``, ``infeasible``, ``invalid`` and ``extraction-failed``,
+3 for ``timeout`` (node budget exhausted), 0 for every other verdict.
+A usage or input error exits 2 and an internal error 4, with no report.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .graph import (
     parse_edge_list,
 )
 
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-EXIT_TIMEOUT = 3
 EXIT_INTERNAL = 4
+# exit code per verdict; a verdict not listed exits 0
+_VERDICT_EXIT = {
+    **dict.fromkeys(("not-cograph", "not-ultrametric", "infeasible", "invalid", "extraction-failed"), 1),
+    "timeout": 3,
+}
 
 
 class InputError(ValueError):
@@ -91,7 +94,7 @@ def _parse_graph(text: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit_code, verdict, payload, stats, summary)
+# subcommand handlers: each returns (verdict, payload, stats, summary)
 # and imports the modules it runs only when it is called, so a command loads
 # no module it does not use
 # ---------------------------------------------------------------------------
@@ -100,29 +103,23 @@ def _parse_graph(text: str) -> Graph:
 def _cmd_recognize(args):
     result = recognize(_read(args.graph, _parse_graph))
     if isinstance(result, P4Witness):
-        return (
-            EXIT_NEGATIVE,
-            "not-cograph",
-            {"p4": result},
-            {},
-            f"not a cograph: induced path on {tuple(result)}",
-        )
+        return "not-cograph", {"p4": result}, {}, f"not a cograph: induced path on {tuple(result)}"
     newick = to_newick(result)
-    return EXIT_OK, "cograph", {"newick": newick, "leaves": result.num_leaves}, {}, f"cograph: {newick}"
+    return "cograph", {"newick": newick, "leaves": result.num_leaves}, {}, f"cograph: {newick}"
 
 
 def _cmd_cotree(args):
     g = _read(args.tree, lambda text: cotree_to_graph(parse_newick(text)))
     payload = graph_to_json(g)
     payload["edge_list"] = format_edge_list(g)
-    return EXIT_OK, "ok", payload, {}, f"reconstructed {g.n} vertices, {len(g.edges)} edges"
+    return "ok", payload, {}, f"reconstructed {g.n} vertices, {len(g.edges)} edges"
 
 
 def _cmd_p4s(args):
     g = _read(args.graph, _parse_graph)
     witnesses = enumerate_induced_p4(g)
     payload = {"count": len(witnesses), "witnesses": witnesses}
-    return EXIT_OK, "ok", payload, {}, f"{len(witnesses)} induced paths"
+    return "ok", payload, {}, f"{len(witnesses)} induced paths"
 
 
 def _cmd_hypercube(args):
@@ -138,9 +135,9 @@ def _cmd_hypercube(args):
 
         d = decomp.layers_partition(args.dimension // 2)
         payload = decomp.decomposition_to_json(d)
-        return EXIT_OK, "ok", payload, {}, f"layer partition of the {args.dimension}-cube, k={d.k}"
+        return "ok", payload, {}, f"layer partition of the {args.dimension}-cube, k={d.k}"
     g = hypercube(args.dimension)
-    return EXIT_OK, "ok", graph_to_json(g), {}, f"{args.dimension}-cube: {g.n} vertices, {len(g.edges)} edges"
+    return "ok", graph_to_json(g), {}, f"{args.dimension}-cube: {g.n} vertices, {len(g.edges)} edges"
 
 
 def _cmd_ultrametric(args):
@@ -155,11 +152,11 @@ def _cmd_ultrametric(args):
     except symbolic.NotUltrametricError as exc:
         v = exc.violation
         where = f" at {v.vertices or v.symbol}" if check else ""
-        return EXIT_NEGATIVE, "not-ultrametric", v._asdict(), {}, f"violates {v.axiom}{where}"
+        return "not-ultrametric", v._asdict(), {}, f"violates {v.axiom}{where}"
     if check:
-        return EXIT_OK, "ultrametric", {"n": d.n, "symbols": d.num_symbols}, {}, "map is tree-representable"
+        return "ultrametric", {"n": d.n, "symbols": d.num_symbols}, {}, "map is tree-representable"
     newick = to_newick(tree)
-    return EXIT_OK, "ultrametric", {"newick": newick, "symbols": d.num_symbols}, {}, f"representation: {newick}"
+    return "ultrametric", {"newick": newick, "symbols": d.num_symbols}, {}, f"representation: {newick}"
 
 
 def _cmd_decompose(args):
@@ -179,7 +176,7 @@ def _cmd_decompose(args):
         d = decomp.vizing_partition(g) if args.strategy == "vizing" else decomp.greedy_partition(g, merging)
         payload = decomp.decomposition_to_json(d)
         stats = {"strategy": args.strategy, "k": d.k, "nodes": 0, **merging}
-        return EXIT_OK, "decomposed", payload, stats, f"{args.strategy}: k={d.k}"
+        return "decomposed", payload, stats, f"{args.strategy}: k={d.k}"
     k_max = args.k_max if args.k_max is not None else max(1, g.max_degree() + 1)
     solve = decomp.exact_min_partition if args.mode == decomp.PARTITION else decomp.exact_min_cover
     budget = 10_000_000 if args.budget_nodes is None else args.budget_nodes
@@ -193,18 +190,11 @@ def _cmd_decompose(args):
     if result.status == decomp.SOLVED:
         payload = decomp.decomposition_to_json(result.decomposition)
         stats["k"] = result.decomposition.k
-        return EXIT_OK, "decomposed", payload, stats, f"exact minimum k={result.decomposition.k}"
-    if result.status == decomp.INFEASIBLE:
-        payload = {"k_max": k_max, "infeasible_below": result.infeasible_below}
-        return EXIT_NEGATIVE, "infeasible", payload, stats, f"no {args.mode} with k <= {k_max}"
+        return "decomposed", payload, stats, f"exact minimum k={result.decomposition.k}"
     payload = {"k_max": k_max, "infeasible_below": result.infeasible_below}
-    return (
-        EXIT_TIMEOUT,
-        "timeout",
-        payload,
-        stats,
-        f"budget exhausted; no {args.mode} with k <= {result.infeasible_below}",
-    )
+    if result.status == decomp.INFEASIBLE:
+        return "infeasible", payload, stats, f"no {args.mode} with k <= {k_max}"
+    return "timeout", payload, stats, f"budget exhausted; no {args.mode} with k <= {result.infeasible_below}"
 
 
 def _cmd_coarsen(args):
@@ -220,9 +210,9 @@ def _cmd_coarsen(args):
         if fault is None:
             raise
         payload = {"kind": fault.kind, "detail": fault.detail or str(fault)}
-        return EXIT_NEGATIVE, "invalid", payload, {}, f"input decomposition invalid: {fault.kind}"
+        return "invalid", payload, {}, f"input decomposition invalid: {fault.kind}"
     payload = decomp.decomposition_to_json(coarse)
-    return EXIT_OK, "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
+    return "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
 
 
 def _cmd_gadget(args):
@@ -239,7 +229,7 @@ def _cmd_gadget(args):
     g = gg.graph
     payload = graph_to_json(g)
     payload["roles"] = dict(sorted(gg.roles.items()))
-    return EXIT_OK, "ok", payload, {}, f"{args.kind} gadget: {g.n} vertices, {len(g.edges)} edges"
+    return "ok", payload, {}, f"{args.kind} gadget: {g.n} vertices, {len(g.edges)} edges"
 
 
 def _cmd_reduce_from_partition(args):
@@ -250,9 +240,9 @@ def _cmd_reduce_from_partition(args):
     try:
         values = gadgets.assignment_from_partition(f, d)
     except ValueError as exc:
-        return EXIT_NEGATIVE, "extraction-failed", {"reason": str(exc)}, {}, f"extraction failed: {exc}"
+        return "extraction-failed", {"reason": str(exc)}, {}, f"extraction failed: {exc}"
     payload = {"values": [bool(v) for v in values]}
-    return EXIT_OK, "satisfiable", payload, {}, f"assignment {''.join('T' if v else 'F' for v in values)}"
+    return "satisfiable", payload, {}, f"assignment {''.join('T' if v else 'F' for v in values)}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     started = time.perf_counter()
     try:
-        code, verdict, payload, stats, summary = args.handler(args)
+        verdict, payload, stats, summary = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -373,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return EXIT_USAGE
     print(summary, file=sys.stderr)
-    return code
+    return _VERDICT_EXIT.get(verdict, 0)
 
 
 if __name__ == "__main__":

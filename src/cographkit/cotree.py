@@ -6,10 +6,11 @@ Cographs use the binary alphabet (0 = disjoint union, 1 = join); the
 symbolic-map machinery reuses the same structure and split (``_split``)
 with larger alphabets.  The split finds its parts in preorder and
 returns a ``Cotree`` numbered in that order, built as it goes, with no
-nested intermediate; ``Cotree(nested)`` is the validating constructor
-for trees from elsewhere.  No code here recurses, so trees of any depth
-work, except the generator ``random_labeled_tree``: it recurses as deep as
-the tree it draws, which is 5 to 7 levels at 20,000 leaves.
+nested intermediate, or the mask of the first part no splitter divides.
+``Cotree(nested)`` validates trees from elsewhere, and ``_leaf_groups``
+is the one checked reader of a finished tree.  No code here recurses,
+so trees of any depth work, except the generator ``random_labeled_tree``:
+it recurses as deep as the tree it draws, 5 to 7 levels at 20,000 leaves.
 
 Canonical form: no inner node repeats its parent's label, every inner
 node has at least two children, and children are ordered by their
@@ -19,6 +20,7 @@ smallest descendant leaf.
 from __future__ import annotations
 
 import random
+from itertools import repeat
 from typing import Iterator, Union
 
 from .graph import MAX_VERTICES, Graph, P4Witness, _first_component, _induced_p4s, _is_int
@@ -162,15 +164,7 @@ def check_structure(t: Cotree, binary: bool = False) -> None:
                 raise ValueError(f"inner node {ch} repeats its parent's label {lab}")
 
 
-class _Prime(Exception):
-    """Raised by ``_split`` on a part of two or more vertices that no
-    splitter divides (for a cograph test: an induced P4 lies in it)."""
-
-    def __init__(self, mask: int) -> None:
-        self.mask = mask
-
-
-def _split(splitters, mask: int) -> Cotree:
+def _split(splitters, mask: int) -> Cotree | int:
     """Tree of the part ``mask``, split top-down on an explicit stack.
 
     ``splitters`` lists ``(label, adj, in_complement)`` in the order tried,
@@ -179,9 +173,10 @@ def _split(splitters, mask: int) -> Cotree:
     complement) disconnects it, over its components, each split before the
     next is found, lowest vertex first, without retrying that splitter.
     Parts are found in preorder, so each becomes the next node of the
-    returned ``Cotree`` when it is found.  A part no splitter divides raises
-    ``_Prime``.  An empty mask is no part: it yields the bogus leaf -1, so
-    callers pass at least one vertex.
+    returned ``Cotree`` when it is found.  The first part of two or more
+    vertices that no splitter divides is returned instead, as its mask (for
+    a cograph test: an induced P4 lies in it).  An empty mask is no part:
+    it yields the bogus leaf -1, so callers pass at least one vertex.
     """
     parent: list[int] = []
     children: list = []  # a list per inner node, () per leaf
@@ -201,7 +196,7 @@ def _split(splitters, mask: int) -> Cotree:
                     if comp != part:
                         break
             else:
-                raise _Prime(part)
+                return part
             children.append([])
             label.append(lab)
             leaf_vertex.append(None)
@@ -238,10 +233,10 @@ def _cotree_or_witness(adj, mask: int) -> Cotree | P4Witness:
     first such part.  ``adj[v]`` is the adjacency bitmask of each v in
     ``mask`` (list, tuple or dict).
     """
-    try:
-        return _split(((0, adj, False), (1, adj, True)), mask)
-    except _Prime as hit:
-        witness = next(_induced_p4s(adj, hit.mask), None)
+    result = _split(((0, adj, False), (1, adj, True)), mask)
+    if isinstance(result, Cotree):
+        return result
+    witness = next(_induced_p4s(adj, result), None)
     if witness is None:
         raise AssertionError("irreducible subgraph without an induced path")
     return witness
@@ -255,17 +250,36 @@ def recognize(g: Graph) -> Cotree | P4Witness:
     return _cotree_or_witness(g._adj, (1 << g.n) - 1)
 
 
-def _leaf_groups(t: Cotree) -> Iterator[tuple[int, list[list[int]]]]:
-    """Yield ``(label, leaves under each child)`` for every inner node,
-    children before parents: preorder ids read backwards."""
-    below: dict[int, list[int]] = {}
-    for idx in range(t.num_nodes - 1, -1, -1):
-        if t.leaf_vertex[idx] is not None:
-            below[idx] = [t.leaf_vertex[idx]]
-            continue
-        groups = [below.pop(c) for c in t.children[idx]]
-        yield t.label[idx], groups
-        below[idx] = [v for grp in groups for v in grp]
+def _leaf_groups(t: Cotree, binary: bool = False) -> Iterator[tuple[int, list[int], list[int]]]:
+    """Check ``t``, then iterate ``(label, xs, ys)`` over its inner nodes,
+    children before parents (preorder ids read backwards): one item per
+    child after the first, ``ys`` the leaves under it and ``xs`` those under
+    the children before it (grown in place, valid until the next item).
+    ``check_structure(t, binary)`` and the check that the leaves are exactly
+    0..n-1 (naming one leaf outside) run before this returns."""
+    check_structure(t, binary)
+    n = t.num_leaves
+    bad = next((v for v in t.leaf_vertex if v is not None and not 0 <= v < n), None)
+    if bad is not None:
+        raise ValueError(f"leaf vertices must be exactly 0..{n - 1}, got leaf {bad}")
+
+    def walk() -> Iterator[tuple[int, list[int], list[int]]]:
+        below: dict[int, list[int]] = {}
+        for idx in range(t.num_nodes - 1, -1, -1):
+            v = t.leaf_vertex[idx]
+            if v is not None:
+                below[idx] = [v]
+                continue
+            lab = t.label[idx]
+            first, *rest = t.children[idx]
+            xs = below.pop(first)
+            for c in rest:
+                ys = below.pop(c)
+                yield lab, xs, ys
+                xs += ys
+            below[idx] = xs
+
+    return walk()
 
 
 def cotree_to_graph(t: Cotree) -> Graph:
@@ -274,18 +288,12 @@ def cotree_to_graph(t: Cotree) -> Graph:
     The tree must be a well-formed binary-labeled cotree over leaf
     vertices 0..n-1; malformed input is rejected naming the invariant.
     """
-    check_structure(t, binary=True)
-    n = t.num_leaves
-    verts = t.vertices()
-    if verts != tuple(range(n)):
-        raise ValueError(f"leaf vertices must be exactly 0..{n - 1}, got {verts}")
     edges: list[tuple[int, int]] = []
-    for lab, groups in _leaf_groups(t):
+    for lab, xs, ys in _leaf_groups(t, binary=True):
         if lab == 1:
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    edges.extend((x, y) for x in groups[i] for y in groups[j])
-    return Graph(n, edges)
+            for y in ys:
+                edges += zip(xs, repeat(y))
+    return Graph(t.num_leaves, edges)
 
 
 def to_newick(t: Cotree) -> str:

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
 from .cotree import _cotree_or_witness
-from .graph import Graph, P4Witness, _bits, _check_vertex_count, _is_int, hypercube
+from .graph import Graph, P4Witness, _bits, _check_vertex_count, _excerpt, _is_int, hypercube
 
 __all__ = [
     "PARTITION",
@@ -68,7 +68,7 @@ class Decomposition(_DecompositionFields):
 
     def __new__(cls, host: Graph, classes, mode: str = PARTITION) -> Decomposition:
         if mode not in (PARTITION, COVER):
-            raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {mode!r}")
+            raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {_excerpt(mode)}")
         classes = tuple(frozenset(_canon_edge(e) for e in c) for c in classes)
         return super().__new__(cls, host, classes, mode)
 
@@ -910,12 +910,12 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
         raise ValueError("decomposition JSON \"classes\" must be a list of lists of [u, v] integer pairs")
     classes = tuple(frozenset(_canon_edge((u, v)) for u, v in cls) for cls in raw)
     if not _is_int(obj["k"]):
-        raise ValueError(f"decomposition JSON \"k\" must be an integer, got {obj['k']!r}")
+        raise ValueError(f"decomposition JSON \"k\" must be an integer, got {_excerpt(obj['k'])}")
     if obj["k"] != len(classes):
         raise ValueError(f"declared k={obj['k']} but found {len(classes)} classes")
     n = obj.get("n")
     if "n" in obj and not _is_int(n):
-        raise ValueError(f"decomposition JSON \"n\" must be an integer, got {n!r}")
+        raise ValueError(f"decomposition JSON \"n\" must be an integer, got {_excerpt(n)}")
     _check_vertex_count(n)
     if host is None:
         if n is None:

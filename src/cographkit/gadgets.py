@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .graph import Graph, _check_vertex_count, _read_ints, _read_rows
+from .graph import Graph, _check_vertex_count, _excerpt, _read_ints, _read_rows
 
 if TYPE_CHECKING:
     from .decomp import Decomposition, SearchOutcome
@@ -293,7 +293,7 @@ def parse_formula(text: str) -> NaeFormula:
     clauses: list[tuple[int, int, int]] = []
     for lineno, raw, fields in rows:
         if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected three variable ids, got {raw!r}")
+            raise ValueError(f"line {lineno}: expected three variable ids, got {_excerpt(raw)}")
         try:
             a, b, c = _read_ints(fields)
         except ValueError:

@@ -104,7 +104,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not _is_int(n) or n < 0:
-            raise ValueError(f"vertex count must be a non-negative integer, got {n!r}")
+            raise ValueError(f"vertex count must be a non-negative integer, got {_excerpt(n)}")
         try:
             adj = [0] * n
             rows = [None] * n
@@ -197,10 +197,17 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+def _excerpt(value) -> str:
+    """``repr(value)``, cut to 60 characters plus ``...`` when longer, so an
+    error message quotes a bounded part of its input."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _not_a_pair(item) -> ValueError:
     """The error for an item that does not unpack into two endpoints;
     Python's own unpacking errors name neither the item nor the rule."""
-    return ValueError(f"edge {item!r} is not a pair of endpoints")
+    return ValueError(f"edge {_excerpt(item)} is not a pair of endpoints")
 
 
 def _reject(pair, n: int) -> None:
@@ -211,11 +218,11 @@ def _reject(pair, n: int) -> None:
     except (TypeError, ValueError):
         raise _not_a_pair(pair) from None
     if not (_is_int(u) and _is_int(v)):
-        raise ValueError(f"edge {tuple(pair)!r} has a non-integer endpoint")
+        raise ValueError(f"edge {_excerpt(tuple(pair))} has a non-integer endpoint")
     if u == v:
-        raise ValueError(f"self-loop {tuple(pair)!r} is not allowed")
+        raise ValueError(f"self-loop {_excerpt(tuple(pair))} is not allowed")
     if min(u, v) < 0 or max(u, v) >= n:
-        raise ValueError(f"edge {tuple(pair)!r} has an endpoint outside 0..{n - 1}")
+        raise ValueError(f"edge {_excerpt(tuple(pair))} has an endpoint outside 0..{n - 1}")
 
 
 def complement(g: Graph) -> Graph:
@@ -381,7 +388,7 @@ def _read_rows(
         raise ValueError(f"line 1: missing '{header_names}' header")
     lineno, raw, fields = first
     if len(fields) != 2:
-        raise ValueError(f"line {lineno}: expected header '{header_names}', got {raw!r}")
+        raise ValueError(f"line {lineno}: expected header '{header_names}', got {_excerpt(raw)}")
     try:
         header = tuple(_read_ints(fields))
     except ValueError:
@@ -406,7 +413,7 @@ def parse_edge_list(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     for lineno, raw, fields in rows:
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected an edge 'u v', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected an edge 'u v', got {_excerpt(raw)}")
         try:
             u, v = _read_ints(fields)
         except ValueError:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .cotree import Cotree, _leaf_groups, _Prime, _split, check_structure, recognize
-from .graph import Graph, P4Witness, _is_int, _read_rows
+from .cotree import Cotree, _leaf_groups, _split, recognize
+from .graph import Graph, P4Witness, _excerpt, _is_int, _read_rows
 
 __all__ = [
     "SymbolicMap",
@@ -277,10 +277,9 @@ def build_representation(d: SymbolicMap) -> Cotree:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     else:
-        try:
-            return _split([(m, adjs[m], True) for m in sorted(adjs)], (1 << d.n) - 1)
-        except _Prime:
-            pass
+        tree = _split([(m, adjs[m], True) for m in sorted(adjs)], (1 << d.n) - 1)
+        if isinstance(tree, Cotree):
+            return tree
     violation = check_axioms(d)
     if violation is None:
         raise AssertionError("no splitting symbol found for a representable map")
@@ -289,20 +288,18 @@ def build_representation(d: SymbolicMap) -> Cotree:
 
 def tree_to_map(t: Cotree, num_symbols: int | None = None) -> SymbolicMap:
     """Evaluate a labeled tree into the map of its pairwise lca labels."""
-    check_structure(t)
+    groups = _leaf_groups(t)
     n = t.num_leaves
-    if t.vertices() != tuple(range(n)):
-        raise ValueError(f"leaf vertices must be exactly 0..{n - 1}")
     if num_symbols is None:
         labels = [lab for lab in t.label if lab is not None]
         num_symbols = max(labels) + 1 if labels else 1
+    off = _row_offsets(n)
     symbols = [0] * (n * (n - 1) // 2)
-    for lab, groups in _leaf_groups(t):
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                for x in groups[i]:
-                    for y in groups[j]:
-                        symbols[_pair_index(n, x, y)] = lab
+    for lab, xs, ys in groups:
+        for y in ys:
+            oy = off[y]
+            for x in xs:
+                symbols[off[x] + y if x < y else oy + x] = lab
     return SymbolicMap(n, num_symbols, symbols)
 
 
@@ -428,7 +425,7 @@ def parse_symbolic_map(text: str) -> SymbolicMap:
                     raise ValueError(f"line {lineno}: symbol {token} outside s0..s{k - 1}")
                 row.append(s)
             else:
-                raise ValueError(f"line {lineno}: bad token {token!r}")
+                raise ValueError(f"line {lineno}: bad token {_excerpt(token)}")
         table.append(row)
     for x in range(n):
         if table[x][x] is not None:

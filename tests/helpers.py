@@ -10,7 +10,6 @@ from itertools import combinations
 from typing import Iterator
 
 from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, recognize, validate
-from cographkit.cotree import _Prime
 from cographkit.decomp import (
     INFEASIBLE,
     SOLVED,
@@ -273,6 +272,14 @@ def reference_component_masks(adj: tuple[int, ...] | list[int], subset: int, in_
         comps.append(comp)
         rest &= ~comp
     return comps
+
+
+class _Prime(Exception):
+    """Raised by ``reference_split`` on a part of two or more vertices that
+    neither the graph nor its complement disconnects."""
+
+    def __init__(self, mask: int) -> None:
+        self.mask = mask
 
 
 def reference_split(adj, mask: int):

@@ -375,6 +375,39 @@ def test_cotree_non_ascii_digit_exits_two(text):
     assert "newick position 1: expected an integer" in err
 
 
+def test_cotree_renumbered_leaf_error_names_the_leaf():
+    leaves = list(range(20_000))
+    leaves[17] = 20_017
+    code, out, err = run_cli(["cotree", "-"], stdin="(" + ",".join(map(str, leaves)) + ")0;\n")
+    assert (code, out) == (2, "")
+    assert err == "error: -: leaf vertices must be exactly 0..19999, got leaf 20017\n"
+    assert len(err.encode()) < 200
+
+
+LONG = 100_000
+# one oversized input per error message that quotes its input
+OVERSIZED_INPUTS = {
+    "edge-list-header": (["recognize", "-"], "0 " * 200_000 + "\n"),
+    "edge-list-header-token": (["recognize", "-"], "x" * 300_000 + "\n"),
+    "edge-list-line": (["recognize", "-"], "3 1\n0 " + "1" * LONG + " 2\n"),
+    "graph-json-edge": (["recognize", "-"], json.dumps({"n": 3, "edges": [[0] * 50_000]})),
+    "graph-json-endpoint": (["recognize", "-"], json.dumps({"n": 3, "edges": [[0, "x" * LONG]]})),
+    "graph-json-n": (["recognize", "-"], json.dumps({"n": "x" * LONG, "edges": []})),
+    "formula-line": (["gadget", "formula", "-"], "3 1\n" + "0 " * LONG + "\n"),
+    "map-token": (["ultrametric", "check", "-"], "2 1\n- s" + "0" * LONG + "x\ns0 -\n"),
+    "decomposition-k": (["coarsen", "-"], json.dumps({"n": 2, "mode": "partition", "k": "k" * LONG, "classes": []})),
+    "decomposition-n": (["coarsen", "-"], json.dumps({"n": "n" * LONG, "mode": "partition", "k": 0, "classes": []})),
+    "decomposition-mode": (["coarsen", "-"], json.dumps({"n": 2, "mode": "m" * LONG, "k": 0, "classes": []})),
+}
+
+
+@pytest.mark.parametrize("argv, text", OVERSIZED_INPUTS.values(), ids=OVERSIZED_INPUTS.keys())
+def test_errors_quote_a_bounded_excerpt(argv, text):
+    code, out, err = run_cli(argv, stdin=text)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) <= 300 and "..." in err, err[:400]
+
+
 def test_coarsen_with_explicit_host(tmp_path):
     host = tmp_path / "k3.graph"
     host.write_text(K3_TEXT)

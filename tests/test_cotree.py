@@ -27,11 +27,12 @@ from cographkit import (
     tree_to_map,
 )
 from cographkit import cotree
-from cographkit.cotree import _Prime, _split, check_structure
+from cographkit.cotree import _split, check_structure
 from cographkit.decomp import PARTITION, Decomposition, coarsen
 from cographkit.graph import _bits, first_induced_p4
 from cographkit.symbolic import build_representation
 from helpers import (
+    _Prime,
     all_graphs,
     alternating_threshold,
     caterpillar_newick,
@@ -215,6 +216,30 @@ def test_structure_rejects_sparse_leaf_ids():
         tree_to_map(Cotree((0, [0, 2])))
 
 
+def test_leaf_check_names_one_leaf_before_any_group():
+    # the checks run when the walk is made, before its first item is asked for
+    t = Cotree((0, [0, 1, 7, 3]))
+    with pytest.raises(ValueError, match=r"^leaf vertices must be exactly 0\.\.3, got leaf 7$"):
+        cotree._leaf_groups(t)
+    with pytest.raises(ValueError, match="repeats its parent's label"):
+        cotree._leaf_groups(Cotree((0, [(0, [0, 1]), 2])))
+
+
+def test_leaf_groups_cover_every_pair_once():
+    rng = random.Random(13)
+    for _ in range(200):
+        t = random_labeled_tree(rng.randint(1, 30), rng.randint(1, 4), rng)
+        seen = {}
+        for lab, xs, ys in cotree._leaf_groups(t):
+            for x in xs:
+                for y in ys:
+                    pair = (min(x, y), max(x, y))
+                    assert pair not in seen
+                    seen[pair] = lab
+        n = t.num_leaves
+        assert seen == {(x, y): t.lca_label(x, y) for x, y in combinations(range(n), 2)}
+
+
 def test_random_labeled_tree_needs_a_leaf_and_a_symbol():
     rng = random.Random(0)
     with pytest.raises(ValueError, match="need at least one leaf"):
@@ -258,7 +283,12 @@ def _split_outcome(split, *args):
 
 
 def _cograph_split(adj, mask):
-    return _split(((0, adj, False), (1, adj, True)), mask)
+    """``_split`` on the graph and its complement, raising the prime part
+    it returns as ``reference_split`` does."""
+    result = _split(((0, adj, False), (1, adj, True)), mask)
+    if isinstance(result, int):
+        raise _Prime(result)
+    return result
 
 
 def _seeded_split_graphs() -> list[Graph]:
@@ -287,6 +317,12 @@ def test_split_matches_recursive_reference():
             check_structure(got, binary=True)
         comps = reference_component_masks(g._adj, full, False)
         assert connected_components(g) == [tuple(_bits(c)) for c in comps]
+
+
+def test_split_returns_the_prime_part():
+    # P4 is prime as a whole: the split returns its full mask, no tree
+    p4 = path_graph(4)
+    assert _split(((0, p4._adj, False), (1, p4._adj, True)), 0b1111) == 0b1111
 
 
 def test_witness_is_first_induced_path_of_the_prime_part():

@@ -20,7 +20,7 @@ from cographkit import (
     parse_edge_list,
     random_graph,
 )
-from cographkit.graph import MAX_VERTICES, _first_component
+from cographkit.graph import MAX_VERTICES, _excerpt, _first_component
 from helpers import (
     all_graphs,
     complete_graph,
@@ -200,6 +200,14 @@ def test_build_errors_match_reference(bad):
         assert got is not None and got == _raised(lambda: reference_graph(5, iter(edges)))
     for n in (-1, 2.0, True, "3", None):
         assert _raised(lambda: Graph(n, [bad])) == _raised(lambda: reference_graph(n, [bad]))
+
+
+def test_error_excerpt_keeps_60_characters():
+    assert _excerpt("a" * 58) == repr("a" * 58)  # 60 characters, quoted whole
+    assert _excerpt("a" * 59) == "'" + "a" * 59 + "..."
+    with pytest.raises(ValueError) as info:
+        Graph(3, [[0] * 1000])
+    assert str(info.value) == f"edge {repr([0] * 1000)[:60]}... is not a pair of endpoints"
 
 
 def test_invalid_pair_is_named_when_the_masks_cannot_be_allocated():
