@@ -22,6 +22,7 @@ from .graph import (
     Graph,
     P4Witness,
     _check_vertex_count,
+    _excerpt,
     enumerate_induced_p4,
     format_edge_list,
     hypercube,
@@ -127,7 +128,7 @@ def _cmd_hypercube(args):
         raise InputError("dimension must be non-negative")
     # 2**d exceeds the limit exactly when d reaches its bit length; 1 << d is unbounded
     if args.dimension >= MAX_VERTICES.bit_length():
-        raise InputError(f"vertex count 2**{args.dimension} exceeds the limit of {MAX_VERTICES}")
+        raise InputError(f"vertex count 2**{_excerpt(args.dimension)} exceeds the limit of {MAX_VERTICES}")
     if args.layers:
         if args.dimension % 2 or args.dimension == 0:
             raise InputError("--layers needs a positive even dimension")

@@ -23,7 +23,7 @@ import random
 from itertools import repeat
 from typing import Iterator, Union
 
-from .graph import MAX_VERTICES, Graph, P4Witness, _first_component, _induced_p4s, _is_int
+from .graph import MAX_VERTICES, Graph, P4Witness, _excerpt, _first_component, _induced_p4s, _is_int
 
 __all__ = [
     "Cotree",
@@ -71,7 +71,7 @@ class Cotree:
                 leaf_vertex.append(None)
                 stack.extend((ch, idx) for ch in reversed(list(node[1])))
             else:
-                raise ValueError(f"malformed tree node {node!r}")
+                raise ValueError(f"malformed tree node {_excerpt(node)}")
         self._assign(parent, children, label, leaf_vertex)
 
     def _assign(self, parent: list, children: list, label: list, leaf_vertex: list) -> None:
@@ -85,7 +85,7 @@ class Cotree:
         for idx, v in enumerate(self.leaf_vertex):
             if v is not None:
                 if v in vmap:
-                    raise ValueError(f"leaf vertex {v} appears twice")
+                    raise ValueError(f"leaf vertex {_excerpt(v)} appears twice")
                 vmap[v] = idx
         self._vertex_node = vmap
 
@@ -154,14 +154,14 @@ def check_structure(t: Cotree, binary: bool = False) -> None:
         if lab is None or lab < 0:
             raise ValueError(f"inner node {idx} needs a non-negative integer label")
         if binary and lab not in (0, 1):
-            raise ValueError(f"inner node {idx} has label {lab}, expected 0 or 1")
+            raise ValueError(f"inner node {idx} has label {_excerpt(lab)}, expected 0 or 1")
         if len(t.children[idx]) < 2:
             raise ValueError(
                 f"inner node {idx} has {len(t.children[idx])} children, need at least 2"
             )
         for ch in t.children[idx]:
             if t.leaf_vertex[ch] is None and t.label[ch] == lab:
-                raise ValueError(f"inner node {ch} repeats its parent's label {lab}")
+                raise ValueError(f"inner node {ch} repeats its parent's label {_excerpt(lab)}")
 
 
 def _split(splitters, mask: int) -> Cotree | int:
@@ -261,7 +261,7 @@ def _leaf_groups(t: Cotree, binary: bool = False) -> Iterator[tuple[int, list[in
     n = t.num_leaves
     bad = next((v for v in t.leaf_vertex if v is not None and not 0 <= v < n), None)
     if bad is not None:
-        raise ValueError(f"leaf vertices must be exactly 0..{n - 1}, got leaf {bad}")
+        raise ValueError(f"leaf vertices must be exactly 0..{n - 1}, got leaf {_excerpt(bad)}")
 
     def walk() -> Iterator[tuple[int, list[int], list[int]]]:
         below: dict[int, list[int]] = {}

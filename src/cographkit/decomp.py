@@ -912,7 +912,7 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
     if not _is_int(obj["k"]):
         raise ValueError(f"decomposition JSON \"k\" must be an integer, got {_excerpt(obj['k'])}")
     if obj["k"] != len(classes):
-        raise ValueError(f"declared k={obj['k']} but found {len(classes)} classes")
+        raise ValueError(f"declared k={_excerpt(obj['k'])} but found {len(classes)} classes")
     n = obj.get("n")
     if "n" in obj and not _is_int(n):
         raise ValueError(f"decomposition JSON \"n\" must be an integer, got {_excerpt(n)}")
@@ -923,5 +923,5 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
         union = sorted(set().union(*classes)) if classes else []
         host = Graph(n, union)
     elif n is not None and n != host.n:
-        raise ValueError(f"declared n={n} does not match the host graph ({host.n})")
+        raise ValueError(f"declared n={_excerpt(n)} does not match the host graph ({host.n})")
     return Decomposition(host, classes, obj["mode"])

@@ -78,13 +78,13 @@ class NaeFormula(_NaeFormulaFields):
 
     def __new__(cls, num_vars: int, clauses: tuple[tuple[int, int, int], ...]) -> NaeFormula:
         if num_vars < 0:
-            raise ValueError(f"variable count must be non-negative, got {num_vars}")
+            raise ValueError(f"variable count must be non-negative, got {_excerpt(num_vars)}")
         for i, clause in enumerate(clauses):
             if len(clause) != 3 or len(set(clause)) != 3:
-                raise ValueError(f"clause {i} must name three distinct variables, got {clause}")
+                raise ValueError(f"clause {i} must name three distinct variables, got {_excerpt(clause)}")
             for var in clause:
                 if not 0 <= var < num_vars:
-                    raise ValueError(f"clause {i} names unknown variable {var}")
+                    raise ValueError(f"clause {i} names unknown variable {_excerpt(var)}")
         return super().__new__(cls, num_vars, clauses)
 
 
@@ -300,7 +300,7 @@ def parse_formula(text: str) -> NaeFormula:
             raise ValueError(f"line {lineno}: variable ids must be integers") from None
         clauses.append((a, b, c))
     if len(clauses) != num_clauses:
-        raise ValueError(f"declared {num_clauses} clauses but found {len(clauses)}")
+        raise ValueError(f"declared {_excerpt(num_clauses)} clauses but found {len(clauses)}")
     return NaeFormula(num_vars, tuple(clauses))
 
 

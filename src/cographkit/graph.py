@@ -395,14 +395,15 @@ def _read_rows(
         raise ValueError(f"line {lineno}: header values must be integers") from None
     for name, value in zip(header_names.split(), header):
         if value < 0:
-            raise ValueError(f"line {lineno}: header value {name} must be non-negative, got {value}")
+            raise ValueError(
+                f"line {lineno}: header value {name} must be non-negative, got {_excerpt(value)}")
     return header, rows
 
 
 def _check_vertex_count(n) -> None:
     """Reject a declared vertex count above ``MAX_VERTICES``."""
     if isinstance(n, int) and n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        raise ValueError(f"vertex count {_excerpt(n)} exceeds the limit of {MAX_VERTICES}")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -419,10 +420,10 @@ def parse_edge_list(text: str) -> Graph:
         except ValueError:
             raise ValueError(f"line {lineno}: edge endpoints must be integers") from None
         if len(edges) >= m:
-            raise ValueError(f"line {lineno}: more edge lines than the declared count {m}")
+            raise ValueError(f"line {lineno}: more edge lines than the declared count {_excerpt(m)}")
         edges.append((u, v))
     if len(edges) != m:
-        raise ValueError(f"declared {m} edges but found {len(edges)}")
+        raise ValueError(f"declared {_excerpt(m)} edges but found {len(edges)}")
     return Graph(n, edges)
 
 

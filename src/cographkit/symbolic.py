@@ -291,8 +291,7 @@ def tree_to_map(t: Cotree, num_symbols: int | None = None) -> SymbolicMap:
     groups = _leaf_groups(t)
     n = t.num_leaves
     if num_symbols is None:
-        labels = [lab for lab in t.label if lab is not None]
-        num_symbols = max(labels) + 1 if labels else 1
+        num_symbols = max((lab + 1 for lab in t.label if lab is not None), default=1)
     off = _row_offsets(n)
     symbols = [0] * (n * (n - 1) // 2)
     for lab, xs, ys in groups:
@@ -402,49 +401,49 @@ def search_separating_delta(
 
 
 def parse_symbolic_map(text: str) -> SymbolicMap:
-    """Read the ``n k`` / token-row map format.
+    """Read the ``n k`` / token-row map format in one pass over its rows.
 
-    The diagonal must be ``-`` and symbols are tokens ``s0`` .. ``s(k-1)``;
-    symmetry is validated, not assumed.
+    Row x holds n tokens: ``-`` at column x only, ``s0`` .. ``s(k-1)``
+    elsewhere, and left of column x the symbols that rows 0..x-1 gave.
+    The first fault in reading order is named; the rows are counted last.
     """
-    (n, k), body = _read_rows(text, "n k")
-    rows = list(body)
-    if len(rows) != n:
-        raise ValueError(f"expected {n} matrix rows, found {len(rows)}")
-    table: list[list[int | None]] = []
-    for lineno, _, fields in rows:
+    (n, k), rows = _read_rows(text, "n k")
+    symbols = {"-": -1}  # each distinct token is read once; -1 is the diagonal
+    pairs: list[int] = []
+    x = -1
+    for x, (lineno, _, fields) in zip(range(n), rows):
         if len(fields) != n:
-            raise ValueError(f"line {lineno}: expected {n} tokens, got {len(fields)}")
-        row: list[int | None] = []
-        for y, token in enumerate(fields):
-            if token == "-":
-                row.append(None)
-            elif token.startswith("s") and token[1:].isascii() and token[1:].isdigit():
-                s = int(token[1:])
-                if s >= k:
-                    raise ValueError(f"line {lineno}: symbol {token} outside s0..s{k - 1}")
-                row.append(s)
-            else:
-                raise ValueError(f"line {lineno}: bad token {_excerpt(token)}")
-        table.append(row)
-    for x in range(n):
-        if table[x][x] is not None:
-            raise ValueError(f"diagonal entry ({x},{x}) must be '-'")
-        for y in range(n):
-            if x != y and table[x][y] is None:
-                raise ValueError(f"off-diagonal entry ({x},{y}) must carry a symbol")
-            if table[x][y] != table[y][x]:
-                raise ValueError(f"entries ({x},{y}) and ({y},{x}) are not symmetric")
-    return SymbolicMap(n, k, [table[u][v] for u, v in combinations(range(n), 2)])
+            raise ValueError(f"line {lineno}: expected {_excerpt(n)} tokens, got {len(fields)}")
+        off = off if x else _row_offsets(n)  # once a row of n tokens is read
+        column = [*map(pairs.__getitem__, map(x.__add__, off[:x])), -1]  # (y, x) for y <= x
+        row = list(map(symbols.get, fields))
+        if None in row or row[:x + 1] != column or -1 in row[x + 1:]:
+            for y, token in enumerate(fields):  # to the first fault, column by column
+                if token not in symbols:
+                    digits = token[1:]
+                    if not (token.startswith("s") and digits.isascii() and digits.isdigit()):
+                        raise ValueError(f"line {lineno}: bad token {_excerpt(token)}")
+                    if int(digits) >= k:
+                        quoted = _excerpt(token).strip("'")  # repr only wraps 's' and digits in quotes
+                        raise ValueError(f"line {lineno}: symbol {quoted} outside s0..s{_excerpt(k - 1)}")
+                    symbols[token] = int(digits)
+                if (symbols[token] != column[y]) if y <= x else symbols[token] == -1:
+                    raise ValueError(f"entries ({y},{x}) and ({x},{y}) are not symmetric" if y < x
+                                     else f"diagonal entry ({x},{x}) must be '-'" if y == x
+                                     else f"off-diagonal entry ({x},{y}) must carry a symbol")
+        pairs += map(symbols.__getitem__, fields[x + 1:])
+    found = x + 1 + sum(1 for _ in rows)  # zip left any rows after row n - 1 in ``rows``
+    if found != n:
+        raise ValueError(f"expected {_excerpt(n)} matrix rows, found {found}")
+    return SymbolicMap(n, k, pairs)
 
 
 def format_symbolic_map(d: SymbolicMap) -> str:
-    """Canonical map text; parse_symbolic_map round-trips it byte for byte."""
-    lines = [f"{d.n} {d.num_symbols}"]
-    for x in range(d.n):
-        tokens = []
-        for y in range(d.n):
-            value = d.value(x, y)
-            tokens.append("-" if value is None else f"s{value}")
-        lines.append(" ".join(tokens))
-    return "\n".join(lines) + "\n"
+    """Canonical map text; parse_symbolic_map round-trips it byte for byte.
+    Row x gathers (y, x), y < x, by row offset and slices (x, y), y > x;
+    token strings are made only for the symbols that occur."""
+    pairs, off = d.pair_symbols, _row_offsets(d.n)
+    token = {s: f"s{s}" for s in set(pairs)}.__getitem__
+    rows = (" ".join([*map(token, map(pairs.__getitem__, map(x.__add__, off[:x]))), "-",
+                      *map(token, pairs[off[x] + x + 1:off[x] + d.n])]) for x in range(d.n))
+    return "".join(f"{line}\n" for line in (f"{d.n} {d.num_symbols}", *rows))

@@ -23,7 +23,7 @@ from cographkit.decomp import (
     search_assignments,
 )
 from cographkit.gadgets import GadgetGraph, NaeFormula, eval_nae
-from cographkit.graph import _bits, _is_int
+from cographkit.graph import _bits, _excerpt, _is_int, _read_rows
 from cographkit.symbolic import (
     NotUltrametricError,
     SymbolicMap,
@@ -875,4 +875,62 @@ def reference_format_edge_list(g: Graph) -> str:
     """Canonical edge-list text; parse_edge_list round-trips it byte for byte."""
     lines = [f"{g.n} {len(g.edges)}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the map reader that kept every row's tokens and
+# an n x n table, checked the row count first, then every token, then the
+# structure, and the writer that made one range-checked value() call per
+# cell, kept verbatim (renamed) as oracles for the one-pass row reader and
+# the row-offset writer of cographkit.symbolic
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_symbolic_map(text: str) -> SymbolicMap:
+    """Read the ``n k`` / token-row map format.
+
+    The diagonal must be ``-`` and symbols are tokens ``s0`` .. ``s(k-1)``;
+    symmetry is validated, not assumed.
+    """
+    (n, k), body = _read_rows(text, "n k")
+    rows = list(body)
+    if len(rows) != n:
+        raise ValueError(f"expected {n} matrix rows, found {len(rows)}")
+    table: list[list[int | None]] = []
+    for lineno, _, fields in rows:
+        if len(fields) != n:
+            raise ValueError(f"line {lineno}: expected {n} tokens, got {len(fields)}")
+        row: list[int | None] = []
+        for y, token in enumerate(fields):
+            if token == "-":
+                row.append(None)
+            elif token.startswith("s") and token[1:].isascii() and token[1:].isdigit():
+                s = int(token[1:])
+                if s >= k:
+                    raise ValueError(f"line {lineno}: symbol {token} outside s0..s{k - 1}")
+                row.append(s)
+            else:
+                raise ValueError(f"line {lineno}: bad token {_excerpt(token)}")
+        table.append(row)
+    for x in range(n):
+        if table[x][x] is not None:
+            raise ValueError(f"diagonal entry ({x},{x}) must be '-'")
+        for y in range(n):
+            if x != y and table[x][y] is None:
+                raise ValueError(f"off-diagonal entry ({x},{y}) must carry a symbol")
+            if table[x][y] != table[y][x]:
+                raise ValueError(f"entries ({x},{y}) and ({y},{x}) are not symmetric")
+    return SymbolicMap(n, k, [table[u][v] for u, v in combinations(range(n), 2)])
+
+
+def reference_format_symbolic_map(d: SymbolicMap) -> str:
+    """Canonical map text; parse_symbolic_map round-trips it byte for byte."""
+    lines = [f"{d.n} {d.num_symbols}"]
+    for x in range(d.n):
+        tokens = []
+        for y in range(d.n):
+            value = d.value(x, y)
+            tokens.append("-" if value is None else f"s{value}")
+        lines.append(" ".join(tokens))
     return "\n".join(lines) + "\n"

@@ -34,17 +34,19 @@ def _line(p50: float, wall: float, correct: bool = True, failed: int = 0) -> dic
 def test_summary_of_canned_pairs():
     parent_p50 = [8.0, 7.0, 9.0, 10.0, 6.0]
     change_p50 = [6.0, 7.0, 6.5, 6.0, 7.0]  # lower in 3, a tie, higher in 1
+    control_p50 = [7.0, 8.0, 9.0, 9.0, 8.0]  # lower in 2, a tie, higher in 2
     pairs = [
-        {"first": "parent" if i % 2 == 0 else "change",
-         "parent": _line(p, 1.0), "change": _line(c, 0.9, correct=i != 4, failed=int(i == 4))}
-        for i, (p, c) in enumerate(zip(parent_p50, change_p50))
+        {"first": bench_pairs._rotation(i)[0],
+         "parent": _line(p, 1.0), "change": _line(c, 0.9, correct=i != 4, failed=int(i == 4)),
+         "control": _line(r, 1.0)}
+        for i, (p, c, r) in enumerate(zip(parent_p50, change_p50, control_p50))
     ]
     s = bench_pairs.summarize(pairs, END_TO_END)
     assert s["pairs"] == 5
-    assert s["first"] == ["parent", "change", "parent", "change", "parent"]
-    assert s["correct"] == {"parent": True, "change": False}
-    assert s["attempted"] == {"parent": 310, "change": 310}
-    assert s["failed"] == {"parent": 0, "change": 1}
+    assert s["first"] == ["parent", "change", "control", "parent", "change"]
+    assert s["correct"] == {"parent": True, "change": False, "control": True}
+    assert s["attempted"] == {"parent": 310, "change": 310, "control": 310}
+    assert s["failed"] == {"parent": 0, "change": 1, "control": 0}
     p50 = s["metrics"]["op_p50_ms"]
     assert (p50["unit"], p50["better"], p50["bound"]) == ("ms", "lower", 0.25)
     # inclusive quartiles of 6, 7, 8, 9, 10 and of 6, 6, 6.5, 7, 7
@@ -55,6 +57,15 @@ def test_summary_of_canned_pairs():
     assert p50["wins"] == 3
     assert p50["values"] == [[p, c] for p, c in zip(parent_p50, change_p50)]
     assert s["metrics"]["wall_s"]["wins"] == 5
+    # the control against the parent, next to the change's figures
+    assert p50["control"] == {"median": 8.0, "q1": 8.0, "q3": 9.0}
+    assert p50["control_change_pct"] == 0.0
+    assert p50["control_wins"] == 2
+    assert p50["control_values"] == control_p50
+    # the change's median 6.5 is outside the control's 8..9, but it won only 3 of 5
+    assert p50["moved"] is False
+    # wall_s: 0.9 against 1.0 in every pair, outside the control's 1.0..1.0
+    assert s["metrics"]["wall_s"]["moved"] is True
     # equal on every pair: no wins, no spread
     rss = s["metrics"]["peak_rss_mb"]
     assert (rss["wins"], rss["change_pct"], rss["parent_iqr_share"]) == (0, 0.0, 0.0)
@@ -62,13 +73,16 @@ def test_summary_of_canned_pairs():
 
 def test_summary_counts_wins_by_direction_and_takes_one_pair():
     higher = [{"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
-    pair = {"first": "parent",
-            "parent": {"correct": True, "attempted": 1, "failed": 0, "metrics": {"rate": {"value": 2.0}}},
-            "change": {"correct": True, "attempted": 1, "failed": 0, "metrics": {"rate": {"value": 3.0}}}}
+    def result(value):
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"rate": {"value": value}}}
+
+    pair = {"first": "parent", "parent": result(2.0), "change": result(3.0), "control": result(1.0)}
     rate = bench_pairs.summarize([pair], higher)["metrics"]["rate"]
     assert rate["wins"] == 1
     assert rate["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert rate["change_pct"] == pytest.approx(50.0)
+    # lower is worse here: the control lost its one pair
+    assert (rate["control_wins"], rate["control_change_pct"]) == (0, pytest.approx(-50.0))
 
 
 def test_a_run_without_output_has_no_result():
@@ -76,13 +90,16 @@ def test_a_run_without_output_has_no_result():
         bench_pairs.last_result("\n")
 
 
-def _pairs(parent_values, change_values, metric="op_p50_ms"):
-    """Canned pairs in which only ``metric`` varies."""
+def _pairs(parent_values, change_values, metric="op_p50_ms", control_values=None):
+    """Canned pairs in which only ``metric`` varies; the control reads as
+    the parent unless its values are given."""
     pairs = []
-    for i, (p, c) in enumerate(zip(parent_values, change_values)):
-        pair = {"first": "parent" if i % 2 == 0 else "change", "parent": _line(5.0, 1.0), "change": _line(5.0, 1.0)}
-        pair["parent"]["metrics"][metric]["value"] = p
-        pair["change"]["metrics"][metric]["value"] = c
+    control_values = parent_values if control_values is None else control_values
+    for i, values in enumerate(zip(parent_values, change_values, control_values)):
+        pair = {"first": bench_pairs._rotation(i)[0]}
+        for side, value in zip(("parent", "change", "control"), values):
+            pair[side] = _line(5.0, 1.0)
+            pair[side]["metrics"][metric]["value"] = value
         pairs.append(pair)
     return pairs
 
@@ -101,9 +118,9 @@ def test_a_metric_is_resolved_only_when_its_parent_spread_is_below_its_bound():
     assert zero["metrics"]["setup_s"]["parent_iqr_share"] is None
     assert zero["metrics"]["setup_s"]["resolved"] is False
     text = bench_pairs.report("refute/seed1", wide)
-    assert text.splitlines()[-1] == "  unresolved: setup_s (parent IQR 25.0%, bound 25%)"
-    assert "setup_s      1 -> 1.2 s (+20.0%, change lower in 1/5)" in text
-    assert bench_pairs.report("refute/seed1", narrow).splitlines()[-1] == "  unresolved: none"
+    assert "  unresolved: setup_s (parent IQR 25.0%, bound 25%)" in text.splitlines()
+    assert "setup_s      1 -> 1.2 s (+20.0%, change lower in 1/5; control +0.0%, 0/5)" in text
+    assert "  unresolved: none" in bench_pairs.report("refute/seed1", narrow).splitlines()
 
 
 def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch, capsys):
@@ -112,13 +129,20 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
         checkout.mkdir()
     (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     calls = []
+    controls = set()
     builds = {"parent": [0.5, 1.5, 1.0], "change": [0.25, 0.75, 0.5]}
 
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     traced_seconds = 3 * run_seconds
 
+    (parent / "marker").write_text("parent")
+
     def fake_run_once(checkout, workload, seed, seconds, trace=0):
         calls.append((checkout.name, workload, seed, seconds, trace))
+        if checkout.name == "control":
+            # a copy of the parent, apart from it
+            assert checkout != parent and (checkout / "marker").read_text() == "parent"
+            controls.add(checkout)
         # a traced run gets three times run_seconds, an untraced one run_seconds
         assert seconds == (traced_seconds if trace else run_seconds)
         if trace:
@@ -126,18 +150,21 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
             return {"correct": True, "attempted": 62, "failed": 0,
                     "metrics": {"graph.build_s": {"value": build, "unit": "s"},
                                 "cotree.recognize_s": {"value": 0.31, "unit": "s"}}}
-        return _line(5.4 if checkout == parent else 5.1, 0.7)
+        return _line(5.1 if checkout == change else 5.4, 0.7)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "bench.json"
     argv = [str(parent), str(change), "--workload", "recognize", "--seed", "1", "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
-    # the pairs alternate which side runs first; then three traced runs a
-    # side, alternating in the same way, each three times as long
+    # the pairs rotate which of the three sides runs first; then three
+    # traced runs of the parent and of the change, alternating, each three
+    # times as long
     assert bench_pairs.TRACED_RUNS == 3
     assert calls == [
         ("parent", "recognize", 1, run_seconds, 0), ("change", "recognize", 1, run_seconds, 0),
-        ("change", "recognize", 1, run_seconds, 0), ("parent", "recognize", 1, run_seconds, 0),
+        ("control", "recognize", 1, run_seconds, 0),
+        ("change", "recognize", 1, run_seconds, 0), ("control", "recognize", 1, run_seconds, 0),
+        ("parent", "recognize", 1, run_seconds, 0),
         ("parent", "recognize", 1, traced_seconds, 1), ("change", "recognize", 1, traced_seconds, 1),
         ("change", "recognize", 1, traced_seconds, 1), ("parent", "recognize", 1, traced_seconds, 1),
         ("parent", "recognize", 1, traced_seconds, 1), ("change", "recognize", 1, traced_seconds, 1),
@@ -145,6 +172,9 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     entry = json.loads(out.read_text())["entries"]["recognize/seed1"]
     assert entry["traced_seconds"] == traced_seconds
     assert entry["pairs"] == 2 and entry["metrics"]["op_p50_ms"]["wins"] == 2
+    assert entry["metrics"]["op_p50_ms"]["control_values"] == [5.4, 5.4]
+    # one copy served both pairs and is gone once the pairs are run
+    assert len(controls) == 1 and not next(iter(controls)).exists()
     recognize = {"median": 0.31, "q1": 0.31, "q3": 0.31}
     assert entry["per_layer"] == {
         "graph.build_s": {
@@ -227,9 +257,11 @@ def test_summary_pairs_each_operations_latency():
     headline = [(0.40, 0.30), (0.50, 0.35), (0.45, 0.45), (0.42, 0.50)]  # lower in 2, a tie, higher in 1
     pairs = []
     for i, (p, c) in enumerate(headline):
-        pair = {"first": "parent" if i % 2 == 0 else "change", "parent": _line(5.0, 1.0), "change": _line(5.0, 1.0)}
+        pair = {"first": bench_pairs._rotation(i)[0],
+                "parent": _line(5.0, 1.0), "change": _line(5.0, 1.0), "control": _line(5.0, 1.0)}
         pair["parent"]["ops"] = {"criterion7_refutation": p, "literal_unpruned": 400.0}
         pair["change"]["ops"] = {"criterion7_refutation": c, "literal_unpruned": 380.0}
+        pair["control"]["ops"] = {"criterion7_refutation": p, "literal_unpruned": 404.0}
         pairs.append(pair)
     s = bench_pairs.summarize(pairs, END_TO_END)
     assert set(s["ops"]) == {"criterion7_refutation", "literal_unpruned"}
@@ -241,8 +273,49 @@ def test_summary_pairs_each_operations_latency():
     assert c7["wins"] == 2
     assert c7["values"] == [list(v) for v in headline]
     assert s["ops"]["literal_unpruned"]["wins"] == 4
+    assert s["ops"]["literal_unpruned"]["control_change_pct"] == pytest.approx(1.0)
+    assert s["ops"]["literal_unpruned"]["control_wins"] == 0
+    # 380 against the control's 404 in all four pairs
+    assert s["ops"]["literal_unpruned"]["moved"] is True
     text = bench_pairs.report("refute/seed1", s)
-    assert "  op criterion7_refutation: 0.435 -> 0.4 ms (-8.0%, change lower in 2/4)" in text
-    assert text.splitlines()[-1] == "  unresolved: none"
+    assert "  op criterion7_refutation: 0.435 -> 0.4 ms (-8.0%, change lower in 2/4; control +0.0%, 0/4)" in text
+    assert "  op literal_unpruned: 400 -> 380 ms (-5.0%, change lower in 4/4; control +1.0%, 0/4) moved" in text
+    assert "  unresolved: none" in text.splitlines()
     # results without ops (a canned line) add no operation
     assert bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)["ops"] == {}
+
+
+def test_pairs_rotate_the_three_sides():
+    assert [bench_pairs._rotation(i) for i in range(4)] == [
+        ("parent", "change", "control"), ("change", "control", "parent"),
+        ("control", "parent", "change"), ("parent", "change", "control"),
+    ]
+
+
+def test_a_metric_moves_only_outside_the_control_spread_and_in_nine_of_ten_pairs():
+    parent = [2.0, 2.1, 1.9, 2.0, 2.2, 1.8, 2.0, 2.1, 1.9, 2.0]
+    control = [1.9, 2.1, 1.95, 2.05, 2.2, 1.8, 2.0, 2.1, 1.9, 2.0]
+    faster = [1.5] * 10
+
+    def wall(change):
+        return bench_pairs.summarize(_pairs(parent, change, "wall_s", control), END_TO_END)["metrics"]["wall_s"]
+
+    assert wall(faster)["wins"] == 10 and wall(faster)["moved"] is True
+    # nine wins of ten still move it, eight do not
+    assert wall(faster[:9] + [2.5])["moved"] is True
+    assert wall(faster[:8] + [2.5, 2.5])["moved"] is False
+    # ten wins, but the change's median lies within the control's quartiles
+    close = [p - 0.01 for p in parent]
+    assert wall(close)["wins"] == 10
+    assert wall(close)["control"]["q1"] <= wall(close)["change"]["median"] <= wall(close)["control"]["q3"]
+    assert wall(close)["moved"] is False
+
+
+def test_report_names_the_metrics_the_control_alone_moves_past_their_bound():
+    # setup_s: bound 25%, the control reads 30% slower than the parent
+    drift = bench_pairs.summarize(_pairs([1.0] * 5, [1.0] * 5, "setup_s", [1.3] * 5), END_TO_END)
+    assert drift["metrics"]["setup_s"]["control_change_pct"] == pytest.approx(30.0)
+    lines = bench_pairs.report("refute/seed1", drift).splitlines()
+    assert lines[-1] == "  control past its bound: setup_s (+30.0%, bound 25%)"
+    calm = bench_pairs.summarize(_pairs([1.0] * 5, [1.0] * 5, "setup_s", [1.2] * 5), END_TO_END)
+    assert bench_pairs.report("refute/seed1", calm).splitlines()[-1] == "  control past its bound: none"

@@ -408,6 +408,33 @@ def test_errors_quote_a_bounded_excerpt(argv, text):
     assert len(err.encode()) <= 300 and "..." in err, err[:400]
 
 
+D = "9" * 4000
+HUGE = "1" + "0" * 4299  # 10**4299, the widest integer Python converts to text by default
+# one input per message that quotes an integer, or a token of digits, read from the input
+OVERSIZED_INTEGERS = {
+    "edge-list-declared-edges": (["recognize", "-"], f"1 {D}\n"),
+    "header-negative": (["recognize", "-"], f"-{D} 1\n"),
+    "graph-json-vertex-count": (["recognize", "-"], f'{{"n": {HUGE}, "edges": []}}'),
+    "formula-vertex-count": (["gadget", "formula", "-"], f"0 {D}\n"),
+    "map-rows": (["ultrametric", "check", "-"], f"{D} 1\n"),
+    "map-symbol": (["ultrametric", "check", "-"], f"2 1\n- s{D}\ns{D} -\n"),
+    "formula-clause": (["gadget", "formula", "-"], f"1 1\n0 0 {D}\n"),
+    "formula-unknown-variable": (["gadget", "formula", "-"], f"3 1\n0 1 {D}\n"),
+    "hypercube": (["hypercube", D], ""),
+    "decomposition-k": (["coarsen", "-"], f'{{"n": 2, "mode": "partition", "k": {HUGE}, "classes": []}}'),
+    "cotree-leaf": (["cotree", "-"], f"(0,{D})1;"),
+    "cotree-repeated-leaf": (["cotree", "-"], f"({D},{D})1;"),
+    "cotree-label": (["cotree", "-"], f"(0,1){D};"),
+}
+
+
+@pytest.mark.parametrize("argv, text", OVERSIZED_INTEGERS.values(), ids=OVERSIZED_INTEGERS.keys())
+def test_errors_quote_a_bounded_excerpt_of_integers(argv, text):
+    code, out, err = run_cli(argv, stdin=text)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) <= 300 and "..." in err, err[:400]
+
+
 def test_coarsen_with_explicit_host(tmp_path):
     host = tmp_path / "k3.graph"
     host.write_text(K3_TEXT)

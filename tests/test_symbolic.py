@@ -36,6 +36,8 @@ from helpers import (
     cycle_graph,
     path_graph,
     reference_build_representation,
+    reference_format_symbolic_map,
+    reference_parse_symbolic_map,
     reference_search_separating_delta,
     reference_set_partitions,
     run_cli,
@@ -489,6 +491,119 @@ def test_map_text_round_trip():
         text = format_symbolic_map(d)
         assert parse_symbolic_map(text) == d
         assert format_symbolic_map(parse_symbolic_map(text)) == text
+
+
+def _seeded_maps(count=300, seed=26):
+    """Maps with n 0..60 and k 1..5; every other one (n >= 2) is the map of
+    a random labelled tree, the rest uniform random symbols."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, k = rng.randint(0, 60), rng.randint(1, 5)
+        if i % 2 and n >= 2:
+            yield rng, tree_to_map(random_labeled_tree(n, k, rng), k)
+        else:
+            yield rng, SymbolicMap(n, k, [rng.randrange(k) for _ in range(n * (n - 1) // 2)])
+
+
+def _single_fault_mutants(d, rng):
+    """One of each fault kind, each in an otherwise valid map text: a bad
+    token, an out-of-range symbol, a symbol on the diagonal, a '-' off it,
+    an asymmetric pair, a short row, the last row missing and a row added
+    at the end.  (A row dropped or added in the middle shifts the rows after
+    it, and the reader names the first row that no longer fits.)"""
+    n, k = d.n, d.num_symbols
+    head, *body = reference_format_symbolic_map(d).splitlines()
+    rows = [line.split() for line in body]
+
+    def text(change):
+        mutated = [row[:] for row in rows]
+        change(mutated)
+        return "\n".join([head] + [" ".join(row) for row in mutated]) + "\n"
+
+    def put(x, y, token):
+        return lambda m: m[x].__setitem__(y, token)
+
+    yield "extra row", text(lambda m: m.append(list(m[rng.randrange(n)]) if n else ["-"]))
+    if not n:
+        return
+    x, y = rng.randrange(n), rng.randrange(n)
+    yield "bad token", text(put(x, y, rng.choice(["q0", "s", "sx", "s-1", "S0", "s\u0663", "--"])))
+    yield "out-of-range symbol", text(put(x, y, f"s{k + rng.randrange(3)}"))
+    yield "symbol on the diagonal", text(put(x, x, f"s{rng.randrange(k)}"))
+    yield "short row", text(lambda m: m[x].pop())
+    yield "missing row", text(lambda m: m.pop())
+    if n >= 2:
+        y = rng.choice([v for v in range(n) if v != x])
+        yield "'-' off the diagonal", text(put(x, y, "-"))
+        if k >= 2:
+            other = (d.value(x, y) + 1 + rng.randrange(k - 1)) % k
+            yield "asymmetric pair", text(put(x, y, f"s{other}"))
+
+
+def _message(parse, text):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    return str(info.value)
+
+
+def test_map_reader_and_writer_match_the_oracles():
+    sizes = set()
+    for _, d in _seeded_maps():
+        text = format_symbolic_map(d)
+        assert text == reference_format_symbolic_map(d)
+        assert parse_symbolic_map(text) == reference_parse_symbolic_map(text) == d
+        assert format_symbolic_map(parse_symbolic_map(text)) == text
+        sizes.add(d.n)
+    assert {0, 1, 2, 60} <= sizes
+
+
+def test_map_single_fault_mutants_raise_the_oracle_message():
+    kinds = {}
+    for rng, d in _seeded_maps():
+        for kind, text in _single_fault_mutants(d, rng):
+            assert _message(parse_symbolic_map, text) == _message(reference_parse_symbolic_map, text), (kind, text)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert len(kinds) == 8 and min(kinds.values()) >= 100, kinds
+
+
+def test_map_with_several_faults_names_the_first_in_reading_order():
+    # row 1 holds an asymmetric pair in column 0 and a bad token in column 2;
+    # the oracle named the bad token, as it read every token first
+    text = "3 2\n- s0 s0\ns1 - q\ns0 s0 -\n"
+    assert _message(parse_symbolic_map, text) == "entries (0,1) and (1,0) are not symmetric"
+    assert _message(reference_parse_symbolic_map, text) == "line 3: bad token 'q'"
+    # a bad first row comes before the missing last one
+    assert _message(parse_symbolic_map, "3 1\n- s0 s0 s0\n") == "line 2: expected 3 tokens, got 4"
+
+
+def test_map_reader_peak_is_a_small_multiple_of_the_text():
+    text = format_symbolic_map(tree_to_map(random_labeled_tree(300, 4, random.Random(1)), 4))
+    tracemalloc.start()
+    try:
+        d = parse_symbolic_map(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.n == 300
+    # holding every row's tokens and an n x n table took 26.5 times the text
+    assert peak < 6 * len(text), peak / len(text)
+
+
+def test_map_header_without_rows_allocates_nothing_of_size_n():
+    tracemalloc.start()
+    try:
+        message = _message(parse_symbolic_map, "10000000 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message == "expected 10000000 matrix rows, found 0"
+    assert peak < 1 << 20
+
+
+def test_map_writer_makes_tokens_only_for_symbols_that_occur():
+    start = time.perf_counter()
+    assert format_symbolic_map(SymbolicMap(2, 10**9, [5])) == "2 1000000000\n- s5\ns5 -\n"
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

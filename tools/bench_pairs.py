@@ -4,33 +4,43 @@
         --pairs 10 --out BENCH_16.json
 
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in each checkout, T being ``run_seconds`` of the change's
-``BENCHMARK.json``; pair i runs the parent first when i is even and the
-change first when it is odd.  The last line of each run's output is its
-result object.  For every end-to-end metric the entry gives both sides'
-medians and quartiles, the parent's quartile distance as a share of its
-median, whether that share is below the metric's bound (``resolved``: a
-metric whose own spread is as wide as its bound cannot show a change
-within the bound), the change in percent, the number of pairs in which
-the change was better (ties count for neither side) and every pair's
-values.  After each untraced run its report,
+--trace 0`` once on each of three sides, T being ``run_seconds`` of the
+change's ``BENCHMARK.json``: the parent, the change, and a control, which
+is a second copy of the parent made in a temporary directory.  The sides
+take turns to run first: pair i runs them in ``PAIR_SIDES`` order rotated
+by i.  The control shows how far the parent's own figures drift between
+two copies run in the same interleaving.  The last line of each run's
+output is its result object.  For every end-to-end metric the entry gives the
+parent's and the change's medians and quartiles, the parent's quartile
+distance as a share of its median, whether that share is below the
+metric's bound (``resolved``: a metric whose own spread is as wide as its
+bound cannot show a change within the bound), the change in percent, the
+number of pairs in which the change was better (ties count for neither
+side) and every pair's ``[parent, change]`` values.  Next to them stand the
+control's: its median and quartiles (``control``), its change in percent
+(``control_change_pct``), its wins over the parent (``control_wins``) and
+its values (``control_values``).  A metric has ``moved`` only when the
+change's median lies outside the control's quartile range and the change
+won at least ``MOVED_WIN_SHARE`` of the pairs (nine of ten).  After each
+untraced run its report,
 ``.perfbench/report-<workload>-seed<S>-trace0.json`` in the checkout,
 gives the median ``latency_ms`` of each operation; the entry keeps these
-under ``ops``, paired like the metrics, so the ``refute`` headline
-(``criterion7_refutation``) is timed on its own and not only through
-``op_p50_ms``, which times the unpruned oracle.  After the pairs,
-``TRACED_RUNS`` ``--trace 1`` runs per side, alternating in the same
-way and each given ``TRACED_SECONDS_FACTOR`` times T, give the
-per-layer metrics (``graph.build_s``, ``cotree.recognize_s``, ...).
-The entry keeps each
+under ``ops``, paired like the metrics with the same control fields, so
+the ``refute`` headline (``criterion7_refutation``) is timed on its own
+and not only through ``op_p50_ms``, which times the unpruned oracle.
+After the pairs, ``TRACED_RUNS`` ``--trace 1`` runs of the parent and of
+the change (not of the control), taking turns to run first and each given
+``TRACED_SECONDS_FACTOR`` times T, give the per-layer metrics
+(``graph.build_s``, ``cotree.recognize_s``, ...).  The entry keeps each
 under ``per_layer`` with both sides' medians and quartiles, the change in
 percent and ``resolved``: these metrics have no bound, so a layer counts
 as resolved only when the two sides' quartile ranges do not overlap.  The
 entry records the seconds of a traced run as ``traced_seconds``.  The
 entry is stored under ``"<workload>/seed<seed>"`` in the output file, so
 one file collects several workloads and seeds, and a summary naming the
-unresolved metrics, end-to-end and per layer, is printed (layers equal on
-both sides are counted, not named).  Standard library only.
+unresolved metrics, end-to-end and per layer (layers equal on both sides
+are counted, not named), and the metrics that the control alone moves
+past their bound, is printed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -39,12 +49,17 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+CONTROL = "control"  # a second copy of the parent, run as a third side
+PAIR_SIDES = (*SIDES, CONTROL)  # the sides of each pair, in the order of pair 0
+MOVED_WIN_SHARE = 0.9  # share of pairs the change must win to have moved a metric
 TRACED_RUNS = 3  # --trace 1 runs per side: a single one is too noisy to compare layers
 # a traced run's --seconds as a multiple of run_seconds: at run_seconds a
 # traced decompose run has time for a single round, too few to resolve a layer
@@ -82,8 +97,15 @@ def last_result(stdout: str) -> dict:
 
 
 def _order(i: int) -> tuple[str, ...]:
-    """Sides in the order of run i: the parent first when i is even."""
+    """Parent and change in the order of traced run i: the parent first
+    when i is even."""
     return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def _rotation(i: int) -> tuple[str, ...]:
+    """The three sides in the order of pair i: parent, change, control
+    rotated by i, so that each side runs first in every third pair."""
+    return PAIR_SIDES[i % 3:] + PAIR_SIDES[:i % 3]
 
 
 def _spread(values: list[float]) -> dict:
@@ -101,42 +123,52 @@ def _change_pct(parent: dict, change: dict) -> float | None:
 
 
 def _paired(values: list[list[float]], better: str) -> dict:
-    """Both sides' spreads, the change in percent, the pairs the change won
-    and the values, from ``[parent, change]`` per pair."""
-    parent = _spread([p for p, _ in values])
-    change = _spread([c for _, c in values])
+    """From ``[parent, change, control]`` per pair: the parent's and the
+    change's spreads, the change in percent, the pairs the change won and
+    the ``[parent, change]`` values; the same for the control against the
+    parent; and whether the change has ``moved`` the figure (its median
+    outside the control's quartile range, won in ``MOVED_WIN_SHARE`` of the
+    pairs)."""
+    parent, change, control = (_spread([row[i] for row in values]) for i in range(3))
     sign = 1 if better == "lower" else -1
+    wins = sum(sign * (p - c) > 0 for p, c, _ in values)
     return {
         "parent": parent,
         "change": change,
         "change_pct": _change_pct(parent, change),
-        "wins": sum(sign * (p - c) > 0 for p, c in values),
-        "values": values,
+        "wins": wins,
+        "values": [[p, c] for p, c, _ in values],
+        "control": control,
+        "control_change_pct": _change_pct(parent, control),
+        "control_wins": sum(sign * (p - r) > 0 for p, _, r in values),
+        "control_values": [r for _, _, r in values],
+        "moved": not control["q1"] <= change["median"] <= control["q3"]
+        and wins >= MOVED_WIN_SHARE * len(values),
     }
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Summary of paired runs.
 
-    ``pairs`` holds ``{"first": side, "parent": result, "change": result}``
-    per pair, each result the last line of a run with the ``ops`` that
-    ``run_once`` adds; ``end_to_end`` is the ``BENCHMARK.json`` list of
+    ``pairs`` holds ``{"first": side, "parent": result, "change": result,
+    "control": result}`` per pair, each result the last line of a run with
+    the ``ops`` that ``run_once`` adds; ``end_to_end`` is the ``BENCHMARK.json`` list of
     metrics with their units and directions.  A result without ``ops``
     adds no operation to the summary.
     """
     summary = {
         "pairs": len(pairs),
         "first": [pair["first"] for pair in pairs],
-        "correct": {side: all(pair[side]["correct"] for pair in pairs) for side in SIDES},
-        "attempted": {side: sum(pair[side]["attempted"] for pair in pairs) for side in SIDES},
-        "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in SIDES},
+        "correct": {side: all(pair[side]["correct"] for pair in pairs) for side in PAIR_SIDES},
+        "attempted": {side: sum(pair[side]["attempted"] for pair in pairs) for side in PAIR_SIDES},
+        "failed": {side: sum(pair[side]["failed"] for pair in pairs) for side in PAIR_SIDES},
         "metrics": {},
         "ops": {},
     }
     for metric in end_to_end:
         name = metric["name"]
-        entry = _paired([[pair[side]["metrics"][name]["value"] for side in SIDES] for pair in pairs],
-                        metric["better"])
+        entry = _paired([[pair[side]["metrics"][name]["value"] for side in PAIR_SIDES]
+                         for pair in pairs], metric["better"])
         base = entry["parent"]["median"]
         share = (entry["parent"]["q3"] - entry["parent"]["q1"]) / base if base else None
         summary["metrics"][name] = {
@@ -148,7 +180,7 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             **entry,
         }
     for name in pairs[0]["parent"].get("ops", {}):
-        entry = _paired([[pair[side]["ops"][name] for side in SIDES] for pair in pairs], "lower")
+        entry = _paired([[pair[side]["ops"][name] for side in PAIR_SIDES] for pair in pairs], "lower")
         summary["ops"][name] = {"unit": "ms", **entry}
     return summary
 
@@ -170,26 +202,42 @@ def compare_layers(traced: dict[str, list[dict]]) -> dict:
     return layers
 
 
+def _pct(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:+.1f}%"
+
+
+def _versus(m: dict, pairs: int) -> str:
+    """The change's and the control's shift and wins, and whether the change moved."""
+    return (f"({_pct(m['change_pct'])}, change {m.get('better', 'lower')} in {m['wins']}/{pairs};"
+            f" control {_pct(m['control_change_pct'])}, {m['control_wins']}/{pairs})"
+            + (" moved" if m["moved"] else ""))
+
+
 def report(key: str, summary: dict) -> str:
     """Lines that show an entry: each metric's and each operation's medians,
-    change and wins, then the metrics the parent's spread leaves unresolved,
-    then the layer metrics whose two sides' quartile ranges overlap and the
+    the change's and the control's shift and wins, and ``moved`` where the
+    change moved it; then the metrics the parent's spread leaves
+    unresolved, the metrics the control alone moves past their bound, and
+    the layer metrics whose two sides' quartile ranges overlap and the
     number that read the same on both sides."""
-    lines = [f"{key}: {summary['pairs']} pairs; " + "; ".join(
-        f"{side} correct {summary['correct'][side]}, {summary['failed'][side]} failed" for side in SIDES)]
-    unresolved = []
+    pairs = summary["pairs"]
+    lines = [f"{key}: {pairs} pairs; " + "; ".join(
+        f"{side} correct {summary['correct'][side]}, {summary['failed'][side]} failed"
+        for side in PAIR_SIDES)]
+    unresolved, drifted = [], []
     for name, m in summary["metrics"].items():
-        pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
         lines.append(f"  {name:12s} {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']}"
-                     f" ({pct}, change {m['better']} in {m['wins']}/{summary['pairs']})")
+                     f" {_versus(m, pairs)}")
         if not m["resolved"]:
             share = "n/a" if m["parent_iqr_share"] is None else f"{100 * m['parent_iqr_share']:.1f}%"
             unresolved.append(f"{name} (parent IQR {share}, bound {100 * m['bound']:.0f}%)")
+        if m["control_change_pct"] is not None and abs(m["control_change_pct"]) > 100 * m["bound"]:
+            drifted.append(f"{name} ({_pct(m['control_change_pct'])}, bound {100 * m['bound']:.0f}%)")
     for name, op in summary["ops"].items():
-        pct = "n/a" if op["change_pct"] is None else f"{op['change_pct']:+.1f}%"
         lines.append(f"  op {name}: {op['parent']['median']:.6g} -> {op['change']['median']:.6g} ms"
-                     f" ({pct}, change lower in {op['wins']}/{summary['pairs']})")
+                     f" {_versus(op, pairs)}")
     lines.append("  unresolved: " + (", ".join(unresolved) if unresolved else "none"))
+    lines.append("  control past its bound: " + (", ".join(drifted) if drifted else "none"))
     if "per_layer" in summary:
         # a layer equal on both sides (a count, or one the workload never
         # enters) is unresolved but shows no change, so it is only counted
@@ -214,17 +262,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    checkouts = {"parent": args.parent, "change": args.change}
-    pairs = []
-    for i in range(args.pairs):
-        order = _order(i)
-        pair: dict = {"first": order[0]}
-        for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, args.seed, spec["run_seconds"])
-        pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-            f"{side} {pair[side]['metrics']['op_p50_ms']['value']:.3f} ms p50" for side in SIDES),
-            file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        control = Path(tmp) / CONTROL
+        shutil.copytree(args.parent, control,
+                        ignore=shutil.ignore_patterns(".git", ".perfbench", "__pycache__"))
+        checkouts = {"parent": args.parent, "change": args.change, CONTROL: control}
+        pairs = []
+        for i in range(args.pairs):
+            order = _rotation(i)
+            pair: dict = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], args.workload, args.seed, spec["run_seconds"])
+            pairs.append(pair)
+            print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+                f"{side} {pair[side]['metrics']['op_p50_ms']['value']:.3f} ms p50" for side in order),
+                file=sys.stderr)
     summary = summarize(pairs, spec["end_to_end"])
     traced: dict[str, list[dict]] = {side: [] for side in SIDES}
     traced_seconds = TRACED_SECONDS_FACTOR * spec["run_seconds"]
