@@ -75,13 +75,26 @@ def graph_from_json(obj) -> Graph:
         raise InputError(f"bad graph JSON: {exc}") from exc
 
 
+def _json_int(token: str) -> int:
+    """``int(token)`` for the decoder; a number past Python's limit on
+    text-to-int conversion is an input error that quotes it."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InputError(f"invalid JSON: integer {_excerpt(token)} has {len(token.lstrip('-'))} digits, "
+                         f"more than the {sys.get_int_max_str_digits()} Python converts") from None
+
+
 def _json_payload(text: str):
     """Decoded JSON text; the ``payload`` when it is a report of this CLI.
-    Nesting too deep for the decoder is an input error like bad syntax."""
+    Nesting too deep for the decoder, or a number too long for ``int``, is
+    an input error like bad syntax."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except ValueError:  # int() refused a number, naming neither it nor its place
+        doc = json.loads(text, parse_int=_json_int)
     if isinstance(doc, dict) and "payload" in doc:
         return doc["payload"]
     return doc
@@ -206,12 +219,9 @@ def _cmd_coarsen(args):
     merging: dict = {}
     try:
         coarse = decomp.coarsen(d, merging)
-    except ValueError:
-        fault = decomp.validate(d)  # coarsen validated d and refused it: name the fault
-        if fault is None:
-            raise
-        payload = {"kind": fault.kind, "detail": fault.detail or str(fault)}
-        return "invalid", payload, {}, f"input decomposition invalid: {fault.kind}"
+    except decomp._InvalidDecomposition as exc:
+        kind, detail = exc.fault.kind, exc.fault.detail or str(exc.fault)
+        return "invalid", {"kind": kind, "detail": detail}, {}, f"input decomposition invalid: {kind}"
     payload = decomp.decomposition_to_json(coarse)
     return "coarsened", payload, {"k": coarse.k, **merging}, f"coarsened to k={coarse.k}"
 

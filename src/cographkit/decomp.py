@@ -106,13 +106,12 @@ def validate(d: Decomposition) -> ValidationFault | None:
                 class_index=idx,
                 detail=f"class {idx} contains non-host edge {min(foreign)}",
             )
-    covered = set()
-    for cls in d.classes:
-        covered.update(cls)
+    covered = set().union(*d.classes)
     missing = sorted(host_edges - covered)
     if missing:
         return ValidationFault(kind="coverage", detail=f"host edges not covered: {missing}")
-    if d.mode == PARTITION:
+    # classes overlap exactly when their sizes sum past their union; pairs only name it
+    if d.mode == PARTITION and sum(map(len, d.classes)) > len(covered):
         for i, j in combinations(range(len(d.classes)), 2):
             shared = sorted(d.classes[i] & d.classes[j])
             if shared:
@@ -126,6 +125,19 @@ def validate(d: Decomposition) -> ValidationFault | None:
         if witness is not None:
             return ValidationFault(kind="class-not-cograph", class_index=idx, witness=witness)
     return None
+
+
+class _InvalidDecomposition(ValueError):
+    """Refusal of the validity gate; ``fault`` is what ``validate`` found."""
+
+
+def _require_valid(d: Decomposition, action: str) -> None:
+    """The one validity gate: ``validate`` runs once, and a refusal carries its fault."""
+    fault = validate(d)
+    if fault is not None:
+        exc = _InvalidDecomposition(f"cannot {action} an invalid decomposition: {fault}")
+        exc.fault = fault
+        raise exc
 
 
 def _adjacency(edges) -> dict[int, int]:
@@ -300,7 +312,7 @@ def _open_subsets(k: int, size: int, nogoods: list[tuple[int, int]]) -> Iterator
 
 
 def _first_cograph_union(
-    classes: Sequence[frozenset[Edge]], stats: dict | None = None
+    classes: Sequence[frozenset[Edge]], stats: dict
 ) -> tuple[tuple[int, ...], frozenset[Edge]] | None:
     """First subset of two or more classes whose union is induced-path
     free, smallest subsets first and lexicographic within a size, with
@@ -315,8 +327,8 @@ def _first_cograph_union(
     out, and the first union found is the one the full scan would find.
     A nogood of one size rules out no other subset of that size, so each
     size's scan reads the nogoods of the smaller sizes only.
-    ``stats``, when given, has its ``unions_tested`` count raised once per
-    subset recognized.
+    ``stats`` has its ``unions_tested`` count raised once per subset
+    recognized.
     """
     adjs = [_adjacency(cls) for cls in classes]
     holders: dict[Edge, int] = {}
@@ -326,8 +338,7 @@ def _first_cograph_union(
     nogoods: list[tuple[int, int]] = []
     for size in range(2, len(classes) + 1):
         for subset in _open_subsets(len(classes), size, nogoods):
-            if stats is not None:
-                stats["unions_tested"] += 1
+            stats["unions_tested"] += 1
             union = adjs[subset[0]].copy()
             for i in subset[1:]:
                 for v, nb in adjs[i].items():
@@ -357,12 +368,9 @@ def coarsen(d: Decomposition, stats: dict | None = None) -> Decomposition:
     ``stats``, when given, receives ``unions_tested`` (class subsets whose
     union was recognized) and ``merges`` (subsets replaced by their union).
     """
-    fault = validate(d)
-    if fault is not None:
-        raise ValueError(f"cannot coarsen an invalid decomposition: {fault}")
-    if stats is not None:
-        stats["unions_tested"] = 0
-        stats["merges"] = 0
+    _require_valid(d, "coarsen")
+    stats = {} if stats is None else stats
+    stats.update(unions_tested=0, merges=0)
     classes = list(d.classes)
     while len(classes) > 1:
         merged = _first_cograph_union(classes, stats)
@@ -372,8 +380,7 @@ def coarsen(d: Decomposition, stats: dict | None = None) -> Decomposition:
         keep = [cls for i, cls in enumerate(classes) if i not in subset]
         keep.insert(subset[0], union)
         classes = keep
-        if stats is not None:
-            stats["merges"] += 1
+        stats["merges"] += 1
     return Decomposition(d.host, tuple(classes), d.mode)
 
 
@@ -385,12 +392,10 @@ def is_coarsest(d: Decomposition) -> bool:
     keeps its supersets open, so a scan may still visit up to 2^k subsets,
     and no budget bounds it yet.
     """
-    fault = validate(d)
-    if fault is not None:
-        raise ValueError(f"cannot test an invalid decomposition: {fault}")
+    _require_valid(d, "test")
     if d.k > 20:
         raise ValueError(f"subset scan limited to 20 classes, got {d.k}")
-    return _first_cograph_union(d.classes) is None
+    return _first_cograph_union(d.classes, {"unions_tested": 0}) is None
 
 
 # ---------------------------------------------------------------------------

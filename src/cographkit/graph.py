@@ -199,8 +199,17 @@ class Graph:
 
 def _excerpt(value) -> str:
     """``repr(value)``, cut to 60 characters plus ``...`` when longer, so an
-    error message quotes a bounded part of its input."""
-    text = repr(value)
+    error message quotes a bounded part of its input.  An integer past
+    Python's limit on int-to-text conversion is quoted by its leading digits
+    and its digit count, read through ``decimal``, which has no such limit."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        from decimal import Decimal
+        text = str(Decimal(value))
+        return f"{text[:60]}... ({len(text.lstrip('-'))} digits)"
     return text if len(text) <= 60 else text[:60] + "..."
 
 

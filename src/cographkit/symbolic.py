@@ -89,9 +89,12 @@ class SymbolicMap:
         expected = n * (n - 1) // 2
         if len(pair_symbols) != expected:
             raise ValueError(f"expected {expected} pair symbols, got {len(pair_symbols)}")
-        for pair, s in zip(combinations(range(n), 2), pair_symbols):
-            if not _is_int(s) or not 0 <= s < num_symbols:
-                raise ValueError(f"pair {pair} carries invalid symbol {s!r}")
+        # one C-level pass per check; the pairs are walked only to name a fault
+        if not all(issubclass(t, int) and t is not bool for t in set(map(type, pair_symbols))) or (
+                pair_symbols and not 0 <= min(pair_symbols) <= max(pair_symbols) < num_symbols):
+            for pair, s in zip(combinations(range(n), 2), pair_symbols):
+                if not _is_int(s) or not 0 <= s < num_symbols:
+                    raise ValueError(f"pair {pair} carries invalid symbol {s!r}")
         self.n = n
         self.num_symbols = num_symbols
         self.pair_symbols = tuple(pair_symbols)
@@ -385,16 +388,13 @@ def search_separating_delta(
         raise ValueError(f"exhaustive search is limited to 6 vertices, got {g.n}")
     pairs = list(combinations(range(g.n), 2))
     order = sorted(range(len(pairs)), key=lambda i: not g.has_edge(*pairs[i]))  # edge pairs first
-    if stats is not None:
-        stats["pairs"] = len(pairs)
-        stats["partitions_screened"] = bell_number(len(pairs))
-        stats["candidates"] = 0
+    stats = {} if stats is None else stats
+    stats.update(pairs=len(pairs), partitions_screened=bell_number(len(pairs)), candidates=0)
     symbols = [0] * len(pairs)
     for string, k in _growth_strings(len(pairs), len(g.edges), max_symbols):
         for pos, s in zip(order, string):
             symbols[pos] = s
-        if stats is not None:
-            stats["candidates"] += 1
+        stats["candidates"] += 1
         if _first_u2(symbols, g.n) is None and _first_u3(symbols, g.n) is None:
             return SymbolicMap(g.n, max(k, 1), list(symbols))
     return None

@@ -9,14 +9,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, recognize, validate
+from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, ValidationFault, recognize, validate
 from cographkit.decomp import (
     INFEASIBLE,
     SOLVED,
     TIMEOUT,
     SearchOutcome,
     SolveResult,
+    _adjacency,
     _breaks_symmetry,
+    _class_witness,
     _Constraint,
     _masks_to_decomposition,
     _search_index,
@@ -212,6 +214,39 @@ def reference_vizing_partition(g: Graph, counts: dict | None = None):
         frozenset(e for e, c in color.items() if c == want) for want in used
     )
     return Decomposition(g, classes, PARTITION)
+
+
+def reference_validate(d: Decomposition) -> ValidationFault | None:
+    """``validate`` with its pairwise overlap scan: every pair of classes
+    is intersected, also when no two of them overlap."""
+    host_edges = d.host.edge_set
+    for idx, cls in enumerate(d.classes):
+        if foreign := cls - host_edges:
+            return ValidationFault(
+                kind="foreign-edge",
+                class_index=idx,
+                detail=f"class {idx} contains non-host edge {min(foreign)}",
+            )
+    covered = set()
+    for cls in d.classes:
+        covered.update(cls)
+    missing = sorted(host_edges - covered)
+    if missing:
+        return ValidationFault(kind="coverage", detail=f"host edges not covered: {missing}")
+    if d.mode == PARTITION:
+        for i, j in combinations(range(len(d.classes)), 2):
+            shared = sorted(d.classes[i] & d.classes[j])
+            if shared:
+                return ValidationFault(
+                    kind="overlap",
+                    class_index=i,
+                    detail=f"classes {i} and {j} share edges {shared}",
+                )
+    for idx, cls in enumerate(d.classes):
+        witness = _class_witness(_adjacency(cls))
+        if witness is not None:
+            return ValidationFault(kind="class-not-cograph", class_index=idx, witness=witness)
+    return None
 
 
 def reference_first_cograph_union(n: int, classes):

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,6 +15,8 @@ import tracemalloc
 import pytest
 
 from cographkit import (
+    PARTITION,
+    Decomposition,
     Graph,
     build_formula_graph,
     cotree_to_graph,
@@ -28,6 +31,7 @@ from cographkit import (
     random_graph,
     to_newick,
     validate,
+    vizing_partition,
 )
 from cographkit import cli
 from cographkit.cli import graph_from_json, graph_to_json
@@ -37,6 +41,7 @@ from helpers import (
     caterpillar_newick,
     reference_format_edge_list,
     reference_graph_to_json,
+    reference_validate,
     run_cli,
 )
 
@@ -422,6 +427,10 @@ OVERSIZED_INTEGERS = {
     "formula-unknown-variable": (["gadget", "formula", "-"], f"3 1\n0 1 {D}\n"),
     "hypercube": (["hypercube", D], ""),
     "decomposition-k": (["coarsen", "-"], f'{{"n": 2, "mode": "partition", "k": {HUGE}, "classes": []}}'),
+    # past Python's limit on int-to-text conversion: a formula order of 4,301
+    # digits, and a JSON number of 5,000 digits that the decoder cannot read
+    "formula-order-past-the-digit-limit": (["gadget", "formula", "-"], "9" * 4300 + " 0\n"),
+    "graph-json-past-the-digit-limit": (["recognize", "-"], f'{{"n": {"9" * 5000}, "edges": []}}'),
     "cotree-leaf": (["cotree", "-"], f"(0,{D})1;"),
     "cotree-repeated-leaf": (["cotree", "-"], f"({D},{D})1;"),
     "cotree-label": (["cotree", "-"], f"(0,1){D};"),
@@ -744,13 +753,36 @@ def test_coarsen_validates_a_valid_input_once(tmp_path, monkeypatch):
     path.write_text(json.dumps({"mode": "partition", "k": 3, "n": 3, "classes": [[[0, 1]], [[1, 2]], [[0, 2]]]}))
     assert run_cli(["coarsen", str(path)])[0] == 0
     assert len(calls) == 1
-    # an invalid input still reports the first fault
+    # an invalid input still reports the first fault, read from coarsen's error
     path.write_text(json.dumps({"mode": "partition", "k": 2, "n": 3, "classes": [[[0, 1], [1, 2]], [[1, 2]]]}))
+    calls.clear()
     code, out, _ = run_cli(["coarsen", str(path)])
     assert code == 1
+    assert len(calls) == 1
     doc = report_of(out)
     assert doc["payload"] == {"kind": "overlap", "detail": "classes 0 and 1 share edges [(1, 2)]"}
     assert set(doc["stats"]) == {"elapsed_s"}
+
+
+def test_coarsen_reports_an_invalid_merge_of_vizing_classes_as_the_pairwise_oracle(tmp_path):
+    # the 120 Vizing classes of G(300, 0.3) with the last two merged: 119
+    # disjoint classes, and the merged one is not a cograph
+    d = vizing_partition(random_graph(300, 0.3, random.Random(1)))
+    d = Decomposition(d.host, (*d.classes[:-2], d.classes[-2] | d.classes[-1]), PARTITION)
+    fault = reference_validate(d)
+    assert (d.k, fault.kind, fault.class_index) == (119, "class-not-cograph", 118)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(decomposition_to_json(d)))
+    code, out, err = run_cli(["coarsen", str(path)])
+    report = {
+        "command": "coarsen",
+        "argv": ["coarsen", str(path)],
+        "verdict": "invalid",
+        "payload": {"kind": fault.kind, "detail": str(fault)},
+        "stats": {"elapsed_s": 0},
+    }
+    masked = re.sub(r'"elapsed_s": [0-9.e-]+', '"elapsed_s": 0', out)
+    assert (code, masked, err) == (1, json.dumps(report, indent=2) + "\n", "input decomposition invalid: class-not-cograph\n")
 
 
 def test_gadget_payloads_round_trip_roles():

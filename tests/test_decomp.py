@@ -50,6 +50,7 @@ from helpers import (
     path_graph,
     reference_coarsen,
     reference_first_cograph_union,
+    reference_validate,
     reference_vizing_partition,
 )
 
@@ -411,8 +412,9 @@ def test_coarsen_keeps_every_holder_of_a_chord():
     g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     classes = ([(1, 3), (2, 3)], [(0, 1)], [(0, 2), (1, 3)], [(0, 2), (2, 3)])
     d = Decomposition(g, tuple(map(frozenset, classes)), COVER)
-    assert _first_cograph_union(d.classes) == reference_first_cograph_union(4, d.classes)
-    assert _first_cograph_union(d.classes)[0] == (0, 1, 2)
+    stats = {"unions_tested": 0}
+    assert _first_cograph_union(d.classes, stats) == reference_first_cograph_union(4, d.classes)
+    assert _first_cograph_union(d.classes, stats)[0] == (0, 1, 2)
 
 
 def _planted_rigid_classes(r: int, rng: random.Random) -> Decomposition:
@@ -480,6 +482,74 @@ def test_is_coarsest_rejects_large_k():
 def test_is_coarsest_rejects_invalid_input():
     with pytest.raises(ValueError, match="cannot test"):
         is_coarsest(single_class(cycle_graph(5)))
+
+
+# one input per fault kind, each breaking that rule only
+FAULTY = {
+    "foreign-edge": Decomposition(path_graph(3), (frozenset([(0, 1), (1, 2), (0, 2)]),), PARTITION),
+    "coverage": Decomposition(path_graph(3), (frozenset([(0, 1)]),), PARTITION),
+    "overlap": Decomposition(path_graph(3), (frozenset([(0, 1), (1, 2)]), frozenset([(1, 2)])), PARTITION),
+    "class-not-cograph": single_class(cycle_graph(5)),
+}
+
+
+@pytest.mark.parametrize("kind", FAULTY)
+def test_a_rejection_carries_the_fault_validate_found(kind):
+    d = FAULTY[kind]
+    fault = validate(d)
+    assert fault.kind == kind
+    for run, action in ((coarsen, "coarsen"), (is_coarsest, "test")):
+        with pytest.raises(ValueError) as info:
+            run(d)
+        assert info.value.fault == fault
+        assert str(info.value) == f"cannot {action} an invalid decomposition: {fault}"
+    if kind == "overlap":
+        assert str(info.value) == (
+            "cannot test an invalid decomposition: ValidationFault(kind='overlap', class_index=0, "
+            "witness=None, detail='classes 0 and 1 share edges [(1, 2)]')"
+        )
+
+
+@pytest.mark.parametrize("d", [FAULTY["overlap"], layers_partition(2)], ids=["invalid", "valid"])
+def test_coarsen_and_is_coarsest_validate_once(d, monkeypatch):
+    from cographkit import decomp
+
+    calls = []
+    real = decomp.validate
+    monkeypatch.setattr(decomp, "validate", lambda d: calls.append(d) or real(d))
+    for run in (coarsen, is_coarsest):
+        calls.clear()
+        try:
+            run(d)
+        except ValueError:
+            pass
+        assert calls == [d]
+
+
+def test_validate_names_the_overlap_the_pairwise_scan_names():
+    rng = random.Random(37)
+    kinds = {}
+    for trial in range(400):
+        g = random_graph(rng.randint(3, 16), rng.uniform(0.2, 0.8), rng)
+        if not g.edges:
+            continue
+        if trial % 2:
+            classes = [set(cls) for cls in vizing_partition(g).classes]
+        else:
+            k = rng.randint(1, 6)
+            classes = [set() for _ in range(k)]
+            for e in g.edges:
+                classes[rng.randrange(k)].add(e)
+        if len(classes) > 1:  # one edge copied into a second class
+            e = rng.choice(g.edges)
+            holder = next(i for i, cls in enumerate(classes) if e in cls)
+            classes[rng.choice([i for i in range(len(classes)) if i != holder])].add(e)
+        d = Decomposition(g, tuple(map(frozenset, classes)), PARTITION if trial % 5 else COVER)
+        fault = validate(d)
+        assert fault == reference_validate(d), d.classes
+        kind = None if fault is None else fault.kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["overlap"] > 200 and kinds["class-not-cograph"] > 10 and kinds[None] > 10, kinds
 
 
 # ---------------------------------------------------------------------------
