@@ -256,6 +256,15 @@ def _cmd_reduce_from_partition(args):
     return "satisfiable", payload, {}, f"assignment {''.join('T' if v else 'F' for v in values)}"
 
 
+def _int_argument(text: str) -> int:
+    """An integer argument; argparse's own error for ``type=int`` would
+    quote a bad value in full."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cographkit",
@@ -277,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_p4s)
 
     p = sub.add_parser("hypercube", help="emit the d-cube, optionally its square-layer partition")
-    p.add_argument("dimension", type=int)
+    p.add_argument("dimension", type=_int_argument)
     p.add_argument("--layers", action="store_true", help="emit the layer partition (even d only)")
     p.set_defaults(handler=_cmd_hypercube)
 
@@ -299,10 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default="exact",
         help="vizing: proper-coloring bound; greedy: coloring plus coarsening; exact: minimum search",
     )
-    p.add_argument("--k-max", type=int, default=None, help="largest k to try (default: max degree + 1)")
+    p.add_argument("--k-max", type=_int_argument, default=None, help="largest k to try (default: max degree + 1)")
     p.add_argument(
         "--budget-nodes",
-        type=int,
+        type=_int_argument,
         default=None,
         help="search node budget (default 10,000,000); on a 30-vertex G(30, 0.5) the "
         "default can run for over an hour before exit 3, and a smaller budget exits 3 sooner",

@@ -526,9 +526,10 @@ def search_assignments(
     the search reaches one, it only applies the symmetry test below to
     its mask.  Propagation only removes masks that cannot be part of a
     solution, so the solutions and their order are exactly those of the
-    unpruned search (``prune=False``), which checks each complete
-    assignment instead.  ``nodes`` counts the candidate masks
-    actually tried.
+    unpruned search (``prune=False``).  That search skips no node: it
+    settles each constraint once, at the search position of its last member
+    (path edge or chord), and keeps a leaf whose settled constraints all
+    hold.  ``nodes`` counts the candidate masks actually tried.
 
     ``symmetry`` breaks class relabeling: a fresh class id may only be
     introduced as the next unused one.  ``forced`` pins host edges to
@@ -572,49 +573,79 @@ def search_assignments(
     index = _search_index(host, node_budget) if constraints is None else constraints
     if index is None:
         return SearchOutcome(solutions=[], nodes=0, completed=False)
-    if prune:
-        return _propagating_search(index, k, mode, forced_mask, find_all, symmetry, node_budget)
+    engine = _propagating_search if prune else _unpruned_search
+    return engine(index, k, mode, forced_mask, find_all, symmetry, node_budget)
+
+
+def _breaks_symmetry(mask: int, used: int) -> bool:
+    """True when mask introduces classes other than the next unused ids."""
+    fresh = mask & ~used
+    return bool(fresh) and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length()
+
+
+def _unpruned_search(
+    index: _SearchIndex,
+    k: int,
+    mode: str,
+    forced_mask: list[int],
+    find_all: bool,
+    symmetry: bool,
+    node_budget: int | None,
+) -> SearchOutcome:
+    """The ``prune=False`` engine of ``search_assignments``: every candidate
+    of every position is a node, on an explicit loop over positions so that
+    the depth of the search is not bounded by recursion.  Each constraint is
+    settled once, when the last of its members (path edges and chords) in
+    search order is assigned; a prefix in which one settled constraint fails
+    stays failed, and a leaf is a solution exactly when none failed.
+    Candidate i is made on demand: the mask 1 << i in partition mode, i + 1
+    in cover mode."""
     order = index.order
-    constraints = index.constraints
-    # an explicit loop over positions, so that the depth of the search is not
-    # bounded by recursion; candidate i is made on demand, as in
-    # _propagating_search: cover mode has 2^k - 1 of them
+    m = len(order)
+    at = [0] * m  # position of each edge in search order
+    for pos, e in enumerate(order):
+        at[e] = pos
+    settled: list[list[_Constraint]] = [[] for _ in order]  # constraints by last position
+    for con in index.constraints:
+        p1, p2, p3, chords = con
+        settled[max(at[p1], at[p2], at[p3], *[at[ch] for ch in chords])].append(con)
     partition = mode == PARTITION
     size = k if partition else (1 << k) - 1
     assign = [0] * m
     used = [0] * m  # classes taken by the edges before each position
+    clean = [True] * m  # no constraint settled before each position fails
     tried = [0] * m  # candidates tried at each position above the current one
     solutions: list[tuple[int, ...]] = []
     nodes = 0
-
-    def full_check() -> bool:
-        for p1, p2, p3, chords in constraints:
-            common = assign[p1] & assign[p2] & assign[p3]
-            if common:
-                saved = 0
-                for ch in chords:
-                    saved |= assign[ch]
-                if common & ~saved:
-                    return False
-        return True
-
     pos = i = 0
     while True:
         e = order[pos]
         forced_e = forced_mask[e]
+        prefix_clean = clean[pos]
+        here = settled[pos]
+        used_before = used[pos]
+        leaf = pos == m - 1
         while i < (1 if forced_e else size):
             mask = forced_e or (1 << i if partition else i + 1)
             i += 1
-            if symmetry and _breaks_symmetry(mask, used[pos]):
+            if symmetry and _breaks_symmetry(mask, used_before):
                 continue
             if node_budget is not None and nodes >= node_budget:
                 return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
             nodes += 1
             assign[e] = mask
-            if pos < m - 1:
+            ok = prefix_clean
+            if ok:
+                for p1, p2, p3, chords in here:
+                    bad = assign[p1] & assign[p2] & assign[p3]
+                    for ch in chords:
+                        bad &= ~assign[ch]
+                    if bad:  # the path is induced in a class
+                        ok = False
+                        break
+            if not leaf:
                 break
-            # the last position checks each complete assignment in place
-            if full_check():
+            if ok:
                 solutions.append(tuple(assign))
                 if not find_all:
                     return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
@@ -626,14 +657,9 @@ def search_assignments(
             continue
         tried[pos] = i
         pos += 1
-        used[pos] = used[pos - 1] | mask
+        used[pos] = used_before | mask
+        clean[pos] = ok
         i = 0
-
-
-def _breaks_symmetry(mask: int, used: int) -> bool:
-    """True when mask introduces classes other than the next unused ids."""
-    fresh = mask & ~used
-    return bool(fresh) and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length()
 
 
 def _propagating_search(

@@ -268,8 +268,8 @@ def enumerate_two_class_assignments(
     In ``"cover"`` mode each edge takes a non-empty subset of
     {class 0, class 1}, a 3^m space; in ``"partition"`` mode exactly one
     class, a 2^m space.  The induced-path constraints are propagated
-    unless ``prune`` is off (then candidates are only checked at the
-    leaves).
+    unless ``prune`` is off; then no node is skipped, and each constraint
+    is settled once, at the search position of its last member.
     """
     from . import decomp
 

@@ -22,6 +22,7 @@ from cographkit.decomp import (
     _Constraint,
     _masks_to_decomposition,
     _search_index,
+    _SearchIndex,
     search_assignments,
 )
 from cographkit.gadgets import GadgetGraph, NaeFormula, eval_nae
@@ -766,6 +767,80 @@ def reference_propagating_search(
         else:
             break
     return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+
+
+# ---------------------------------------------------------------------------
+# reference implementation: the unpruned engine that rescans every constraint
+# at each leaf, kept verbatim (renamed, and taking the arguments that
+# search_assignments hands its engines) as the oracle for the one-settling
+# cographkit.decomp._unpruned_search
+# ---------------------------------------------------------------------------
+
+
+def reference_unpruned_search(
+    index: _SearchIndex,
+    k: int,
+    mode: str,
+    forced_mask: list[int],
+    find_all: bool,
+    symmetry: bool,
+    node_budget: int | None,
+) -> SearchOutcome:
+    order = index.order
+    constraints = index.constraints
+    m = len(order)
+    # an explicit loop over positions, so that the depth of the search is not
+    # bounded by recursion; candidate i is made on demand, as in
+    # _propagating_search: cover mode has 2^k - 1 of them
+    partition = mode == PARTITION
+    size = k if partition else (1 << k) - 1
+    assign = [0] * m
+    used = [0] * m  # classes taken by the edges before each position
+    tried = [0] * m  # candidates tried at each position above the current one
+    solutions: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def full_check() -> bool:
+        for p1, p2, p3, chords in constraints:
+            common = assign[p1] & assign[p2] & assign[p3]
+            if common:
+                saved = 0
+                for ch in chords:
+                    saved |= assign[ch]
+                if common & ~saved:
+                    return False
+        return True
+
+    pos = i = 0
+    while True:
+        e = order[pos]
+        forced_e = forced_mask[e]
+        while i < (1 if forced_e else size):
+            mask = forced_e or (1 << i if partition else i + 1)
+            i += 1
+            if symmetry and _breaks_symmetry(mask, used[pos]):
+                continue
+            if node_budget is not None and nodes >= node_budget:
+                return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+            nodes += 1
+            assign[e] = mask
+            if pos < m - 1:
+                break
+            # the last position checks each complete assignment in place
+            if full_check():
+                solutions.append(tuple(assign))
+                if not find_all:
+                    return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+        else:
+            if pos == 0:
+                return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+            pos -= 1
+            i = tried[pos]
+            continue
+        tried[pos] = i
+        pos += 1
+        used[pos] = used[pos - 1] | mask
+        i = 0
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,10 @@ def test_06_literal_gadgets_unique_two_cover():
         unpruned = enumerate_two_class_assignments(lit, COVER, prune=False)
         assert unpruned.completed
         assert set(unpruned.solutions) == expected
+        # every node of the tree is tried, 3^d of them at depth d, and the two
+        # canonical splits are the only solutions
+        assert unpruned.nodes == sum(3**d for d in range(1, 13)) == 797_160
+        assert sorted(unpruned.solutions) == sorted(expected)
 
         pruned = enumerate_two_class_assignments(lit, COVER)
         assert pruned.completed

@@ -437,11 +437,25 @@ OVERSIZED_INTEGERS = {
 }
 
 
-@pytest.mark.parametrize("argv, text", OVERSIZED_INTEGERS.values(), ids=OVERSIZED_INTEGERS.keys())
-def test_errors_quote_a_bounded_excerpt_of_integers(argv, text):
+# integer arguments of 5,000 digits, past Python's limit on int-from-text
+# conversion; argparse's usage text comes first, so their bound is wider
+OVERSIZED_ARGUMENTS = {
+    "hypercube-dimension-argument": ["hypercube", "9" * 5000],
+    "k-max-argument": ["decompose", "--k-max", "9" * 5000, "-"],
+    "budget-nodes-argument": ["decompose", "--budget-nodes", "9" * 5000, "-"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text, limit",
+    [(argv, text, 300) for argv, text in OVERSIZED_INTEGERS.values()]
+    + [(argv, "", 400) for argv in OVERSIZED_ARGUMENTS.values()],
+    ids=[*OVERSIZED_INTEGERS, *OVERSIZED_ARGUMENTS],
+)
+def test_errors_quote_a_bounded_excerpt_of_integers(argv, text, limit):
     code, out, err = run_cli(argv, stdin=text)
     assert (code, out) == (2, "")
-    assert len(err.encode()) <= 300 and "..." in err, err[:400]
+    assert len(err.encode()) <= limit and "..." in err, err[:400]
 
 
 def test_coarsen_with_explicit_host(tmp_path):

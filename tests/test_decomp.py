@@ -777,6 +777,58 @@ def test_propagating_search_matches_unpruned_oracle():
             agree(g, 2, PARTITION, symmetry, find_all)
 
 
+def test_unpruned_search_matches_the_leaf_check_on_every_small_graph():
+    # settling each constraint at its last member's position against the
+    # engine that rescans every constraint at each leaf: equal solutions, in
+    # order, equal nodes and completion, on every graph of up to 5 vertices
+    from cographkit import decomp
+
+    flags = [(s, f) for s in (True, False) for f in (True, False)]
+    runs = [(k, PARTITION) for k in (1, 2, 3)] + [(k, COVER) for k in (1, 2)]
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            if not g.edges:
+                continue  # answered before any engine runs
+            index = decomp._search_index(g, None)
+            unforced = [0] * len(g.edges)
+            for symmetry, find_all in flags:
+                for k, mode in runs:
+                    args = (index, k, mode, unforced, find_all, symmetry, None)
+                    got = decomp._unpruned_search(*args)
+                    assert got == helpers.reference_unpruned_search(*args), (g.edges, k, mode, symmetry, find_all)
+
+
+def test_unpruned_search_matches_the_leaf_check_when_forced_and_cut(monkeypatch):
+    # seeded hosts with pinned edges, through search_assignments, each search
+    # also cut by budgets of 0 and 1 nodes, half its nodes and one short of them
+    from cographkit import decomp
+
+    rng = random.Random(28)
+    calls = []
+    while len(calls) < 3000:
+        g = random_graph(rng.randint(4, 7), rng.random(), rng)
+        if not 3 <= len(g.edges) <= 8:
+            continue  # at most 3^8 leaves a find-all cover search
+        index = decomp._search_index(g, None)
+        for mode, ks in ((PARTITION, (1, 2, 3)), (COVER, (1, 2))):
+            for k in ks:
+                pinned = rng.sample(g.edges, rng.randint(1, 2))
+                classes = [1 << c for c in range(k)] if mode == PARTITION else range(1, 1 << k)
+                forced = {e: rng.choice(classes) for e in pinned}
+                for pins in (None, forced):
+                    for find_all in (False, True):
+                        call = partial(search_assignments, g, k, mode, forced=pins, symmetry=pins is None,
+                                       find_all=find_all, prune=False, constraints=index)
+                        nodes = call().nodes
+                        calls += [partial(call, node_budget=b) for b in (None, 0, 1, nodes // 2, nodes - 1)]
+    engine = [call() for call in calls]
+    monkeypatch.setattr(decomp, "_unpruned_search", helpers.reference_unpruned_search)
+    assert engine == [call() for call in calls]
+    assert any(not out.completed and out.solutions for out in engine)
+    assert any(out.completed and len(out.solutions) > 1 for out in engine)
+    assert any(out.completed and not out.solutions and out.nodes for out in engine)
+
+
 def test_one_open_member_rule_matches_the_two_case_engine(monkeypatch):
     # the propagating engine against its two-case form kept in helpers: the
     # same restrict calls in the same order, so equal outcomes, nodes and
