@@ -8,6 +8,7 @@ Partitions require pairwise disjoint classes; covers may overlap.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -454,14 +455,19 @@ class _SearchIndex(NamedTuple):
     cons_of: list[list[_Constraint]]
 
 
+def _check_budget(node_budget: int | None) -> None:
+    """Reject a negative node budget, quoting it in bounded form."""
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {_excerpt(node_budget)}")
+
+
 def _search_index(host: Graph, node_budget: int | None) -> _SearchIndex | None:
     """The search input of ``host``, or None when its constraints outnumber
     ``node_budget`` (a negative budget is rejected): edges by endpoint degree
     sum descending, then in host edge order, and the constraints of each
     edge (its path edges' and chords').  They are counted before any is
     built: an edge bc is the middle of (deg b - 1)(deg c - 1) - |N(b) & N(c)| of them."""
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    _check_budget(node_budget)
     adj = host._adj
     deg = [host.degree(v) for v in range(host.n)]
     if node_budget is not None and node_budget < sum(
@@ -529,7 +535,9 @@ def search_assignments(
     unpruned search (``prune=False``).  That search skips no node: it
     settles each constraint once, at the search position of its last member
     (path edge or chord), and keeps a leaf whose settled constraints all
-    hold.  ``nodes`` counts the candidate masks actually tried.
+    hold.  A node under a prefix that already failed is still tried and
+    counted, but settles nothing.  ``nodes`` counts the candidate masks
+    actually tried.
 
     ``symmetry`` breaks class relabeling: a fresh class id may only be
     introduced as the next unused one.  ``forced`` pins host edges to
@@ -545,13 +553,12 @@ def search_assignments(
     k.  Without it the search prepares it under ``node_budget``.
     """
     if k < 1:
-        raise ValueError(f"class count must be at least 1, got {k}")
+        raise ValueError(f"class count must be at least 1, got {_excerpt(k)}")
     if mode not in (PARTITION, COVER):
         raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {mode!r}")
     if forced and symmetry:
         raise ValueError("forced assignments require symmetry=False")
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    _check_budget(node_budget)
     if constraints is not None and constraints.host != host:
         raise ValueError("the search index was built for another host")
     edges = host.edges
@@ -583,6 +590,17 @@ def _breaks_symmetry(mask: int, used: int) -> bool:
     return bool(fresh) and fresh != ((1 << fresh.bit_count()) - 1) << used.bit_length()
 
 
+def _holds(assign: list[int], constraints: list[_Constraint]) -> bool:
+    """True when no constraint's path is induced in a class of ``assign``."""
+    for p1, p2, p3, chords in constraints:
+        bad = assign[p1] & assign[p2] & assign[p3]
+        for ch in chords:
+            bad &= ~assign[ch]
+        if bad:
+            return False
+    return True
+
+
 def _unpruned_search(
     index: _SearchIndex,
     k: int,
@@ -597,9 +615,13 @@ def _unpruned_search(
     the depth of the search is not bounded by recursion.  Each constraint is
     settled once, when the last of its members (path edges and chords) in
     search order is assigned; a prefix in which one settled constraint fails
-    stays failed, and a leaf is a solution exactly when none failed.
-    Candidate i is made on demand: the mask 1 << i in partition mode, i + 1
-    in cover mode."""
+    stays failed, and a leaf is a solution exactly when none failed.  A node
+    under a failed prefix is still tried and counted, one at a time, but it
+    runs only the symmetry and budget tests: it writes no assignment and
+    settles nothing.  Each position's candidate list is built once: a free
+    position shares the ascending masks 1 << i (partition mode) or i + 1
+    (cover mode), made lazily on each entry, and a pinned one has its mask
+    alone.  The last position is tried in a loop of its own."""
     order = index.order
     m = len(order)
     at = [0] * m  # position of each edge in search order
@@ -609,57 +631,80 @@ def _unpruned_search(
     for con in index.constraints:
         p1, p2, p3, chords = con
         settled[max(at[p1], at[p2], at[p3], *[at[ch] for ch in chords])].append(con)
-    partition = mode == PARTITION
-    size = k if partition else (1 << k) - 1
+    if mode == PARTITION:
+        free = partial(map, (1).__lshift__, range(k))
+    else:
+        free = partial(iter, range(1, 1 << k))
+    cands = [partial(iter, (forced_mask[e],)) if forced_mask[e] else free for e in order]
+    limit = -1 if node_budget is None else node_budget  # nodes == limit: the budget is spent
     assign = [0] * m
-    used = [0] * m  # classes taken by the edges before each position
-    clean = [True] * m  # no constraint settled before each position fails
-    tried = [0] * m  # candidates tried at each position above the current one
+    used = [0] * m  # with symmetry: the classes taken by the edges before each position
+    left: list = [cands[0]()] + [None] * (m - 1)  # the untried candidates of each position
+    # the position whose candidate fails a settled constraint, or m: the
+    # prefix of each position up to it is clean, of each one past it failed
+    failed = m
     solutions: list[tuple[int, ...]] = []
     nodes = 0
-    pos = i = 0
+    last = m - 1
+    pos = 0
     while True:
-        e = order[pos]
-        forced_e = forced_mask[e]
-        prefix_clean = clean[pos]
-        here = settled[pos]
-        used_before = used[pos]
-        leaf = pos == m - 1
-        while i < (1 if forced_e else size):
-            mask = forced_e or (1 << i if partition else i + 1)
-            i += 1
-            if symmetry and _breaks_symmetry(mask, used_before):
-                continue
-            if node_budget is not None and nodes >= node_budget:
-                return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
-            nodes += 1
-            assign[e] = mask
-            ok = prefix_clean
-            if ok:
-                for p1, p2, p3, chords in here:
-                    bad = assign[p1] & assign[p2] & assign[p3]
-                    for ch in chords:
-                        bad &= ~assign[ch]
-                    if bad:  # the path is induced in a class
-                        ok = False
-                        break
-            if not leaf:
-                break
-            if ok:
-                solutions.append(tuple(assign))
-                if not find_all:
-                    return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
-        else:
-            if pos == 0:
-                return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
-            pos -= 1
-            i = tried[pos]
-            continue
-        tried[pos] = i
-        pos += 1
-        used[pos] = used_before | mask
-        clean[pos] = ok
-        i = 0
+        if pos < last:
+            if pos <= failed:
+                failed = m
+                for mask in left[pos]:
+                    if symmetry and _breaks_symmetry(mask, used[pos]):
+                        continue
+                    if nodes == limit:
+                        return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+                    nodes += 1
+                    assign[order[pos]] = mask
+                    if not _holds(assign, settled[pos]):
+                        failed = pos
+                    break
+                else:
+                    mask = 0  # no candidate left
+            else:
+                for mask in left[pos]:
+                    if symmetry and _breaks_symmetry(mask, used[pos]):
+                        continue
+                    if nodes == limit:
+                        return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+                    nodes += 1
+                    break
+                else:
+                    mask = 0
+            if mask:
+                pos += 1
+                if symmetry:
+                    used[pos] = used[pos - 1] | mask
+                if pos < last:
+                    left[pos] = cands[pos]()
+                    continue
+        if pos == last:  # each candidate is a leaf
+            if pos <= failed:
+                e = order[pos]
+                here = settled[pos]
+                for mask in cands[pos]():
+                    if symmetry and _breaks_symmetry(mask, used[pos]):
+                        continue
+                    if nodes == limit:
+                        return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+                    nodes += 1
+                    assign[e] = mask
+                    if _holds(assign, here):
+                        solutions.append(tuple(assign))
+                        if not find_all:
+                            return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+            else:
+                for mask in cands[pos]():
+                    if symmetry and _breaks_symmetry(mask, used[pos]):
+                        continue
+                    if nodes == limit:
+                        return SearchOutcome(solutions=solutions, nodes=nodes, completed=False)
+                    nodes += 1
+        if pos == 0:
+            return SearchOutcome(solutions=solutions, nodes=nodes, completed=True)
+        pos -= 1
 
 
 def _propagating_search(
@@ -838,7 +883,7 @@ def _masks_to_decomposition(g: Graph, masks: tuple[int, ...], k: int, mode: str)
 
 def _exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> SolveResult:
     if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+        raise ValueError(f"k_max must be at least 1, got {_excerpt(k_max)}")
     index = _search_index(g, node_budget)  # shared by the search of every k
     if index is None:
         return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
@@ -895,7 +940,7 @@ def layers_partition(half_dim: int) -> Decomposition:
     union of squares.
     """
     if half_dim < 1:
-        raise ValueError(f"half dimension must be at least 1, got {half_dim}")
+        raise ValueError(f"half dimension must be at least 1, got {_excerpt(half_dim)}")
     host = hypercube(2 * half_dim)
     classes: list[set[Edge]] = [set() for _ in range(half_dim)]
     for u, v in host.edges:

@@ -437,19 +437,23 @@ OVERSIZED_INTEGERS = {
 }
 
 
+C5_TEXT = "5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n"
 # integer arguments of 5,000 digits, past Python's limit on int-from-text
-# conversion; argparse's usage text comes first, so their bound is wider
+# conversion; argparse's usage text comes first, so their bound is wider.
+# The negative ones parse, and the solver rejects them on the 5-cycle
 OVERSIZED_ARGUMENTS = {
-    "hypercube-dimension-argument": ["hypercube", "9" * 5000],
-    "k-max-argument": ["decompose", "--k-max", "9" * 5000, "-"],
-    "budget-nodes-argument": ["decompose", "--budget-nodes", "9" * 5000, "-"],
+    "hypercube-dimension-argument": (["hypercube", "9" * 5000], ""),
+    "k-max-argument": (["decompose", "--k-max", "9" * 5000, "-"], ""),
+    "budget-nodes-argument": (["decompose", "--budget-nodes", "9" * 5000, "-"], ""),
+    "negative-k-max-argument": (["decompose", "--k-max", f"-{D}", "-"], C5_TEXT),
+    "negative-budget-nodes-argument": (["decompose", "--budget-nodes", f"-{D}", "-"], C5_TEXT),
 }
 
 
 @pytest.mark.parametrize(
     "argv, text, limit",
     [(argv, text, 300) for argv, text in OVERSIZED_INTEGERS.values()]
-    + [(argv, "", 400) for argv in OVERSIZED_ARGUMENTS.values()],
+    + [(argv, text, 400) for argv, text in OVERSIZED_ARGUMENTS.values()],
     ids=[*OVERSIZED_INTEGERS, *OVERSIZED_ARGUMENTS],
 )
 def test_errors_quote_a_bounded_excerpt_of_integers(argv, text, limit):

@@ -829,6 +829,35 @@ def test_unpruned_search_matches_the_leaf_check_when_forced_and_cut(monkeypatch)
     assert any(out.completed and not out.solutions and out.nodes for out in engine)
 
 
+def test_unpruned_search_matches_the_leaf_check_at_every_budget():
+    # every cut of four small searches, from no node to all of them: the
+    # 5-cycle covered by two classes, P4 partitioned into three with symmetry
+    # on, a one-edge host (its first position is its last), and a host whose
+    # last edge in search order is pinned
+    from cographkit import decomp
+
+    pinned_host = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)])
+    pinned_index = decomp._search_index(pinned_host, None)
+    pins = [0] * len(pinned_host.edges)
+    pins[pinned_index.order[-1]] = 2
+    searches = []
+    for g, k, mode, symmetry in ((cycle_graph(5), 2, COVER, False), (cycle_graph(5), 2, COVER, True),
+                                 (path_graph(4), 3, PARTITION, True), (Graph(2, [(0, 1)]), 2, COVER, False)):
+        searches.append((decomp._search_index(g, None), k, mode, [0] * len(g.edges), symmetry))
+    searches.append((pinned_index, 2, COVER, pins, False))
+    assert len(searches[3][0].order) == 1
+    for index, k, mode, forced, symmetry in searches:
+        for find_all in (False, True):
+            full = decomp._unpruned_search(index, k, mode, forced, find_all, symmetry, None)
+            assert full.completed and full.nodes
+            for budget in range(full.nodes + 1):
+                args = (index, k, mode, forced, find_all, symmetry, budget)
+                got = decomp._unpruned_search(*args)
+                assert got == helpers.reference_unpruned_search(*args), (index.host.edges, k, mode, budget)
+                assert got.completed == (budget == full.nodes)
+    assert full.solutions  # the pinned host has covers
+
+
 def test_one_open_member_rule_matches_the_two_case_engine(monkeypatch):
     # the propagating engine against its two-case form kept in helpers: the
     # same restrict calls in the same order, so equal outcomes, nodes and
