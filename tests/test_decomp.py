@@ -840,10 +840,14 @@ def test_unpruned_search_matches_the_leaf_check_at_every_budget():
     pinned_index = decomp._search_index(pinned_host, None)
     pins = [0] * len(pinned_host.edges)
     pins[pinned_index.order[-1]] = 2
-    searches = []
-    for g, k, mode, symmetry in ((cycle_graph(5), 2, COVER, False), (cycle_graph(5), 2, COVER, True),
-                                 (path_graph(4), 3, PARTITION, True), (Graph(2, [(0, 1)]), 2, COVER, False)):
-        searches.append((decomp._search_index(g, None), k, mode, [0] * len(g.edges), symmetry))
+    unpinned = [
+        (cycle_graph(5), 2, COVER, False),
+        (cycle_graph(5), 2, COVER, True),
+        (path_graph(4), 3, PARTITION, True),
+        (Graph(2, [(0, 1)]), 2, COVER, False),
+    ]
+    searches = [(decomp._search_index(g, None), k, mode, [0] * len(g.edges), symmetry)
+                for g, k, mode, symmetry in unpinned]
     searches.append((pinned_index, 2, COVER, pins, False))
     assert len(searches[3][0].order) == 1
     for index, k, mode, forced, symmetry in searches:
