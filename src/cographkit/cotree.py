@@ -177,19 +177,27 @@ def _split(splitters, mask: int) -> Cotree | int:
     vertices that no splitter divides is returned instead, as its mask (for
     a cograph test: an induced P4 lies in it).  An empty mask is no part:
     it yields the bogus leaf -1, so callers pass at least one vertex.
+
+    Sizes are counted, not re-tested: a part's size is read once, and each
+    open node carries how many vertices its rest still holds, so a rest of
+    one vertex is its last component and a leaf, found with no component
+    search.  A part {u < v} needs no search either: a splitter divides it
+    exactly when ``adj[u]`` has bit v clear (set, in complement), and its
+    node and two leaves are appended at once, with no stack frame.
     """
     parent: list[int] = []
     children: list = []  # a list per inner node, () per leaf
     label: list[int | None] = []
     leaf_vertex: list[int | None] = []
-    stack: list[list[int]] = []  # open inner nodes: [node id, splitter index, rest of the part]
-    part, skip, par = mask, -1, -1
+    # open inner nodes: [node id, splitter index, rest of the part, vertices in the rest]
+    stack: list[list[int]] = []
+    part, size, skip, par = mask, mask.bit_count(), -1, -1
     while True:
         idx = len(parent)
         parent.append(par)
         if par >= 0:
             children[par].append(idx)
-        if part & (part - 1):
+        if size > 2:
             for i, (lab, adj, in_complement) in enumerate(splitters):
                 if i != skip:
                     comp = _first_component(adj, part, in_complement)
@@ -200,21 +208,41 @@ def _split(splitters, mask: int) -> Cotree | int:
             children.append([])
             label.append(lab)
             leaf_vertex.append(None)
-            stack.append([idx, i, part ^ comp])
-            part, skip, par = comp, i, idx
+            found = comp.bit_count()
+            stack.append([idx, i, part ^ comp, size - found])
+            part, size, skip, par = comp, found, i, idx
             continue
-        children.append(())
-        label.append(None)
-        leaf_vertex.append(part.bit_length() - 1)
+        if size == 2:
+            v = part.bit_length() - 1
+            u = (part ^ 1 << v).bit_length() - 1
+            for lab, adj, in_complement in splitters:
+                if (adj[u] >> v & 1) == in_complement:
+                    break
+            else:
+                return part
+            parent += (idx, idx)
+            children += ([idx + 1, idx + 2], (), ())
+            label += (lab, None, None)
+            leaf_vertex += (None, u, v)
+        else:
+            children.append(())
+            label.append(None)
+            leaf_vertex.append(part.bit_length() - 1)
         while stack:
             top = stack[-1]
-            par, skip, rest = top
-            if rest:
+            par, skip, rest, left = top
+            if left > 1:
                 _, adj, in_complement = splitters[skip]
                 part = _first_component(adj, rest, in_complement)
+                size = part.bit_count()
                 top[2] = rest ^ part
+                top[3] = left - size
                 break
             stack.pop()
+            if left:
+                part = rest
+                size = 1
+                break
         else:
             tree = object.__new__(Cotree)
             tree._assign(parent, children, label, leaf_vertex)

@@ -68,8 +68,7 @@ class Decomposition(_DecompositionFields):
     __slots__ = ()
 
     def __new__(cls, host: Graph, classes, mode: str = PARTITION) -> Decomposition:
-        if mode not in (PARTITION, COVER):
-            raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {_excerpt(mode)}")
+        _check_mode(mode)
         classes = tuple(frozenset(_canon_edge(e) for e in c) for c in classes)
         return super().__new__(cls, host, classes, mode)
 
@@ -455,6 +454,12 @@ class _SearchIndex(NamedTuple):
     cons_of: list[list[_Constraint]]
 
 
+def _check_mode(mode: str) -> None:
+    """Reject a mode other than partition or cover, quoting it in bounded form."""
+    if mode not in (PARTITION, COVER):
+        raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {_excerpt(mode)}")
+
+
 def _check_budget(node_budget: int | None) -> None:
     """Reject a negative node budget, quoting it in bounded form."""
     if node_budget is not None and node_budget < 0:
@@ -554,8 +559,7 @@ def search_assignments(
     """
     if k < 1:
         raise ValueError(f"class count must be at least 1, got {_excerpt(k)}")
-    if mode not in (PARTITION, COVER):
-        raise ValueError(f"mode must be {PARTITION!r} or {COVER!r}, got {mode!r}")
+    _check_mode(mode)
     if forced and symmetry:
         raise ValueError("forced assignments require symmetry=False")
     _check_budget(node_budget)

@@ -329,22 +329,25 @@ def _first_component(adj, subset: int, in_complement: bool) -> int:
 
     A vertex joins in the complement when some frontier vertex misses it,
     that is when it lies outside the AND of the frontier's masks; ANDing
-    the masks builds no negative integer ``~adj[v]`` per vertex."""
+    the masks builds no negative integer ``~adj[v]`` per vertex.  Each
+    frontier is walked from its highest vertex, which is cleared by one
+    XOR with no mask of the lowest bit built first; the union and the AND
+    do not depend on the order."""
     comp = frontier = subset & -subset
     while frontier:
         if in_complement:
             common = -1
             while frontier:
-                low = frontier & -frontier
-                common &= adj[low.bit_length() - 1]
-                frontier ^= low
+                v = frontier.bit_length() - 1
+                common &= adj[v]
+                frontier ^= 1 << v
             frontier = subset & ~(common | comp)
         else:
             grow = 0
             while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
+                v = frontier.bit_length() - 1
+                grow |= adj[v]
+                frontier ^= 1 << v
             frontier = grow & subset & ~comp
         comp |= frontier
     return comp

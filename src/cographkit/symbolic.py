@@ -83,9 +83,9 @@ class SymbolicMap:
 
     def __init__(self, n: int, num_symbols: int, pair_symbols: Sequence[int]) -> None:
         if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+            raise ValueError(f"vertex count must be non-negative, got {_excerpt(n)}")
         if num_symbols < 1:
-            raise ValueError(f"alphabet must contain at least one symbol, got {num_symbols}")
+            raise ValueError(f"alphabet must contain at least one symbol, got {_excerpt(num_symbols)}")
         expected = n * (n - 1) // 2
         if len(pair_symbols) != expected:
             raise ValueError(f"expected {expected} pair symbols, got {len(pair_symbols)}")

@@ -305,9 +305,41 @@ def _seeded_split_graphs() -> list[Graph]:
     return graphs
 
 
+def _small_part_graphs() -> list[Graph]:
+    """Graphs whose splits are mostly parts of one or two vertices: edgeless
+    graphs, perfect matchings and their complements (one with an induced path
+    added), stars plus isolated vertices, and unions of connected random
+    cographs on 2-12 shuffled vertices, drawn as perfbench's ``recognize``
+    workload draws its sparse cographs, at n = 200."""
+    rng = random.Random(71)
+    graphs = [Graph(n) for n in (1, 2, 3, 200)]
+    for n in (2, 4, 9, 200):
+        matching = Graph(n, [(v, v + 1) for v in range(0, n - 1, 2)])
+        graphs += [matching, complement(matching)]
+    graphs.append(Graph(204, [(v, v + 1) for v in range(0, 200, 2)] + [(200, 201), (201, 202), (202, 203)]))
+    for center, leaves, isolated in ((0, 1, 1), (0, 5, 3), (7, 4, 6), (30, 29, 170)):
+        n = leaves + isolated + 1
+        graphs.append(Graph(n, [tuple(sorted((center, x))) for x in rng.sample([v for v in range(n) if v != center], leaves)]))
+    for _ in range(6):
+        n = rng.randint(190, 210)
+        vs = rng.sample(range(n), n)
+        edges = []
+        pos = 0
+        while pos < n:
+            size = min(n - pos, rng.randint(2, 12))
+            block = cotree_to_graph(random_cotree(size, rng))
+            if len(connected_components(block)) > 1:
+                block = complement(block)
+            part = vs[pos : pos + size]
+            edges += [tuple(sorted((part[u], part[v]))) for u, v in block.edges]
+            pos += size
+        graphs.append(Graph(n, edges))
+    return graphs
+
+
 def test_split_matches_recursive_reference():
     # the same tree, or the same first prime part and hence the same witness
-    graphs = [g for n in range(1, 6) for g in all_graphs(n)] + _seeded_split_graphs()
+    graphs = [g for n in range(1, 6) for g in all_graphs(n)] + _seeded_split_graphs() + _small_part_graphs()
     for g in graphs:
         full = (1 << g.n) - 1
         want = _split_outcome(reference_split, g._adj, full)
@@ -323,6 +355,10 @@ def test_split_returns_the_prime_part():
     # P4 is prime as a whole: the split returns its full mask, no tree
     p4 = path_graph(4)
     assert _split(((0, p4._adj, False), (1, p4._adj, True)), 0b1111) == 0b1111
+    # an edge is a part of two vertices that the graph alone does not divide;
+    # a non-edge is divided by the first of the splitters that divide it
+    assert _split(((0, p4._adj, False),), 0b0011) == 0b0011
+    assert _split(((1, p4._adj, True), (2, p4._adj, False), (0, p4._adj, False)), 0b0101) == Cotree((2, [0, 2]))
 
 
 def test_witness_is_first_induced_path_of_the_prime_part():

@@ -694,6 +694,7 @@ _C5 = cycle_graph(5)
     [
         (lambda: search_assignments(_P4, 0), "class count must be at least 1"),
         (lambda: search_assignments(_P4, 2, "both"), "mode must be"),
+        (lambda: search_assignments(_P4, 2, "x" * 100_000), r"^mode must be .*, got 'x{59}\.\.\.$"),
         (lambda: search_assignments(_P4, 2, forced={(0, 1): 1}), "require symmetry=False"),
         (lambda: search_assignments(_P4, 2, forced={(0, 2): 1}, symmetry=False), "not a host edge"),
         (lambda: search_assignments(_P4, 2, forced={(0, 1): 4}, symmetry=False), "out of range"),
@@ -711,6 +712,7 @@ _C5 = cycle_graph(5)
     ids=[
         "k-below-one",
         "unknown-mode",
+        "huge-mode-quoted-in-bounded-form",
         "forced-with-symmetry",
         "forced-non-edge",
         "forced-mask-out-of-range",

@@ -441,8 +441,11 @@ def test_connected_components():
 
 def test_first_component_matches_reference():
     # both modes, tuple and {vertex: mask} adjacency (as decomp passes it),
-    # on random subsets; every third subset gets an isolated lowest vertex
+    # on random subsets; every third subset gets an isolated lowest vertex.
+    # Sparse graphs on up to 200 vertices and perfect matchings (and their
+    # complements) put many vertices in a frontier, walked highest first
     rng = random.Random(67)
+    cases = []
     for _ in range(400):
         n = rng.randint(1, 40)
         g = random_graph(n, rng.uniform(0.05, 0.95), rng)
@@ -452,6 +455,16 @@ def test_first_component_matches_reference():
             low = (subset & -subset).bit_length() - 1
             adj = tuple(a & ~(1 << low) for a in adj)
             adj = adj[:low] + (0,) + adj[low + 1 :]
+        cases.append((n, adj, subset))
+    for _ in range(60):
+        n = rng.randint(40, 200)
+        g = random_graph(n, rng.uniform(1, 4) / n, rng)
+        cases.append((n, g._adj, rng.getrandbits(n) | rng.getrandbits(n) | 1 << rng.randrange(n)))
+    for n in (2, 31, 200):
+        matching = Graph(n, [(v, v + 1) for v in range(0, n - 1, 2)])
+        for h in (matching, complement(matching)):
+            cases += [(n, h._adj, (1 << n) - 1), (n, h._adj, rng.getrandbits(n) | 1 << rng.randrange(n))]
+    for n, adj, subset in cases:
         in_subset = {v: adj[v] for v in range(n) if subset >> v & 1}
         for in_complement in (False, True):
             want = reference_component_masks(adj, subset, in_complement)[0]

@@ -90,6 +90,11 @@ def test_map_construction_validates_vertex_count_and_alphabet():
         SymbolicMap(-1, 2, [])
     with pytest.raises(ValueError, match="alphabet must contain at least one symbol, got 0"):
         SymbolicMap(2, 0, [0])
+    # huge values are quoted in bounded form
+    with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -10{58}\.\.\.$"):
+        SymbolicMap(-10**4000, 4, [])
+    with pytest.raises(ValueError, match=r"^alphabet must contain at least one symbol, got -10{58}\.\.\.$"):
+        SymbolicMap(1, -10**4000, [])
 
 
 def test_map_construction_validates_symbols():
@@ -318,6 +323,17 @@ def test_representation_matches_per_node_split_reference():
         for g in all_graphs(n)
         if isinstance(recognize(g), Cotree)
     ]
+    # many symbols: alphabets of n - 1, and caterpillars whose n - 1 inner
+    # nodes each carry their own symbol, ascending or descending down the
+    # spine, so each split tries up to n - 1 splitters and ends in a
+    # part of two vertices
+    maps += [tree_to_map(random_labeled_tree(n, n - 1, rng)) for n in range(2, 25) for _ in range(3)]
+    for n in (2, 3, 8, 24):
+        for labels in (range(n - 1), range(n - 2, -1, -1)):
+            node = n - 1
+            for depth, lab in reversed(list(enumerate(labels))):
+                node = (lab, [depth, node])
+            maps.append(tree_to_map(Cotree(node)))
     for d in maps:
         assert build_representation(d) == reference_build_representation(d), d.pair_symbols
 
