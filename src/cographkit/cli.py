@@ -251,7 +251,8 @@ def _cmd_reduce_from_partition(args):
     try:
         values = gadgets.assignment_from_partition(f, d)
     except ValueError as exc:
-        return "extraction-failed", {"reason": str(exc)}, {}, f"extraction failed: {exc}"
+        why = f"invalid decomposition: {exc.fault.kind}" if isinstance(exc, decomp._InvalidDecomposition) else exc
+        return "extraction-failed", {"reason": str(exc)}, {}, f"extraction failed: {why}"
     payload = {"values": [bool(v) for v in values]}
     return "satisfiable", payload, {}, f"assignment {''.join('T' if v else 'F' for v in values)}"
 

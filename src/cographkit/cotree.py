@@ -102,7 +102,7 @@ class Cotree:
 
     def leaf_node(self, vertex: int) -> int:
         if vertex not in self._vertex_node:
-            raise ValueError(f"unknown vertex {vertex!r}")
+            raise ValueError(f"unknown vertex {_excerpt(vertex)}")
         return self._vertex_node[vertex]
 
     def lca(self, x: int, y: int) -> int:

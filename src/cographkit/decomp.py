@@ -104,7 +104,7 @@ def validate(d: Decomposition) -> ValidationFault | None:
             return ValidationFault(
                 kind="foreign-edge",
                 class_index=idx,
-                detail=f"class {idx} contains non-host edge {min(foreign)}",
+                detail=f"class {idx} contains non-host edge {_excerpt(min(foreign))}",
             )
     covered = set().union(*d.classes)
     missing = sorted(host_edges - covered)
@@ -575,11 +575,11 @@ def search_assignments(
         for e, mask in forced.items():
             ce = _canon_edge(e)
             if ce not in eidx:
-                raise ValueError(f"forced edge {e} is not a host edge")
+                raise ValueError(f"forced edge {_excerpt(e)} is not a host edge")
             if not 0 < mask < 1 << k:
-                raise ValueError(f"forced mask {mask} for edge {e} is out of range")
+                raise ValueError(f"forced mask {_excerpt(mask)} for edge {e} is out of range")
             if mode == PARTITION and mask & (mask - 1):
-                raise ValueError(f"forced mask {mask} is not a single class in partition mode")
+                raise ValueError(f"forced mask {_excerpt(mask)} is not a single class in partition mode")
             forced_mask[eidx[ce]] = mask
     index = _search_index(host, node_budget) if constraints is None else constraints
     if index is None:

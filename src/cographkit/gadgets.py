@@ -96,7 +96,7 @@ class GadgetGraph(NamedTuple):
 
     def vertex(self, role: str) -> int:
         if role not in self.roles:
-            raise ValueError(f"unknown role {role!r}")
+            raise ValueError(f"unknown role {_excerpt(role)}")
         return self.roles[role]
 
 
@@ -189,7 +189,7 @@ def clause_gadget() -> GadgetGraph:
 def eval_nae(f: NaeFormula, values: Sequence[bool]) -> bool:
     """True when every clause sees at least one true and one false literal."""
     if len(values) != f.num_vars:
-        raise ValueError(f"expected {f.num_vars} values, got {len(values)}")
+        raise ValueError(f"expected {_excerpt(f.num_vars)} values, got {len(values)}")
     for clause in f.clauses:
         seen = {bool(values[var]) for var in clause}
         if len(seen) != 2:
@@ -237,9 +237,7 @@ def assignment_from_partition(f: NaeFormula, d: Decomposition) -> tuple[bool, ..
         raise ValueError("decomposition host does not match the formula graph")
     if d.k != 2:
         raise ValueError(f"expected exactly 2 classes, got {d.k}")
-    fault = decomp.validate(d)
-    if fault is not None:
-        raise ValueError(f"invalid decomposition: {fault}")
+    decomp._require_valid(d, "read an assignment from")
     values = []
     for j in range(f.num_vars):
         memberships = {
@@ -249,10 +247,9 @@ def assignment_from_partition(f: NaeFormula, d: Decomposition) -> tuple[bool, ..
         if len(memberships) != 1 or len(next(iter(memberships))) != 1:
             raise ValueError(f"literal triangle of variable {j} is split across classes")
         values.append(next(iter(memberships)) == {0})
-    result = tuple(values)
-    if not eval_nae(f, result):
+    if not eval_nae(f, values):
         raise ValueError("extracted assignment violates the not-all-equal condition")
-    return result
+    return tuple(values)
 
 
 def enumerate_two_class_assignments(

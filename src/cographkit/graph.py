@@ -108,7 +108,7 @@ class Graph:
         try:
             adj = [0] * n
             rows = [None] * n
-        except MemoryError:
+        except (MemoryError, OverflowError):
             # an invalid pair is named even when n is too large to allocate
             for pair in edges:
                 _reject(pair, n)
@@ -200,16 +200,18 @@ class Graph:
 def _excerpt(value) -> str:
     """``repr(value)``, cut to 60 characters plus ``...`` when longer, so an
     error message quotes a bounded part of its input.  An integer past
-    Python's limit on int-to-text conversion is quoted by its leading digits
-    and its digit count, read through ``decimal``, which has no such limit."""
+    Python's int-to-text limit, alone or in a tuple, is quoted by its leading
+    digits and digit count, read through ``decimal``, which has no such limit."""
     try:
         text = repr(value)
     except ValueError:
-        if not isinstance(value, int):
+        if not isinstance(value, (int, tuple)):
             raise
-        from decimal import Decimal
-        text = str(Decimal(value))
-        return f"{text[:60]}... ({len(text.lstrip('-'))} digits)"
+        if isinstance(value, int):
+            from decimal import Decimal
+            text = str(Decimal(value))
+            return f"{text[:60]}... ({len(text.lstrip('-'))} digits)"
+        text = f"({', '.join(map(_excerpt, value))})"
     return text if len(text) <= 60 else text[:60] + "..."
 
 
@@ -231,7 +233,7 @@ def _reject(pair, n: int) -> None:
     if u == v:
         raise ValueError(f"self-loop {_excerpt(tuple(pair))} is not allowed")
     if min(u, v) < 0 or max(u, v) >= n:
-        raise ValueError(f"edge {_excerpt(tuple(pair))} has an endpoint outside 0..{n - 1}")
+        raise ValueError(f"edge {_excerpt(tuple(pair))} has an endpoint outside 0..{_excerpt(n - 1)}")
 
 
 def complement(g: Graph) -> Graph:
@@ -275,7 +277,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 def hypercube(d: int) -> Graph:
     """The d-cube: 2**d bit-vector vertices, edges at Hamming distance 1."""
     if not _is_int(d) or d < 0:
-        raise ValueError(f"hypercube dimension must be a non-negative integer, got {d!r}")
+        raise ValueError(f"hypercube dimension must be a non-negative integer, got {_excerpt(d)}")
     n = 1 << d
     edges = [(v, v | 1 << b) for v in range(n) for b in range(d) if not v >> b & 1]
     return Graph(n, edges)
@@ -375,7 +377,7 @@ def _read_ints(fields: list[str]) -> Iterator[int]:
     joined = "".join(fields)
     # ASCII digits alone are the common case, checked first as the cheaper
     if not (joined.isascii() and joined.isdigit()) and joined.translate(_NOT_INT_CHARS):
-        raise ValueError(f"not integers: {fields!r}")
+        raise ValueError(f"not integers: {_excerpt(fields)}")
     return map(int, fields)  # int rejects a '-' anywhere but in front
 
 

@@ -88,13 +88,13 @@ class SymbolicMap:
             raise ValueError(f"alphabet must contain at least one symbol, got {_excerpt(num_symbols)}")
         expected = n * (n - 1) // 2
         if len(pair_symbols) != expected:
-            raise ValueError(f"expected {expected} pair symbols, got {len(pair_symbols)}")
+            raise ValueError(f"expected {_excerpt(expected)} pair symbols, got {len(pair_symbols)}")
         # one C-level pass per check; the pairs are walked only to name a fault
         if not all(issubclass(t, int) and t is not bool for t in set(map(type, pair_symbols))) or (
                 pair_symbols and not 0 <= min(pair_symbols) <= max(pair_symbols) < num_symbols):
             for pair, s in zip(combinations(range(n), 2), pair_symbols):
                 if not _is_int(s) or not 0 <= s < num_symbols:
-                    raise ValueError(f"pair {pair} carries invalid symbol {s!r}")
+                    raise ValueError(f"pair {pair} carries invalid symbol {_excerpt(s)}")
         self.n = n
         self.num_symbols = num_symbols
         self.pair_symbols = tuple(pair_symbols)
@@ -116,7 +116,7 @@ class SymbolicMap:
     def value(self, x: int, y: int) -> int | None:
         """Symbol of the pair, or None (the empty value) when x == y."""
         if not (0 <= x < self.n and 0 <= y < self.n):
-            raise ValueError(f"vertex pair {(x, y)} out of range 0..{self.n - 1}")
+            raise ValueError(f"vertex pair {_excerpt((x, y))} out of range 0..{self.n - 1}")
         if x == y:
             return None
         return self.pair_symbols[_pair_index(self.n, x, y)]
@@ -164,7 +164,7 @@ class AxiomViolation(NamedTuple):
         if self.axiom == "U3'":
             assert self.symbol is not None and self.p4 is not None
             return self.p4.holds_in(color_graph(d, self.symbol))
-        raise ValueError(f"unknown axiom tag {self.axiom!r}")
+        raise ValueError(f"unknown axiom tag {_excerpt(self.axiom)}")
 
 
 class NotUltrametricError(ValueError):
@@ -232,7 +232,7 @@ def check_axioms(d: SymbolicMap) -> AxiomViolation | None:
 def color_graph(d: SymbolicMap, m: int) -> Graph:
     """The graph on the same vertices whose edges are the pairs with symbol m."""
     if not _is_int(m) or not 0 <= m < d.num_symbols:
-        raise ValueError(f"unknown symbol {m!r}, alphabet is 0..{d.num_symbols - 1}")
+        raise ValueError(f"unknown symbol {_excerpt(m)}, alphabet is 0..{_excerpt(d.num_symbols - 1)}")
     return Graph(d.n, [(u, v) for u, v, s in d.pairs() if s == m])
 
 

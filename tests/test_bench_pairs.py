@@ -130,7 +130,7 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     calls = []
     controls = set()
-    builds = {"parent": [0.5, 1.5, 1.0], "change": [0.25, 0.75, 0.5]}
+    builds = {"parent": [0.5, 1.5, 1.0], "change": [0.25, 0.75, 0.5], "control": [1.5, 1.0, 0.5]}
 
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     traced_seconds = 3 * run_seconds
@@ -157,8 +157,8 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     argv = [str(parent), str(change), "--workload", "recognize", "--seed", "1", "--pairs", "2", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     # the pairs rotate which of the three sides runs first; then three
-    # traced runs of the parent and of the change, alternating, each three
-    # times as long
+    # traced runs of each side, the control included, rotated the same way
+    # and each three times as long
     assert bench_pairs.TRACED_RUNS == 3
     assert calls == [
         ("parent", "recognize", 1, run_seconds, 0), ("change", "recognize", 1, run_seconds, 0),
@@ -166,14 +166,17 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
         ("change", "recognize", 1, run_seconds, 0), ("control", "recognize", 1, run_seconds, 0),
         ("parent", "recognize", 1, run_seconds, 0),
         ("parent", "recognize", 1, traced_seconds, 1), ("change", "recognize", 1, traced_seconds, 1),
-        ("change", "recognize", 1, traced_seconds, 1), ("parent", "recognize", 1, traced_seconds, 1),
-        ("parent", "recognize", 1, traced_seconds, 1), ("change", "recognize", 1, traced_seconds, 1),
+        ("control", "recognize", 1, traced_seconds, 1),
+        ("change", "recognize", 1, traced_seconds, 1), ("control", "recognize", 1, traced_seconds, 1),
+        ("parent", "recognize", 1, traced_seconds, 1),
+        ("control", "recognize", 1, traced_seconds, 1), ("parent", "recognize", 1, traced_seconds, 1),
+        ("change", "recognize", 1, traced_seconds, 1),
     ]
     entry = json.loads(out.read_text())["entries"]["recognize/seed1"]
     assert entry["traced_seconds"] == traced_seconds
     assert entry["pairs"] == 2 and entry["metrics"]["op_p50_ms"]["wins"] == 2
     assert entry["metrics"]["op_p50_ms"]["control_values"] == [5.4, 5.4]
-    # one copy served both pairs and is gone once the pairs are run
+    # one copy served the pairs and the traced runs, and is gone once they are run
     assert len(controls) == 1 and not next(iter(controls)).exists()
     recognize = {"median": 0.31, "q1": 0.31, "q3": 0.31}
     assert entry["per_layer"] == {
@@ -183,15 +186,23 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
             "change": {"median": 0.5, "q1": 0.375, "q3": 0.625},
             "change_pct": -50.0,
             "resolved": True,
+            # the change's median 0.5 lies below the control's quartiles
+            "control": {"median": 1.0, "q1": 0.75, "q3": 1.25},
+            "control_change_pct": 0.0,
+            "moved": True,
         },
         # equal on both sides: the quartile ranges overlap
         "cotree.recognize_s": {
             "unit": "s", "parent": recognize, "change": recognize, "change_pct": 0.0, "resolved": False,
+            "control": recognize, "control_change_pct": 0.0, "moved": False,
         },
     }
     err = capsys.readouterr().err
     assert "recognize/seed1: 2 pairs" in err
-    assert err.splitlines()[-1] == "  unresolved layers: none; 1 equal on both sides"
+    assert err.splitlines()[-2:] == [
+        "  unresolved layers: none; 1 equal on both sides",
+        "  resolved layers not moved past the control: none",
+    ]
 
 
 def test_a_layer_is_resolved_only_when_the_quartile_ranges_are_disjoint():
@@ -199,24 +210,49 @@ def test_a_layer_is_resolved_only_when_the_quartile_ranges_are_disjoint():
         return [{"decomp.search_s": {"value": v, "unit": "s"}} for v in values]
 
     def layer(parent, change):
-        return bench_pairs.compare_layers({"parent": runs(parent), "change": runs(change)})["decomp.search_s"]
+        # the control reads as the parent
+        traced = {"parent": runs(parent), "change": runs(change), "control": runs(parent)}
+        return bench_pairs.compare_layers(traced)["decomp.search_s"]
 
     apart = layer([0.040, 0.039, 0.041], [0.024, 0.025, 0.023])
     assert apart["parent"] == {"median": 0.040, "q1": 0.0395, "q3": 0.0405}
     assert apart["change_pct"] == pytest.approx(-40.0)
-    assert apart["resolved"] is True
+    assert apart["resolved"] is True and apart["moved"] is True
     # slower but overlapping: the change's lower quartile is below the
     # parent's upper one
     overlap = layer([0.030, 0.040, 0.050], [0.042, 0.044, 0.060])
     assert overlap["change_pct"] == pytest.approx(10.0)
-    assert overlap["resolved"] is False
+    assert overlap["resolved"] is False and overlap["moved"] is False
     unused = layer([0.0] * 3, [0.0] * 3)
     assert (unused["change_pct"], unused["resolved"]) == (None, False)
     # the summary names the overlapping layer and counts the equal one
     summary = bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)
     summary["per_layer"] = {"decomp.search_s": overlap, "symbolic.check_s": unused, "decomp.p4_constraints_s": apart}
-    assert bench_pairs.report("decompose/seed1", summary).splitlines()[-1] == (
-        "  unresolved layers: decomp.search_s; 1 equal on both sides")
+    assert bench_pairs.report("decompose/seed1", summary).splitlines()[-2:] == [
+        "  unresolved layers: decomp.search_s; 1 equal on both sides",
+        "  resolved layers not moved past the control: none",
+    ]
+
+
+def test_a_resolved_layer_has_not_moved_when_the_control_shifts_as_far():
+    def runs(values):
+        return [{"cotree.newick_s": {"value": v, "unit": "s"}} for v in values]
+
+    traced = {"parent": runs([0.040, 0.039, 0.041]), "change": runs([0.045, 0.046, 0.044]),
+              "control": runs([0.044, 0.046, 0.045])}
+    newick = bench_pairs.compare_layers(traced)["cotree.newick_s"]
+    # the parent's and the change's quartile ranges are disjoint, but the
+    # change's median 0.045 lies within the control's 0.0445..0.0455
+    assert newick["resolved"] is True
+    assert newick["control"] == {"median": 0.045, "q1": pytest.approx(0.0445), "q3": pytest.approx(0.0455)}
+    assert newick["change_pct"] == pytest.approx(12.5) and newick["control_change_pct"] == pytest.approx(12.5)
+    assert newick["moved"] is False
+    summary = bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)
+    summary["per_layer"] = {"cotree.newick_s": newick}
+    assert bench_pairs.report("cli/seed1", summary).splitlines()[-2:] == [
+        "  unresolved layers: none; 0 equal on both sides",
+        "  resolved layers not moved past the control: cotree.newick_s (+12.5%, control +12.5%)",
+    ]
 
 
 def _report(latencies: dict[str, list[float]]) -> dict:

@@ -847,6 +847,26 @@ def test_reduce_from_partition_rejects_bad_certificate(tmp_path):
     assert report_of(out)["verdict"] == "extraction-failed"
 
 
+def test_reduce_from_partition_names_the_fault_kind_of_an_overlapping_certificate(tmp_path):
+    # both classes hold every edge of the one-clause formula graph: the
+    # summary names the fault kind, not each of the 48 shared edges
+    formula = tmp_path / "clause.nae"
+    formula.write_text("3 1\n0 1 2\n")
+    code, out, _ = run_cli(["reduce", "to-graph", str(formula)])
+    graph = report_of(out)["payload"]
+    obj = {"mode": "partition", "k": 2, "n": graph["n"], "classes": [graph["edges"], graph["edges"]]}
+    code, out, err = run_cli(
+        ["reduce", "from-partition", "--formula", str(formula), "-"], stdin=json.dumps(obj)
+    )
+    assert code == 1
+    doc = report_of(out)
+    assert doc["verdict"] == "extraction-failed"
+    assert doc["payload"]["reason"].startswith("cannot read an assignment from an invalid decomposition: ")
+    assert "kind='overlap'" in doc["payload"]["reason"]
+    assert len(err.encode()) <= 300 and "overlap" in err
+    assert err == "extraction failed: invalid decomposition: overlap\n"
+
+
 def test_graph_json_round_trip_is_canonical():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     obj = graph_to_json(g)

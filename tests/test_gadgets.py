@@ -331,8 +331,10 @@ def test_assignment_extraction_rejects_invalid_decomposition():
     f = NaeFormula(3, ((0, 1, 2),))
     g = build_formula_graph(f).graph
     d = Decomposition(g, (frozenset(g.edges), frozenset()), PARTITION)
-    with pytest.raises(ValueError, match="invalid decomposition"):
+    with pytest.raises(ValueError, match="invalid decomposition") as info:
         assignment_from_partition(f, d)
+    # the refusal of the validity gate, carrying the fault it found
+    assert info.value.fault == validate(d)
 
 
 def test_assignment_extraction_rejects_split_triangle():

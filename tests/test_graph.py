@@ -211,16 +211,17 @@ def test_error_excerpt_keeps_60_characters():
 
 
 def test_invalid_pair_is_named_when_the_masks_cannot_be_allocated():
-    # CPython refuses a list of 2**61 slots at once, without allocating
-    n = 2**61
-    for bad in [(0, 0), (1.0, 2), (-1, 2), (0, n), (0, 1, 2), 5]:
-        edges = [(0, 1), bad]
-        got = _raised(lambda: Graph(n, iter(edges)))
-        assert got[0] is ValueError and got == _raised(lambda: reference_graph(n, iter(edges)))
-    with pytest.raises(ValueError, match=r"self-loop \(0, 0\)"):
-        Graph(n, [(0, 0)])
-    with pytest.raises(MemoryError):
-        Graph(n, [(0, 1), (2, 3)])
+    # CPython refuses a list of 2**61 slots at once, without allocating, and
+    # 2**63 slots do not fit an index: MemoryError and OverflowError
+    for n, refusal in ((2**61, MemoryError), (2**63, OverflowError)):
+        for bad in [(0, 0), (1.0, 2), (-1, 2), (0, n), (0, 1, 2), 5]:
+            edges = [(0, 1), bad]
+            got = _raised(lambda: Graph(n, iter(edges)))
+            assert got[0] is ValueError and got == _raised(lambda: reference_graph(n, iter(edges)))
+        with pytest.raises(ValueError, match=r"self-loop \(0, 0\)"):
+            Graph(n, [(0, 0)])
+        with pytest.raises(refusal):
+            Graph(n, [(0, 1), (2, 3)])
 
 
 def test_edge_set_is_built_on_first_use():

@@ -28,19 +28,24 @@ gives the median ``latency_ms`` of each operation; the entry keeps these
 under ``ops``, paired like the metrics with the same control fields, so
 the ``refute`` headline (``criterion7_refutation``) is timed on its own
 and not only through ``op_p50_ms``, which times the unpruned oracle.
-After the pairs, ``TRACED_RUNS`` ``--trace 1`` runs of the parent and of
-the change (not of the control), taking turns to run first and each given
-``TRACED_SECONDS_FACTOR`` times T, give the per-layer metrics
-(``graph.build_s``, ``cotree.recognize_s``, ...).  The entry keeps each
-under ``per_layer`` with both sides' medians and quartiles, the change in
+After the pairs, ``TRACED_RUNS`` ``--trace 1`` runs of each of the three
+sides, rotated like the pairs and each given ``TRACED_SECONDS_FACTOR``
+times T, give the per-layer metrics (``graph.build_s``,
+``cotree.recognize_s``, ...).  The entry keeps each under ``per_layer``
+with the parent's and the change's medians and quartiles, the change in
 percent and ``resolved``: these metrics have no bound, so a layer counts
-as resolved only when the two sides' quartile ranges do not overlap.  The
-entry records the seconds of a traced run as ``traced_seconds``.  The
-entry is stored under ``"<workload>/seed<seed>"`` in the output file, so
-one file collects several workloads and seeds, and a summary naming the
-unresolved metrics, end-to-end and per layer (layers equal on both sides
-are counted, not named), and the metrics that the control alone moves
-past their bound, is printed.  Standard library only.
+as resolved only when those two quartile ranges do not overlap.  Next to
+them stand the control's spread and change in percent, and ``moved``: the
+layer is resolved and the change's median lies outside the control's
+quartile range, so a layer that the control shifts as far as the change
+is resolved but has not moved.  The entry records the seconds of a
+traced run as ``traced_seconds``.  The entry is stored under
+``"<workload>/seed<seed>"`` in the output file, so one file collects
+several workloads and seeds, and a summary naming the unresolved metrics,
+end-to-end and per layer (layers equal on both sides are counted, not
+named), the metrics that the control alone moves past their bound, and
+the layers that are resolved but have not moved, is printed.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -56,11 +61,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-SIDES = ("parent", "change")
 CONTROL = "control"  # a second copy of the parent, run as a third side
-PAIR_SIDES = (*SIDES, CONTROL)  # the sides of each pair, in the order of pair 0
+PAIR_SIDES = ("parent", "change", CONTROL)  # the sides of each pair, in the order of pair 0
 MOVED_WIN_SHARE = 0.9  # share of pairs the change must win to have moved a metric
-TRACED_RUNS = 3  # --trace 1 runs per side: a single one is too noisy to compare layers
+TRACED_RUNS = 3  # --trace 1 runs of each side: a single one is too noisy to compare layers
 # a traced run's --seconds as a multiple of run_seconds: at run_seconds a
 # traced decompose run has time for a single round, too few to resolve a layer
 TRACED_SECONDS_FACTOR = 3
@@ -96,15 +100,10 @@ def last_result(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def _order(i: int) -> tuple[str, ...]:
-    """Parent and change in the order of traced run i: the parent first
-    when i is even."""
-    return SIDES if i % 2 == 0 else SIDES[::-1]
-
-
 def _rotation(i: int) -> tuple[str, ...]:
-    """The three sides in the order of pair i: parent, change, control
-    rotated by i, so that each side runs first in every third pair."""
+    """The three sides in the order of pair (or traced round) i: parent,
+    change, control rotated by i, so that each side runs first in every
+    third one."""
     return PAIR_SIDES[i % 3:] + PAIR_SIDES[:i % 3]
 
 
@@ -186,18 +185,25 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def compare_layers(traced: dict[str, list[dict]]) -> dict:
-    """Per-layer entry from the traced runs' metrics of each side: both
-    sides' spreads, the change in percent, and whether the quartile
-    ranges are disjoint (``resolved``)."""
+    """Per-layer entry from the traced runs' metrics of the parent, the
+    change and the control: the parent's and the change's spreads, the
+    change in percent, whether those quartile ranges are disjoint
+    (``resolved``), the control's spread and change in percent, and
+    whether the change has ``moved`` the layer (resolved, its median
+    outside the control's quartile range)."""
     layers = {}
     for name, first in traced["parent"][0].items():
-        parent, change = (_spread([run[name]["value"] for run in traced[side]]) for side in SIDES)
+        parent, change, control = (_spread([run[name]["value"] for run in traced[side]]) for side in PAIR_SIDES)
+        resolved = parent["q3"] < change["q1"] or change["q3"] < parent["q1"]
         layers[name] = {
             "unit": first["unit"],
             "parent": parent,
             "change": change,
             "change_pct": _change_pct(parent, change),
-            "resolved": parent["q3"] < change["q1"] or change["q3"] < parent["q1"],
+            "resolved": resolved,
+            "control": control,
+            "control_change_pct": _change_pct(parent, control),
+            "moved": resolved and not control["q1"] <= change["median"] <= control["q3"],
         }
     return layers
 
@@ -217,9 +223,10 @@ def report(key: str, summary: dict) -> str:
     """Lines that show an entry: each metric's and each operation's medians,
     the change's and the control's shift and wins, and ``moved`` where the
     change moved it; then the metrics the parent's spread leaves
-    unresolved, the metrics the control alone moves past their bound, and
-    the layer metrics whose two sides' quartile ranges overlap and the
-    number that read the same on both sides."""
+    unresolved, the metrics the control alone moves past their bound, the
+    layer metrics whose two sides' quartile ranges overlap and the number
+    that read the same on both sides, and the layers that are resolved but
+    have not moved, with the change's and the control's shifts."""
     pairs = summary["pairs"]
     lines = [f"{key}: {pairs} pairs; " + "; ".join(
         f"{side} correct {summary['correct'][side]}, {summary['failed'][side]} failed"
@@ -247,6 +254,10 @@ def report(key: str, summary: dict) -> str:
                    if not layer["resolved"] and layer["parent"] != layer["change"]]
         lines.append("  unresolved layers: " + (", ".join(overlap) if overlap else "none")
                      + f"; {same} equal on both sides")
+        unmoved = [f"{name} ({_pct(layer['change_pct'])}, control {_pct(layer['control_change_pct'])})"
+                   for name, layer in layers.items() if layer["resolved"] and not layer["moved"]]
+        lines.append("  resolved layers not moved past the control: "
+                     + (", ".join(unmoved) if unmoved else "none"))
     return "\n".join(lines)
 
 
@@ -277,13 +288,13 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} {pair[side]['metrics']['op_p50_ms']['value']:.3f} ms p50" for side in order),
                 file=sys.stderr)
+        traced: dict[str, list[dict]] = {side: [] for side in PAIR_SIDES}
+        traced_seconds = TRACED_SECONDS_FACTOR * spec["run_seconds"]
+        for i in range(TRACED_RUNS):
+            for side in _rotation(i):
+                traced[side].append(run_once(
+                    checkouts[side], args.workload, args.seed, traced_seconds, trace=1)["metrics"])
     summary = summarize(pairs, spec["end_to_end"])
-    traced: dict[str, list[dict]] = {side: [] for side in SIDES}
-    traced_seconds = TRACED_SECONDS_FACTOR * spec["run_seconds"]
-    for i in range(TRACED_RUNS):
-        for side in _order(i):
-            traced[side].append(run_once(
-                checkouts[side], args.workload, args.seed, traced_seconds, trace=1)["metrics"])
     summary["traced_seconds"] = traced_seconds
     summary["per_layer"] = compare_layers(traced)
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
