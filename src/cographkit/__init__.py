@@ -1,40 +1,26 @@
 """Cograph toolkit: recognition, tree representations, edge decompositions,
 and satisfiability reduction gadgets.
 
-``import cographkit`` loads only ``graph`` and ``cotree``, whose names every
-command needs.  The names of ``decomp``, ``gadgets`` and ``symbolic`` (and
-those submodules themselves) are imported on first access and then cached
-here, so ``cographkit.coarsen is cographkit.decomp.coarsen`` and
+``import cographkit`` loads no submodule.  Each exported name, and each
+submodule named in ``_LAZY``, loads its module on first use and is then
+cached here, so ``cographkit.coarsen is cographkit.decomp.coarsen`` and
 ``from cographkit import *`` binds every name in ``__all__``.  Each command
 of the CLI likewise imports only the modules it runs.
 """
 
 import importlib
 
-from .cotree import (
-    Cotree,
-    cotree_to_graph,
-    parse_newick,
-    random_cotree,
-    random_labeled_tree,
-    recognize,
-    to_newick,
-)
-from .graph import (
-    Graph,
-    P4Witness,
-    cartesian_product,
-    complement,
-    connected_components,
-    enumerate_induced_p4,
-    format_edge_list,
-    hypercube,
-    parse_edge_list,
-    random_graph,
-)
-
-# names of the submodules imported on first access
+# the names each submodule exports, imported with it on first access
 _LAZY = {
+    "cotree": (
+        "Cotree",
+        "cotree_to_graph",
+        "parse_newick",
+        "random_cotree",
+        "random_labeled_tree",
+        "recognize",
+        "to_newick",
+    ),
     "decomp": (
         "COVER",
         "INFEASIBLE",
@@ -69,6 +55,18 @@ _LAZY = {
         "parse_formula",
         "partition_from_assignment",
     ),
+    "graph": (
+        "Graph",
+        "P4Witness",
+        "cartesian_product",
+        "complement",
+        "connected_components",
+        "enumerate_induced_p4",
+        "format_edge_list",
+        "hypercube",
+        "parse_edge_list",
+        "random_graph",
+    ),
     "symbolic": (
         "AxiomViolation",
         "NotUltrametricError",
@@ -86,28 +84,7 @@ _LAZY = {
 }
 _SOURCE = {name: module for module, names in _LAZY.items() for name in names}
 
-__all__ = [
-    "Cotree",
-    "cotree_to_graph",
-    "parse_newick",
-    "random_cotree",
-    "random_labeled_tree",
-    "recognize",
-    "to_newick",
-    *_LAZY["decomp"],
-    *_LAZY["gadgets"],
-    "Graph",
-    "P4Witness",
-    "cartesian_product",
-    "complement",
-    "connected_components",
-    "enumerate_induced_p4",
-    "format_edge_list",
-    "hypercube",
-    "parse_edge_list",
-    "random_graph",
-    *_LAZY["symbolic"],
-]
+__all__ = list(_SOURCE)
 
 __version__ = "0.1.0"
 

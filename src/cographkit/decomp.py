@@ -109,7 +109,7 @@ def validate(d: Decomposition) -> ValidationFault | None:
     covered = set().union(*d.classes)
     missing = sorted(host_edges - covered)
     if missing:
-        return ValidationFault(kind="coverage", detail=f"host edges not covered: {missing}")
+        return ValidationFault(kind="coverage", detail=f"host edges not covered: {_excerpt(missing)}")
     # classes overlap exactly when their sizes sum past their union; pairs only name it
     if d.mode == PARTITION and sum(map(len, d.classes)) > len(covered):
         for i, j in combinations(range(len(d.classes)), 2):
@@ -118,7 +118,7 @@ def validate(d: Decomposition) -> ValidationFault | None:
                 return ValidationFault(
                     kind="overlap",
                     class_index=i,
-                    detail=f"classes {i} and {j} share edges {shared}",
+                    detail=f"classes {i} and {j} share edges {_excerpt(shared)}",
                 )
     for idx, cls in enumerate(d.classes):
         witness = _class_witness(_adjacency(cls))

@@ -129,20 +129,25 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
         checkout.mkdir()
     (change / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
     calls = []
-    controls = set()
+    copies = {"parent": set(), "change": set(), "control": set()}
     builds = {"parent": [0.5, 1.5, 1.0], "change": [0.25, 0.75, 0.5], "control": [1.5, 1.0, 0.5]}
 
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     traced_seconds = 3 * run_seconds
 
-    (parent / "marker").write_text("parent")
+    for checkout in (parent, change):
+        (checkout / "marker").write_text(checkout.name)
+        (checkout / "__pycache__").mkdir()
+        (checkout / "__pycache__" / "stale.pyc").write_bytes(b"")
 
     def fake_run_once(checkout, workload, seed, seconds, trace=0):
         calls.append((checkout.name, workload, seed, seconds, trace))
-        if checkout.name == "control":
-            # a copy of the parent, apart from it
-            assert checkout != parent and (checkout / "marker").read_text() == "parent"
-            controls.add(checkout)
+        # every side is a fresh copy, apart from the given checkouts: the
+        # control a second copy of the parent, and none holds __pycache__
+        source = "parent" if checkout.name == "control" else checkout.name
+        assert checkout not in (parent, change) and (checkout / "marker").read_text() == source
+        assert not (checkout / "__pycache__").exists()
+        copies[checkout.name].add(checkout)
         # a traced run gets three times run_seconds, an untraced one run_seconds
         assert seconds == (traced_seconds if trace else run_seconds)
         if trace:
@@ -150,7 +155,7 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
             return {"correct": True, "attempted": 62, "failed": 0,
                     "metrics": {"graph.build_s": {"value": build, "unit": "s"},
                                 "cotree.recognize_s": {"value": 0.31, "unit": "s"}}}
-        return _line(5.1 if checkout == change else 5.4, 0.7)
+        return _line(5.1 if checkout.name == "change" else 5.4, 0.7)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "bench.json"
@@ -176,8 +181,9 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     assert entry["traced_seconds"] == traced_seconds
     assert entry["pairs"] == 2 and entry["metrics"]["op_p50_ms"]["wins"] == 2
     assert entry["metrics"]["op_p50_ms"]["control_values"] == [5.4, 5.4]
-    # one copy served the pairs and the traced runs, and is gone once they are run
-    assert len(controls) == 1 and not next(iter(controls)).exists()
+    # one copy per side served the pairs and the traced runs, and is gone once they are run
+    for paths in copies.values():
+        assert len(paths) == 1 and not next(iter(paths)).exists()
     recognize = {"median": 0.31, "q1": 0.31, "q3": 0.31}
     assert entry["per_layer"] == {
         "graph.build_s": {

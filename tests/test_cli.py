@@ -867,6 +867,28 @@ def test_reduce_from_partition_names_the_fault_kind_of_an_overlapping_certificat
     assert err == "extraction failed: invalid decomposition: overlap\n"
 
 
+def test_overlap_of_a_large_certificate_is_quoted_in_bounded_form(tmp_path):
+    # 400 clauses (i, i+1, i+2) mod 400, and both classes hold all 9,600
+    # edges of the formula graph: the detail quotes a bounded part of the
+    # shared-edge list instead of the whole list
+    formula = tmp_path / "f.nae"
+    formula.write_text("400 400\n" + "".join(f"{i} {(i + 1) % 400} {(i + 2) % 400}\n" for i in range(400)))
+    graph = report_of(run_cli(["reduce", "to-graph", str(formula)])[1])["payload"]
+    assert len(graph["edges"]) == 9600
+    cert = tmp_path / "c.json"
+    cert.write_text(json.dumps({"mode": "partition", "k": 2, "n": graph["n"], "classes": [graph["edges"]] * 2}))
+    cases = (
+        (["reduce", "from-partition", "--formula", str(formula), str(cert)], "extraction-failed",
+         "extraction failed: invalid decomposition: overlap\n"),
+        (["coarsen", str(cert)], "invalid", "input decomposition invalid: overlap\n"),
+    )
+    for argv, verdict, summary in cases:
+        code, out, err = run_cli(argv)
+        assert (code, report_of(out)["verdict"], err) == (1, verdict, summary)
+        assert "classes 0 and 1 share edges [(0, 1), (0, 2), " in out
+        assert len(out.encode()) < 1024, len(out.encode())
+
+
 def test_graph_json_round_trip_is_canonical():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     obj = graph_to_json(g)
@@ -960,7 +982,7 @@ DECOMP, GADGETS, SYMBOLIC = "cographkit.decomp", "cographkit.gadgets", "cographk
         (["decompose", "-"], P4_TEXT, (DECOMP,), (GADGETS, SYMBOLIC, "dataclasses", "inspect")),
         (["gadget", "literal"], "", (GADGETS,), (DECOMP, SYMBOLIC)),
         (["reduce", "to-graph", "-"], FORMULA_TEXT, (GADGETS,), (DECOMP, SYMBOLIC)),
-        (None, "", ("cographkit.graph", "cographkit.cotree"), (DECOMP, GADGETS, SYMBOLIC, "cographkit.cli")),
+        (None, "", (), (DECOMP, GADGETS, SYMBOLIC, "cographkit.cli")),
     ],
     ids=["recognize", "cotree", "ultrametric-check", "decompose", "gadget-literal", "reduce-to-graph", "import-only"],
 )
@@ -988,3 +1010,30 @@ def test_each_command_imports_only_the_modules_it_runs(argv, stdin, loaded, abse
     assert not set(absent) & set(modules), sorted(set(absent) & set(modules))
     if argv is None:
         assert sorted(m for m in modules if m.startswith("cographkit.")) == sorted(loaded)
+
+
+@pytest.mark.parametrize(
+    "name, loaded",
+    [
+        ("Graph", ("graph",)),
+        ("Cotree", ("cotree", "graph")),
+        ("coarsen", ("cotree", "decomp", "graph")),
+        ("literal_graph", ("gadgets", "graph")),
+        ("SymbolicMap", ("cotree", "graph", "symbolic")),
+    ],
+    ids=["Graph", "Cotree", "coarsen", "literal_graph", "SymbolicMap"],
+)
+def test_each_export_loads_only_its_module_and_the_modules_it_imports(name, loaded):
+    """A fresh ``python -B`` child reads one exported name: ``cotree`` imports
+    ``graph``, ``decomp`` and ``symbolic`` import both, ``gadgets`` imports
+    ``graph``, and no other submodule is loaded."""
+    import cographkit
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cographkit.__file__)))
+    script = (
+        f"import json, sys, cographkit; cographkit.{name}; "
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cographkit.'))))"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [f"cographkit.{m}" for m in loaded]

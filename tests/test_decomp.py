@@ -109,7 +109,11 @@ def test_validate_coverage():
     d = Decomposition(g, (frozenset([(0, 1)]),), PARTITION)
     fault = validate(d)
     assert fault.kind == "coverage"
-    assert "(1, 2)" in fault.detail
+    assert fault.detail == "host edges not covered: [(1, 2)]"
+    # the 4,949 missing edges of K_100 are quoted in bounded form
+    fault = validate(Decomposition(complete_graph(100), (frozenset([(0, 1)]),), PARTITION))
+    assert fault.detail.startswith("host edges not covered: [(0, 2), (0, 3), ") and fault.detail.endswith("...")
+    assert len(fault.detail) <= 100
 
 
 def test_validate_partition_rejects_overlap_but_cover_allows_it():
@@ -117,6 +121,12 @@ def test_validate_partition_rejects_overlap_but_cover_allows_it():
     classes = (frozenset([(0, 1), (1, 2)]), frozenset([(1, 2)]))
     assert validate(Decomposition(g, classes, PARTITION)).kind == "overlap"
     assert validate(Decomposition(g, classes, COVER)) is None
+    # two copies of K_100 share 4,950 edges, quoted in bounded form
+    g = complete_graph(100)
+    fault = validate(Decomposition(g, (frozenset(g.edges), frozenset(g.edges)), PARTITION))
+    assert fault.kind == "overlap"
+    assert fault.detail.startswith("classes 0 and 1 share edges [(0, 1), (0, 2), ") and fault.detail.endswith("...")
+    assert len(fault.detail) <= 100
 
 
 def test_validate_agrees_with_oracle_per_class():

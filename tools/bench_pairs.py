@@ -6,10 +6,13 @@
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` once on each of three sides, T being ``run_seconds`` of the
 change's ``BENCHMARK.json``: the parent, the change, and a control, which
-is a second copy of the parent made in a temporary directory.  The sides
-take turns to run first: pair i runs them in ``PAIR_SIDES`` order rotated
-by i.  The control shows how far the parent's own figures drift between
-two copies run in the same interleaving.  The last line of each run's
+is a second copy of the parent.  Each side is a fresh copy made once in a
+temporary directory, without ``.git``, ``.perfbench`` or ``__pycache__``,
+so a checkout that has run the tests reads the same as a clean one and
+no run writes into a given checkout.  The sides take turns to run first:
+pair i runs them in ``PAIR_SIDES`` order rotated by i.  The control shows
+how far the parent's own figures drift between two copies run in the
+same interleaving.  The last line of each run's
 output is its result object.  For every end-to-end metric the entry gives the
 parent's and the change's medians and quartiles, the parent's quartile
 distance as a share of its median, whether that share is below the
@@ -23,7 +26,7 @@ its values (``control_values``).  A metric has ``moved`` only when the
 change's median lies outside the control's quartile range and the change
 won at least ``MOVED_WIN_SHARE`` of the pairs (nine of ten).  After each
 untraced run its report,
-``.perfbench/report-<workload>-seed<S>-trace0.json`` in the checkout,
+``.perfbench/report-<workload>-seed<S>-trace0.json`` in the side's copy,
 gives the median ``latency_ms`` of each operation; the entry keeps these
 under ``ops``, paired like the metrics with the same control fields, so
 the ``refute`` headline (``criterion7_refutation``) is timed on its own
@@ -274,10 +277,10 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
-        control = Path(tmp) / CONTROL
-        shutil.copytree(args.parent, control,
-                        ignore=shutil.ignore_patterns(".git", ".perfbench", "__pycache__"))
-        checkouts = {"parent": args.parent, "change": args.change, CONTROL: control}
+        checkouts = {side: Path(tmp) / side for side in PAIR_SIDES}
+        for side, source in zip(PAIR_SIDES, (args.parent, args.change, args.parent)):
+            shutil.copytree(source, checkouts[side],
+                            ignore=shutil.ignore_patterns(".git", ".perfbench", "__pycache__"))
         pairs = []
         for i in range(args.pairs):
             order = _rotation(i)
