@@ -408,6 +408,8 @@ def parse_symbolic_map(text: str) -> SymbolicMap:
     The first fault in reading order is named; the rows are counted last.
     """
     (n, k), rows = _read_rows(text, "n k")
+    if k < 1:  # before any row, so that every n names the empty alphabet
+        SymbolicMap(0, k, [])  # raises the constructor's alphabet message
     symbols = {"-": -1}  # each distinct token is read once; -1 is the diagonal
     pairs: list[int] = []
     x = -1

@@ -13,7 +13,9 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = SPEC["end_to_end"]
+LAYERS = {layer["name"]: layer for layer in SPEC["per_layer"]}
 
 
 def _line(p50: float, wall: float, correct: bool = True, failed: int = 0) -> dict:
@@ -185,80 +187,123 @@ def test_main_adds_three_traced_runs_per_side_as_per_layer(tmp_path, monkeypatch
     for paths in copies.values():
         assert len(paths) == 1 and not next(iter(paths)).exists()
     recognize = {"median": 0.31, "q1": 0.31, "q3": 0.31}
+    # each traced round is a pair: [parent, change, control] per round is
+    # [0.5, 0.25, 1.5], [1.5, 0.75, 1.0], [1.0, 0.5, 0.5]
     assert entry["per_layer"] == {
         "graph.build_s": {
             "unit": "s",
+            "better": "lower",
             "parent": {"median": 1.0, "q1": 0.75, "q3": 1.25},
             "change": {"median": 0.5, "q1": 0.375, "q3": 0.625},
             "change_pct": -50.0,
-            "resolved": True,
-            # the change's median 0.5 lies below the control's quartiles
+            "wins": 3,
+            "values": [[0.5, 0.25], [1.5, 0.75], [1.0, 0.5]],
             "control": {"median": 1.0, "q1": 0.75, "q3": 1.25},
             "control_change_pct": 0.0,
+            "control_wins": 2,
+            "control_values": [1.5, 1.0, 0.5],
+            # lower in 3 of 3 rounds, and the change's 0.375..0.625 lies
+            # below the control's 0.75..1.25
             "moved": True,
         },
-        # equal on both sides: the quartile ranges overlap
+        # equal on every side: no wins, and the quartile ranges meet
         "cotree.recognize_s": {
-            "unit": "s", "parent": recognize, "change": recognize, "change_pct": 0.0, "resolved": False,
-            "control": recognize, "control_change_pct": 0.0, "moved": False,
+            "unit": "s", "better": "lower", "parent": recognize, "change": recognize, "change_pct": 0.0,
+            "wins": 0, "values": [[0.31, 0.31]] * 3, "control": recognize, "control_change_pct": 0.0,
+            "control_wins": 0, "control_values": [0.31] * 3, "moved": False,
         },
     }
     err = capsys.readouterr().err
     assert "recognize/seed1: 2 pairs" in err
-    assert err.splitlines()[-2:] == [
-        "  unresolved layers: none; 1 equal on both sides",
-        "  resolved layers not moved past the control: none",
+    assert err.splitlines()[-4:] == [
+        "  layer graph.build_s: 1 -> 0.5 s (-50.0%, change lower in 3/3; control +0.0%, 2/3) moved, better",
+        "  layer cotree.recognize_s: 0.31 -> 0.31 s (+0.0%, change lower in 0/3; control +0.0%, 0/3)",
+        "  unresolved: none",
+        "  control past its bound: none",
     ]
+
+
+def _layer(name, parent, change, control):
+    """A per-layer entry of three traced rounds, each a pair, directed by
+    the layer's ``better`` in BENCHMARK.json."""
+    unit, better = LAYERS[name]["unit"], LAYERS[name]["better"]
+    return {"unit": unit, "better": better,
+            **bench_pairs._paired([list(run) for run in zip(parent, change, control)], better)}
+
+
+def _layer_line(name, layer):
+    summary = bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)
+    summary["per_layer"] = {name: layer}
+    return next(line for line in bench_pairs.report("decompose/seed1", summary).splitlines() if "layer" in line)
 
 
 def test_a_layer_is_resolved_only_when_the_quartile_ranges_are_disjoint():
-    def runs(values):
-        return [{"decomp.search_s": {"value": v, "unit": "s"}} for v in values]
-
-    def layer(parent, change):
-        # the control reads as the parent
-        traced = {"parent": runs(parent), "change": runs(change), "control": runs(parent)}
-        return bench_pairs.compare_layers(traced)["decomp.search_s"]
-
-    apart = layer([0.040, 0.039, 0.041], [0.024, 0.025, 0.023])
+    # a layer moves only when the change's quartile range and the
+    # control's are disjoint, after 3 of 3 rounds on that side
+    apart = _layer("decomp.search_s", [0.040, 0.039, 0.041], [0.024, 0.025, 0.023], [0.040, 0.039, 0.041])
     assert apart["parent"] == {"median": 0.040, "q1": 0.0395, "q3": 0.0405}
     assert apart["change_pct"] == pytest.approx(-40.0)
-    assert apart["resolved"] is True and apart["moved"] is True
-    # slower but overlapping: the change's lower quartile is below the
-    # parent's upper one
-    overlap = layer([0.030, 0.040, 0.050], [0.042, 0.044, 0.060])
+    assert (apart["wins"], apart["moved"]) == (3, True)
+    # slower in 3 of 3 rounds, but the change's 0.043..0.052 meets the control's 0.035..0.045
+    overlap = _layer("decomp.search_s", [0.030, 0.040, 0.050], [0.042, 0.044, 0.060], [0.030, 0.040, 0.050])
     assert overlap["change_pct"] == pytest.approx(10.0)
-    assert overlap["resolved"] is False and overlap["moved"] is False
-    unused = layer([0.0] * 3, [0.0] * 3)
-    assert (unused["change_pct"], unused["resolved"]) == (None, False)
-    # the summary names the overlapping layer and counts the equal one
-    summary = bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)
-    summary["per_layer"] = {"decomp.search_s": overlap, "symbolic.check_s": unused, "decomp.p4_constraints_s": apart}
-    assert bench_pairs.report("decompose/seed1", summary).splitlines()[-2:] == [
-        "  unresolved layers: decomp.search_s; 1 equal on both sides",
-        "  resolved layers not moved past the control: none",
-    ]
+    assert (overlap["wins"], overlap["moved"]) == (0, False)
+    # lower in 3 of 3 rounds, but the quartile ranges touch at 0.035
+    touching = _layer("decomp.search_s", [0.040] * 3, [0.030, 0.034, 0.036], [0.036, 0.034, 0.040])
+    assert touching["change"]["q3"] == touching["control"]["q1"] == pytest.approx(0.035)
+    assert (touching["wins"], touching["moved"]) == (3, False)
+    unused = _layer("symbolic.check_s", [0.0] * 3, [0.0] * 3, [0.0] * 3)
+    assert (unused["change_pct"], unused["wins"], unused["moved"]) == (None, 0, False)
+    assert _layer_line("decomp.search_s", apart) == (
+        "  layer decomp.search_s: 0.04 -> 0.024 s (-40.0%, change lower in 3/3; control +0.0%, 0/3) moved, better")
+    assert _layer_line("decomp.search_s", overlap) == (
+        "  layer decomp.search_s: 0.04 -> 0.044 s (+10.0%, change lower in 0/3; control +0.0%, 0/3)")
 
 
 def test_a_resolved_layer_has_not_moved_when_the_control_shifts_as_far():
-    def runs(values):
-        return [{"cotree.newick_s": {"value": v, "unit": "s"}} for v in values]
-
-    traced = {"parent": runs([0.040, 0.039, 0.041]), "change": runs([0.045, 0.046, 0.044]),
-              "control": runs([0.044, 0.046, 0.045])}
-    newick = bench_pairs.compare_layers(traced)["cotree.newick_s"]
-    # the parent's and the change's quartile ranges are disjoint, but the
-    # change's median 0.045 lies within the control's 0.0445..0.0455
-    assert newick["resolved"] is True
+    newick = _layer("cotree.newick_s", [0.040, 0.039, 0.041], [0.045, 0.046, 0.044], [0.044, 0.046, 0.045])
+    # slower than the parent in 3 of 3 rounds, but the control shifts as
+    # far: the change's 0.0445..0.0455 is the control's
     assert newick["control"] == {"median": 0.045, "q1": pytest.approx(0.0445), "q3": pytest.approx(0.0455)}
+    assert newick["change"] == newick["control"]
     assert newick["change_pct"] == pytest.approx(12.5) and newick["control_change_pct"] == pytest.approx(12.5)
-    assert newick["moved"] is False
-    summary = bench_pairs.summarize(_pairs([5.0], [5.0]), END_TO_END)
-    summary["per_layer"] = {"cotree.newick_s": newick}
-    assert bench_pairs.report("cli/seed1", summary).splitlines()[-2:] == [
-        "  unresolved layers: none; 0 equal on both sides",
-        "  resolved layers not moved past the control: cotree.newick_s (+12.5%, control +12.5%)",
-    ]
+    assert (newick["wins"], newick["control_wins"], newick["moved"]) == (0, 0, False)
+    assert _layer_line("cotree.newick_s", newick) == (
+        "  layer cotree.newick_s: 0.04 -> 0.045 s (+12.5%, change lower in 0/3; control +12.5%, 0/3)")
+
+
+def test_a_layer_with_the_control_as_far_off_has_not_moved():
+    # three rounds that read the change 10.5% and the control 8.2% below
+    # the parent: lower in 3 of 3, but the change's 0.4956..0.5106 and the
+    # control's 0.50704..0.52204 overlap
+    search = _layer("decomp.search_s", [0.56, 0.55, 0.57], [0.5012, 0.49, 0.52], [0.51408, 0.50, 0.53])
+    assert search["change_pct"] == pytest.approx(-10.5)
+    assert search["control_change_pct"] == pytest.approx(-8.2)
+    assert search["change"]["q3"] > search["control"]["q1"]
+    assert (search["wins"], search["control_wins"], search["moved"]) == (3, 3, False)
+
+
+def test_a_layer_worse_in_every_round_and_clear_of_the_control_has_moved_worse():
+    search = _layer("decomp.search_s", [0.40, 0.41, 0.39], [0.46, 0.47, 0.45], [0.40, 0.42, 0.39])
+    assert search["change"]["q1"] > search["control"]["q3"]
+    assert (search["wins"], search["moved"]) == (0, True)
+    assert _layer_line("decomp.search_s", search) == (
+        "  layer decomp.search_s: 0.4 -> 0.46 s (+15.0%, change lower in 0/3; control +0.0%, 0/3) moved, worse")
+
+
+def test_a_rise_of_a_higher_is_better_layer_is_a_win():
+    assert LAYERS["decomp.search.nodes_per_s"]["better"] == "higher"
+    rate = _layer("decomp.search.nodes_per_s", [1000.0, 1010.0, 990.0], [1200.0, 1210.0, 1190.0],
+                  [1000.0, 1005.0, 995.0])
+    assert (rate["wins"], rate["control_wins"], rate["moved"]) == (3, 1, True)
+    assert _layer_line("decomp.search.nodes_per_s", rate).endswith(
+        "(+20.0%, change higher in 3/3; control +0.0%, 1/3) moved, better")
+    # the same values read the other way: lower in 3 of 3 is a loss
+    slower = _layer("decomp.search.nodes_per_s", [1200.0, 1210.0, 1190.0], [1000.0, 1010.0, 990.0],
+                    [1200.0, 1205.0, 1195.0])
+    assert (slower["wins"], slower["moved"]) == (0, True)
+    assert _layer_line("decomp.search.nodes_per_s", slower).endswith(
+        "(-16.7%, change higher in 0/3; control +0.0%, 1/3) moved, worse")
 
 
 def _report(latencies: dict[str, list[float]]) -> dict:
@@ -361,3 +406,19 @@ def test_report_names_the_metrics_the_control_alone_moves_past_their_bound():
     assert lines[-1] == "  control past its bound: setup_s (+30.0%, bound 25%)"
     calm = bench_pairs.summarize(_pairs([1.0] * 5, [1.0] * 5, "setup_s", [1.2] * 5), END_TO_END)
     assert bench_pairs.report("refute/seed1", calm).splitlines()[-1] == "  control past its bound: none"
+
+
+def test_an_end_to_end_metric_worse_in_every_pair_and_clear_of_the_control_has_moved_worse():
+    parent = [2.0, 2.1, 1.9, 2.0, 2.2, 1.8, 2.0, 2.1, 1.9, 2.0]
+    control = [1.9, 2.1, 1.95, 2.05, 2.2, 1.8, 2.0, 2.1, 1.9, 2.0]
+    summary = bench_pairs.summarize(_pairs(parent, [p + 0.5 for p in parent], "wall_s", control), END_TO_END)
+    wall = summary["metrics"]["wall_s"]
+    assert wall["change"]["q1"] > wall["control"]["q3"]
+    assert (wall["wins"], wall["moved"]) == (0, True)
+    assert "  wall_s       2 -> 2.5 s (+25.0%, change lower in 0/10; control +0.0%, 1/10) moved, worse" in (
+        bench_pairs.report("refute/seed1", summary).splitlines())
+    # nine losses of ten still move it, eight do not
+    assert bench_pairs.summarize(_pairs(parent, [p + 0.5 for p in parent[:9]] + [1.0], "wall_s", control),
+                                 END_TO_END)["metrics"]["wall_s"]["moved"] is True
+    assert bench_pairs.summarize(_pairs(parent, [p + 0.5 for p in parent[:8]] + [1.0, 1.0], "wall_s", control),
+                                 END_TO_END)["metrics"]["wall_s"]["moved"] is False

@@ -331,6 +331,13 @@ def test_ultrametric_empty_map_passes_check_only():
     assert err == "error: representation needs at least one vertex\n"
 
 
+def test_ultrametric_check_of_an_empty_alphabet_names_it(tmp_path):
+    path = tmp_path / "k0.map"
+    path.write_text("2 0\n- s0\ns0 -\n")
+    assert run_cli(["ultrametric", "check", str(path)]) == (
+        2, "", f"error: {path}: alphabet must contain at least one symbol, got 0\n")
+
+
 def test_ultrametric_represent_bad_map_exits_one():
     code, out, _ = run_cli(["ultrametric", "represent", "-"], stdin=MAP_BAD)
     assert code == 1

@@ -1,5 +1,5 @@
-"""The package's exported names, resolved eagerly or on first access, and
-the record classes of ``decomp``, ``gadgets`` and ``symbolic``."""
+"""The package's exported names, each loaded on first access, and the
+record classes of ``decomp``, ``gadgets`` and ``symbolic``."""
 
 import pytest
 

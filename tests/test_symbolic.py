@@ -645,6 +645,15 @@ def test_map_text_errors(text, match):
         parse_symbolic_map(text)
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_map_header_with_an_empty_alphabet_is_named_for_every_n(n):
+    # the rows are not read: neither a symbol nor a '-' off the diagonal is named
+    labelled = "".join(" ".join("-" if y == x else "s0" for y in range(n)) + "\n" for x in range(n))
+    dashes = ("- " * n + "\n") * n
+    for text in (f"{n} 0\n", f"{n} 0\n{labelled}", f"{n} 0\n{dashes}"):
+        assert _message(parse_symbolic_map, text) == "alphabet must contain at least one symbol, got 0", text
+
+
 def test_axiom_violation_recheck_rejects_wrong_axiom():
     with pytest.raises(ValueError, match="unknown axiom tag"):
         AxiomViolation(axiom="U9").recheck(constant_map(3))

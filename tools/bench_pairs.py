@@ -12,42 +12,34 @@ so a checkout that has run the tests reads the same as a clean one and
 no run writes into a given checkout.  The sides take turns to run first:
 pair i runs them in ``PAIR_SIDES`` order rotated by i.  The control shows
 how far the parent's own figures drift between two copies run in the
-same interleaving.  The last line of each run's
-output is its result object.  For every end-to-end metric the entry gives the
-parent's and the change's medians and quartiles, the parent's quartile
-distance as a share of its median, whether that share is below the
-metric's bound (``resolved``: a metric whose own spread is as wide as its
-bound cannot show a change within the bound), the change in percent, the
-number of pairs in which the change was better (ties count for neither
-side) and every pair's ``[parent, change]`` values.  Next to them stand the
-control's: its median and quartiles (``control``), its change in percent
-(``control_change_pct``), its wins over the parent (``control_wins``) and
-its values (``control_values``).  A metric has ``moved`` only when the
-change's median lies outside the control's quartile range and the change
-won at least ``MOVED_WIN_SHARE`` of the pairs (nine of ten).  After each
-untraced run its report,
-``.perfbench/report-<workload>-seed<S>-trace0.json`` in the side's copy,
-gives the median ``latency_ms`` of each operation; the entry keeps these
-under ``ops``, paired like the metrics with the same control fields, so
-the ``refute`` headline (``criterion7_refutation``) is timed on its own
-and not only through ``op_p50_ms``, which times the unpruned oracle.
-After the pairs, ``TRACED_RUNS`` ``--trace 1`` runs of each of the three
-sides, rotated like the pairs and each given ``TRACED_SECONDS_FACTOR``
-times T, give the per-layer metrics (``graph.build_s``,
-``cotree.recognize_s``, ...).  The entry keeps each under ``per_layer``
-with the parent's and the change's medians and quartiles, the change in
-percent and ``resolved``: these metrics have no bound, so a layer counts
-as resolved only when those two quartile ranges do not overlap.  Next to
-them stand the control's spread and change in percent, and ``moved``: the
-layer is resolved and the change's median lies outside the control's
-quartile range, so a layer that the control shifts as far as the change
-is resolved but has not moved.  The entry records the seconds of a
-traced run as ``traced_seconds``.  The entry is stored under
-``"<workload>/seed<seed>"`` in the output file, so one file collects
-several workloads and seeds, and a summary naming the unresolved metrics,
-end-to-end and per layer (layers equal on both sides are counted, not
-named), the metrics that the control alone moves past their bound, and
-the layers that are resolved but have not moved, is printed.  Standard
+same interleaving.  After the pairs come ``TRACED_RUNS`` rounds of
+``--trace 1`` runs, each side once per round, rotated like the pairs and
+each given ``TRACED_SECONDS_FACTOR`` times T (``traced_seconds``); a
+round is a pair like the others.
+
+The last line of each run's output is its result object.  The entry
+summarizes three kinds of figure the same way, each by its direction
+(``better``): the end-to-end metrics of the untraced runs (``metrics``),
+the median ``latency_ms`` of each operation from an untraced run's report
+``.perfbench/report-<workload>-seed<S>-trace0.json`` (``ops``, lower is
+better), so the ``refute`` headline (``criterion7_refutation``) is timed on
+its own, and the per-layer metrics of the traced rounds (``per_layer``,
+directed by ``per_layer`` of ``BENCHMARK.json``).  Each gives the parent's,
+the change's and the control's medians and quartiles, the change's and the
+control's shift in percent, their wins over the parent (ties count for
+neither side) and every pair's values.  One rule decides them all: a
+figure has ``moved`` when the change lies on one side of the parent in at
+least ``MOVED_WIN_SHARE`` of the pairs (nine of ten, three of three traced
+rounds), better or worse, and the change's quartile range lies wholly on
+that same side of the control's.  An end-to-end metric also gives the
+parent's quartile distance as a share of its median and whether that share
+is below the metric's bound (``resolved``: a metric whose own spread is as
+wide as its bound cannot show a change within the bound).
+
+The entry is stored under ``"<workload>/seed<seed>"`` in the output file,
+so one file collects several workloads and seeds, and a report is printed:
+a line per figure, saying which way it moved, then the unresolved metrics
+and the metrics that the control alone moves past their bound.  Standard
 library only.
 """
 
@@ -128,12 +120,15 @@ def _paired(values: list[list[float]], better: str) -> dict:
     """From ``[parent, change, control]`` per pair: the parent's and the
     change's spreads, the change in percent, the pairs the change won and
     the ``[parent, change]`` values; the same for the control against the
-    parent; and whether the change has ``moved`` the figure (its median
-    outside the control's quartile range, won in ``MOVED_WIN_SHARE`` of the
-    pairs)."""
+    parent; and whether the change has ``moved`` the figure: below (above)
+    the parent in ``MOVED_WIN_SHARE`` of the pairs, and its quartile range
+    wholly below (above) the control's."""
     parent, change, control = (_spread([row[i] for row in values]) for i in range(3))
     sign = 1 if better == "lower" else -1
     wins = sum(sign * (p - c) > 0 for p, c, _ in values)
+    need = MOVED_WIN_SHARE * len(values)
+    below = sum(c < p for p, c, _ in values) >= need and change["q3"] < control["q1"]
+    above = sum(c > p for p, c, _ in values) >= need and change["q1"] > control["q3"]
     return {
         "parent": parent,
         "change": change,
@@ -144,8 +139,7 @@ def _paired(values: list[list[float]], better: str) -> dict:
         "control_change_pct": _change_pct(parent, control),
         "control_wins": sum(sign * (p - r) > 0 for p, _, r in values),
         "control_values": [r for _, _, r in values],
-        "moved": not control["q1"] <= change["median"] <= control["q3"]
-        and wins >= MOVED_WIN_SHARE * len(values),
+        "moved": below or above,
     }
 
 
@@ -187,49 +181,25 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
-def compare_layers(traced: dict[str, list[dict]]) -> dict:
-    """Per-layer entry from the traced runs' metrics of the parent, the
-    change and the control: the parent's and the change's spreads, the
-    change in percent, whether those quartile ranges are disjoint
-    (``resolved``), the control's spread and change in percent, and
-    whether the change has ``moved`` the layer (resolved, its median
-    outside the control's quartile range)."""
-    layers = {}
-    for name, first in traced["parent"][0].items():
-        parent, change, control = (_spread([run[name]["value"] for run in traced[side]]) for side in PAIR_SIDES)
-        resolved = parent["q3"] < change["q1"] or change["q3"] < parent["q1"]
-        layers[name] = {
-            "unit": first["unit"],
-            "parent": parent,
-            "change": change,
-            "change_pct": _change_pct(parent, change),
-            "resolved": resolved,
-            "control": control,
-            "control_change_pct": _change_pct(parent, control),
-            "moved": resolved and not control["q1"] <= change["median"] <= control["q3"],
-        }
-    return layers
-
-
 def _pct(value: float | None) -> str:
     return "n/a" if value is None else f"{value:+.1f}%"
 
 
-def _versus(m: dict, pairs: int) -> str:
-    """The change's and the control's shift and wins, and whether the change moved."""
-    return (f"({_pct(m['change_pct'])}, change {m.get('better', 'lower')} in {m['wins']}/{pairs};"
+def _versus(m: dict) -> str:
+    """The change's and the control's shift and wins, and which way the change moved."""
+    better, pairs = m.get("better", "lower"), len(m["values"])
+    way = "better" if m["wins"] >= MOVED_WIN_SHARE * pairs else "worse"
+    return (f"({_pct(m['change_pct'])}, change {better} in {m['wins']}/{pairs};"
             f" control {_pct(m['control_change_pct'])}, {m['control_wins']}/{pairs})"
-            + (" moved" if m["moved"] else ""))
+            + (f" moved, {way}" if m["moved"] else ""))
 
 
 def report(key: str, summary: dict) -> str:
-    """Lines that show an entry: each metric's and each operation's medians,
-    the change's and the control's shift and wins, and ``moved`` where the
-    change moved it; then the metrics the parent's spread leaves
-    unresolved, the metrics the control alone moves past their bound, the
-    layer metrics whose two sides' quartile ranges overlap and the number
-    that read the same on both sides, and the layers that are resolved but
-    have not moved, with the change's and the control's shifts."""
+    """Lines that show an entry: each metric's, operation's and layer's
+    medians, the change's and the control's shift and wins, and which way
+    the change moved it where it did; then the metrics the parent's spread
+    leaves unresolved and the metrics the control alone moves past their
+    bound."""
     pairs = summary["pairs"]
     lines = [f"{key}: {pairs} pairs; " + "; ".join(
         f"{side} correct {summary['correct'][side]}, {summary['failed'][side]} failed"
@@ -237,30 +207,18 @@ def report(key: str, summary: dict) -> str:
     unresolved, drifted = [], []
     for name, m in summary["metrics"].items():
         lines.append(f"  {name:12s} {m['parent']['median']:.6g} -> {m['change']['median']:.6g} {m['unit']}"
-                     f" {_versus(m, pairs)}")
+                     f" {_versus(m)}")
         if not m["resolved"]:
             share = "n/a" if m["parent_iqr_share"] is None else f"{100 * m['parent_iqr_share']:.1f}%"
             unresolved.append(f"{name} (parent IQR {share}, bound {100 * m['bound']:.0f}%)")
         if m["control_change_pct"] is not None and abs(m["control_change_pct"]) > 100 * m["bound"]:
             drifted.append(f"{name} ({_pct(m['control_change_pct'])}, bound {100 * m['bound']:.0f}%)")
-    for name, op in summary["ops"].items():
-        lines.append(f"  op {name}: {op['parent']['median']:.6g} -> {op['change']['median']:.6g} ms"
-                     f" {_versus(op, pairs)}")
+    for kind, figures in (("op", summary["ops"]), ("layer", summary.get("per_layer", {}))):
+        for name, m in figures.items():
+            lines.append(f"  {kind} {name}: {m['parent']['median']:.6g} -> {m['change']['median']:.6g}"
+                         f" {m['unit']} {_versus(m)}")
     lines.append("  unresolved: " + (", ".join(unresolved) if unresolved else "none"))
     lines.append("  control past its bound: " + (", ".join(drifted) if drifted else "none"))
-    if "per_layer" in summary:
-        # a layer equal on both sides (a count, or one the workload never
-        # enters) is unresolved but shows no change, so it is only counted
-        layers = summary["per_layer"]
-        same = sum(layer["parent"] == layer["change"] for layer in layers.values())
-        overlap = [name for name, layer in layers.items()
-                   if not layer["resolved"] and layer["parent"] != layer["change"]]
-        lines.append("  unresolved layers: " + (", ".join(overlap) if overlap else "none")
-                     + f"; {same} equal on both sides")
-        unmoved = [f"{name} ({_pct(layer['change_pct'])}, control {_pct(layer['control_change_pct'])})"
-                   for name, layer in layers.items() if layer["resolved"] and not layer["moved"]]
-        lines.append("  resolved layers not moved past the control: "
-                     + (", ".join(unmoved) if unmoved else "none"))
     return "\n".join(lines)
 
 
@@ -291,15 +249,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} {pair[side]['metrics']['op_p50_ms']['value']:.3f} ms p50" for side in order),
                 file=sys.stderr)
-        traced: dict[str, list[dict]] = {side: [] for side in PAIR_SIDES}
         traced_seconds = TRACED_SECONDS_FACTOR * spec["run_seconds"]
-        for i in range(TRACED_RUNS):
-            for side in _rotation(i):
-                traced[side].append(run_once(
-                    checkouts[side], args.workload, args.seed, traced_seconds, trace=1)["metrics"])
+        rounds = [{side: run_once(checkouts[side], args.workload, args.seed, traced_seconds, trace=1)["metrics"]
+                   for side in _rotation(i)} for i in range(TRACED_RUNS)]
     summary = summarize(pairs, spec["end_to_end"])
     summary["traced_seconds"] = traced_seconds
-    summary["per_layer"] = compare_layers(traced)
+    better = {layer["name"]: layer["better"] for layer in spec["per_layer"]}
+    summary["per_layer"] = {
+        name: {"unit": first["unit"], "better": better[name],
+               **_paired([[r[side][name]["value"] for side in PAIR_SIDES] for r in rounds], better[name])}
+        for name, first in rounds[0]["parent"].items()}
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     doc.setdefault("command", "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {spec['run_seconds']} --trace 0")
