@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .cotree import _cotree_or_witness
 from .graph import Graph, P4Witness, _bits, _check_vertex_count, _excerpt, _is_int, hypercube
@@ -46,8 +46,11 @@ Edge = tuple[int, int]
 
 
 def _canon_edge(e: Edge) -> Edge:
+    """``e`` as a (u, v) tuple with u < v: ``e`` itself when it is one, as in ``Graph``, else a copy."""
     u, v = e
-    return (u, v) if u < v else (v, u)
+    if u < v:
+        return e if type(e) is tuple else (u, v)
+    return (v, u)
 
 
 # the subclass checks its arguments in __new__, which a NamedTuple body
@@ -62,14 +65,15 @@ class Decomposition(_DecompositionFields):
     """Family of edge classes over a host graph.
 
     ``classes[i]`` holds canonical (u, v) pairs with u < v; ``mode`` is
-    ``"partition"`` or ``"cover"``.
+    ``"partition"`` or ``"cover"``.  A class may be given as any iterable of
+    pairs, read once; a pair that is already a canonical tuple is kept.
     """
 
     __slots__ = ()
 
     def __new__(cls, host: Graph, classes, mode: str = PARTITION) -> Decomposition:
         _check_mode(mode)
-        classes = tuple(frozenset(_canon_edge(e) for e in c) for c in classes)
+        classes = tuple(frozenset(map(_canon_edge, c)) for c in classes)
         return super().__new__(cls, host, classes, mode)
 
     @property
@@ -182,7 +186,7 @@ def vizing_partition(g: Graph) -> Decomposition:
     Classes come out in ascending color order.
     """
     if not g.edges:
-        return Decomposition(g, (frozenset(),), PARTITION)
+        return Decomposition(g, ((),), PARTITION)
     palette = g.max_degree() + 1
     at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # color -> neighbor
     used = [0] * g.n  # bit c set when color c (1..palette) is taken at v
@@ -258,8 +262,7 @@ def vizing_partition(g: Graph) -> Decomposition:
         for col, y in at[x].items():
             if x < y:
                 buckets.setdefault(col, []).append((x, y))
-    classes = tuple(frozenset(buckets[col]) for col in sorted(buckets))
-    return Decomposition(g, classes, PARTITION)
+    return Decomposition(g, [buckets[col] for col in sorted(buckets)], PARTITION)
 
 
 def greedy_partition(g: Graph, stats: dict | None = None) -> Decomposition:
@@ -312,8 +315,8 @@ def _open_subsets(k: int, size: int, nogoods: list[tuple[int, int]]) -> Iterator
 
 
 def _first_cograph_union(
-    classes: Sequence[frozenset[Edge]], stats: dict
-) -> tuple[tuple[int, ...], frozenset[Edge]] | None:
+    classes: Sequence[Collection[Edge]], stats: dict
+) -> tuple[tuple[int, ...], set[Edge]] | None:
     """First subset of two or more classes whose union is induced-path
     free, smallest subsets first and lexicographic within a size, with
     that union; None when there is none.
@@ -345,7 +348,7 @@ def _first_cograph_union(
                     union[v] = union.get(v, 0) | nb
             witness = _class_witness(union)
             if witness is None:
-                return subset, frozenset().union(*(classes[i] for i in subset))
+                return subset, set().union(*(classes[i] for i in subset))
             a, b, c, d = witness
             chords = 0
             for e in ((a, c), (b, d), (a, d)):
@@ -381,7 +384,7 @@ def coarsen(d: Decomposition, stats: dict | None = None) -> Decomposition:
         keep.insert(subset[0], union)
         classes = keep
         stats["merges"] += 1
-    return Decomposition(d.host, tuple(classes), d.mode)
+    return Decomposition(d.host, classes, d.mode)
 
 
 def is_coarsest(d: Decomposition) -> bool:
@@ -878,10 +881,7 @@ class SolveResult(NamedTuple):
 
 
 def _masks_to_decomposition(g: Graph, masks: tuple[int, ...], k: int, mode: str) -> Decomposition:
-    classes = tuple(
-        frozenset(e for e, mask in zip(g.edges, masks) if mask >> b & 1)
-        for b in range(k)
-    )
+    classes = [[e for e, mask in zip(g.edges, masks) if mask >> b & 1] for b in range(k)]
     return Decomposition(g, classes, mode)
 
 
@@ -892,7 +892,7 @@ def _exact_min(g: Graph, k_max: int, node_budget: int | None, mode: str) -> Solv
     if index is None:
         return SolveResult(TIMEOUT, None, nodes=0, infeasible_below=0)
     if not g.edges:
-        d = Decomposition(g, (frozenset(),), mode)
+        d = Decomposition(g, ((),), mode)
         return SolveResult(SOLVED, d, nodes=0, infeasible_below=0)
     per_k: list[int] = []
 
@@ -946,11 +946,12 @@ def layers_partition(half_dim: int) -> Decomposition:
     if half_dim < 1:
         raise ValueError(f"half dimension must be at least 1, got {_excerpt(half_dim)}")
     host = hypercube(2 * half_dim)
-    classes: list[set[Edge]] = [set() for _ in range(half_dim)]
-    for u, v in host.edges:
+    classes: list[list[Edge]] = [[] for _ in range(half_dim)]
+    for e in host.edges:
+        u, v = e
         bit = (u ^ v).bit_length() - 1
-        classes[bit // 2].add((u, v))
-    return Decomposition(host, tuple(frozenset(c) for c in classes), PARTITION)
+        classes[bit // 2].append(e)
+    return Decomposition(host, classes, PARTITION)
 
 
 # ---------------------------------------------------------------------------
@@ -959,13 +960,9 @@ def layers_partition(half_dim: int) -> Decomposition:
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
-    """JSON object {"mode", "k", "n", "classes"} with sorted edge lists."""
-    return {
-        "mode": d.mode,
-        "k": d.k,
-        "n": d.host.n,
-        "classes": [[[u, v] for u, v in cls] for cls in d.sorted_classes()],
-    }
+    """JSON object {"mode", "k", "n", "classes"} with sorted edge lists; the
+    class tuples go to the encoder as they are, which writes them as arrays."""
+    return {"mode": d.mode, "k": d.k, "n": d.host.n, "classes": d.sorted_classes()}
 
 
 def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decomposition:
@@ -988,7 +985,7 @@ def decomposition_from_json(obj: dict, host: Graph | None = None) -> Decompositi
         for cls in raw
     ):
         raise ValueError("decomposition JSON \"classes\" must be a list of lists of [u, v] integer pairs")
-    classes = tuple(frozenset(_canon_edge((u, v)) for u, v in cls) for cls in raw)
+    classes = [list(map(_canon_edge, cls)) for cls in raw]
     if not _is_int(obj["k"]):
         raise ValueError(f"decomposition JSON \"k\" must be an integer, got {_excerpt(obj['k'])}")
     if obj["k"] != len(classes):

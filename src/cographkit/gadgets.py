@@ -295,6 +295,8 @@ def parse_formula(text: str) -> NaeFormula:
             a, b, c = _read_ints(fields)
         except ValueError:
             raise ValueError(f"line {lineno}: variable ids must be integers") from None
+        if len(clauses) >= num_clauses:
+            raise ValueError(f"line {lineno}: more clause lines than the declared count {_excerpt(num_clauses)}")
         clauses.append((a, b, c))
     if len(clauses) != num_clauses:
         raise ValueError(f"declared {_excerpt(num_clauses)} clauses but found {len(clauses)}")

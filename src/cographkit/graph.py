@@ -8,8 +8,9 @@ them into the masks in one pass; a pair whose bit is already set is a
 repeat, and a new pair is filed in the row of its lower endpoint.  The
 rows are then sorted by upper endpoint and chained in vertex order, so no
 key or dictionary is built: beyond the masks and the edge tuple, the
-build holds two n-slot lists and O(m) row pointers.  ``edge_set`` is
-built on first use.
+build holds two n-slot lists and O(m) row pointers.  A graph holds no
+second container of its edges: ``edge_set`` is a fresh frozenset of
+``edges`` on each read.
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ class Graph:
     skipped, so the first of equal pairs is kept; a new pair goes into the
     row of its lower endpoint.  Sorting each row by upper endpoint and
     chaining the rows in vertex order gives ``edges`` in lexicographic
-    order.  The frozenset ``edge_set`` is built the first time it is read.
+    order.  ``edge_set`` builds a fresh frozenset of ``edges`` on each
+    read; no second container of the edges is held.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_edge_set")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if not _is_int(n) or n < 0:
@@ -156,7 +158,6 @@ class Graph:
         del rows  # freed before the tuple copies ``out``
         self.edges = tuple(out)
         self._adj = tuple(adj)
-        self._edge_set = None
 
     @property
     def m(self) -> int:
@@ -164,9 +165,7 @@ class Graph:
 
     @property
     def edge_set(self) -> frozenset[tuple[int, int]]:
-        if self._edge_set is None:
-            self._edge_set = frozenset(self.edges)
-        return self._edge_set
+        return frozenset(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -252,7 +251,6 @@ def complement(g: Graph) -> Graph:
         for v in _bits(full & ~row & -(2 << u))
     ])
     out._adj = tuple(full & ~row & ~(1 << u) for u, row in enumerate(g._adj))
-    out._edge_set = None
     return out
 
 

@@ -969,16 +969,27 @@ def reference_search_separating_delta(
 
 
 # ---------------------------------------------------------------------------
-# reference implementations: the graph-report builders that copied every
-# edge, once into a [u, v] list and once into an "u v" line, kept verbatim
-# (renamed) as oracles for cographkit.cli.graph_to_json, which puts the
-# graph's own edge tuple in the payload, and for format_edge_list, which
-# fills one template from the flattened edges
+# reference implementations: the graph- and decomposition-report builders
+# that copied every edge, into a [u, v] list or an "u v" line, kept verbatim
+# (renamed) as oracles for cographkit.cli.graph_to_json and
+# decomp.decomposition_to_json, which put the edge tuples in the payload as
+# they are, and for format_edge_list, which fills one template from the
+# flattened edges
 # ---------------------------------------------------------------------------
 
 
 def reference_graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "m": len(g.edges), "edges": [[u, v] for u, v in g.edges]}
+
+
+def reference_decomposition_to_json(d: Decomposition) -> dict:
+    """JSON object {"mode", "k", "n", "classes"} with sorted edge lists."""
+    return {
+        "mode": d.mode,
+        "k": d.k,
+        "n": d.host.n,
+        "classes": [[[u, v] for u, v in cls] for cls in d.sorted_classes()],
+    }
 
 
 def reference_format_edge_list(g: Graph) -> str:

@@ -1,6 +1,7 @@
 """Decomposition validation, proper-coloring construction, coarsening,
 constraints, exact solvers, and the hypercube layer partition."""
 
+import json
 import random
 from functools import partial
 from itertools import combinations
@@ -49,6 +50,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     reference_coarsen,
+    reference_decomposition_to_json,
     reference_first_cograph_union,
     reference_validate,
     reference_vizing_partition,
@@ -1201,3 +1203,61 @@ def test_decomposition_json_vertex_limit():
     for n in (MAX_VERTICES + 1, 10**12):
         with pytest.raises(ValueError, match="exceeds the limit"):
             decomposition_from_json({**obj, "n": n})
+
+
+def _held_by_the_host(d: Decomposition) -> bool:
+    """Every class edge is one of the host's own edge tuples, not a copy."""
+    host_ids = set(map(id, d.host.edges))
+    return all(id(e) in host_ids for cls in d.classes for e in cls)
+
+
+def test_built_and_read_classes_hold_the_host_tuples():
+    g = random_graph(9, 0.5, random.Random(3))
+    singletons = Decomposition(g, [[e] for e in g.edges], PARTITION)
+    read = {"mode": PARTITION, "k": 2, "n": 4, "classes": [[[1, 0], [2, 3], [0, 1]], [[1, 2]]]}
+    built = [
+        exact_min_partition(cycle_graph(5), 3).decomposition,
+        exact_min_cover(cycle_graph(5), 3).decomposition,
+        exact_min_partition(g, 3).decomposition,
+        layers_partition(3),
+        coarsen(singletons),
+        coarsen(exact_min_partition(g, 3).decomposition),
+        decomposition_from_json(read),
+    ]
+    for d in built:
+        assert validate(d) is None
+        assert _held_by_the_host(d), d
+
+
+def test_wrapping_classes_again_keeps_their_tuples():
+    d = vizing_partition(random_graph(30, 0.3, random.Random(1)))
+    again = Decomposition(d.host, d.classes, d.mode)
+    assert again == d
+    for old, new in zip(d.classes, again.classes):
+        assert set(map(id, new)) == set(map(id, old))
+
+
+def test_a_list_or_tuple_subclass_edge_is_stored_as_a_plain_tuple():
+    class Pair(tuple):
+        pass
+
+    g = complete_graph(3)
+    d = Decomposition(g, [[[0, 1], Pair((1, 2)), Pair((2, 0))]], PARTITION)
+    assert d.classes == (frozenset(g.edges),)
+    assert all(type(e) is tuple for e in d.classes[0])
+    assert validate(d) is None
+
+
+def test_decomposition_report_matches_the_oracle_byte_for_byte():
+    rng = random.Random(11)
+    ds = [layers_partition(2), layers_partition(3)]
+    for _ in range(25):
+        g = random_graph(rng.randint(0, 8), rng.random(), rng)
+        ds += [vizing_partition(g), greedy_partition(g)]
+        ds += [exact_min_partition(g, 3, node_budget=20_000).decomposition]
+        ds += [exact_min_cover(g, 3, node_budget=20_000).decomposition]
+    ds = [d for d in ds if d is not None]
+    assert {d.mode for d in ds} == {PARTITION, COVER} and len(ds) > 80
+    for d in ds:
+        want = reference_decomposition_to_json(d)
+        assert json.dumps(decomposition_to_json(d), indent=2) == json.dumps(want, indent=2)

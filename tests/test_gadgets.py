@@ -408,6 +408,7 @@ def test_formula_graph_at_vertex_limit_parses():
         ("3\n", "line 1: expected header"),
         ("3 1\n0 1\n", "line 2: expected three"),
         ("3 2\n0 1 2\n", "declared 2 clauses"),
+        ("3 1\n0 1 2\n0 1 2\n", "line 3: more clause lines"),
         ("3 1\n0 1 x\n", "line 2: variable ids"),
         ("11111 1\n0 1 2\n", "vertex count 100005 exceeds the limit"),
         ("1 -1\n", "line 1: header value c must be non-negative, got -1"),

@@ -226,9 +226,14 @@ def test_invalid_pair_is_named_when_the_masks_cannot_be_allocated():
 
 def test_edge_set_is_built_on_first_use():
     g = Graph(4, [(1, 0), (2, 3)])
-    assert g._edge_set is None
     assert g.edge_set == {(0, 1), (2, 3)}
-    assert g.edge_set is g.edge_set
+
+
+def test_graph_holds_only_its_vertex_count_edges_and_masks():
+    assert Graph.__slots__ == ("n", "edges", "_adj")
+    g = random_graph(30, 0.4, random.Random(5))
+    for h in (g, complement(g)):
+        assert h.edge_set == frozenset(h.edges)
 
 
 def test_rejects_self_loop():

@@ -592,6 +592,23 @@ def test_map_with_several_faults_names_the_first_in_reading_order():
     assert _message(parse_symbolic_map, "3 1\n- s0 s0 s0\n") == "line 2: expected 3 tokens, got 4"
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_map_header_with_an_empty_alphabet_against_the_oracle(n):
+    # the reader rejects k = 0 at the header; the oracle reads the rows first,
+    # so from n = 2 on it names a symbol or a '-' off the diagonal instead
+    empty = "alphabet must contain at least one symbol, got 0"
+    labelled = f"{n} 0\n" + "".join(" ".join("-" if y == x else "s0" for y in range(n)) + "\n" for x in range(n))
+    dashes = f"{n} 0\n" + ("- " * n + "\n") * n
+    for text in (labelled, dashes):
+        assert _message(parse_symbolic_map, text) == empty, text
+    if n <= 1:
+        assert _message(reference_parse_symbolic_map, labelled) == empty
+        assert _message(reference_parse_symbolic_map, dashes) == empty
+    else:
+        assert _message(reference_parse_symbolic_map, labelled) == "line 2: symbol s0 outside s0..s-1"
+        assert _message(reference_parse_symbolic_map, dashes) == "off-diagonal entry (0,1) must carry a symbol"
+
+
 def test_map_reader_peak_is_a_small_multiple_of_the_text():
     text = format_symbolic_map(tree_to_map(random_labeled_tree(300, 4, random.Random(1)), 4))
     tracemalloc.start()
