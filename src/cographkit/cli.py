@@ -6,11 +6,13 @@ The exit code follows the verdict: 1 for ``not-cograph``,
 ``not-ultrametric``, ``infeasible``, ``invalid`` and ``extraction-failed``,
 3 for ``timeout`` (node budget exhausted), 0 for every other verdict.
 A usage or input error exits 2 and an internal error 4, with no report.
+A line that stderr cannot take is dropped, and the exit code stays.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -43,10 +45,21 @@ class InputError(ValueError):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of ``path`` ('-' is standard input): its bytes decoded as
+    strict UTF-8, with no newline translation, so a file and standard
+    input give the same text for the same bytes."""
+    if path != "-":
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
+    if sys.stdin is None:
+        raise _no_stream()
+    return sys.stdin.buffer.read().decode("utf-8")
+
+
+def _no_stream() -> OSError:
+    """The error of a standard stream whose file descriptor was closed
+    when the interpreter started, which leaves the stream ``None``."""
+    return OSError(errno.EBADF, os.strerror(errno.EBADF))
 
 
 def _read(path: str, parse):
@@ -346,6 +359,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard(fd: int) -> None:
+    """Point ``fd`` at the null device after a write to it failed (a closed
+    pipe, a full device), so the exit flush of what stays buffered is quiet."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    if devnull != fd:  # else ``fd`` was closed and ``os.open`` took it
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
+def _note(line: str) -> None:
+    """``line`` on stderr; a stderr that cannot be written loses the line,
+    not the exit code."""
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _discard(2)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
@@ -357,10 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         verdict, payload, stats, summary = args.handler(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return EXIT_USAGE
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _note(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
     report = {
         "command": args.command,
@@ -370,20 +403,16 @@ def main(argv: list[str] | None = None) -> int:
         "stats": {"elapsed_s": round(time.perf_counter() - started, 6), **stats},
     }
     try:
+        if sys.stdout is None:
+            raise _no_stream()
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except OSError as exc:
-        # a closed pipe or a full device: keep the exit flush quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, 1)
-        os.close(devnull)
-        try:
-            print(f"error: cannot write report: {exc.strerror or exc}", file=sys.stderr)
-        except OSError:
-            pass
+        _discard(1)
+        _note(f"error: cannot write report: {exc.strerror or exc}")
         return EXIT_USAGE
-    print(summary, file=sys.stderr)
+    _note(summary)
     return _VERDICT_EXIT.get(verdict, 0)
 
 

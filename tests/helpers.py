@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import contextlib
+import functools
+import importlib.util
 import io
+import os
+import shutil
+import subprocess
 import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
+import cographkit
 from cographkit import PARTITION, Cotree, Decomposition, Graph, P4Witness, ValidationFault, recognize, validate
 from cographkit.decomp import (
     INFEASIBLE,
@@ -84,18 +90,66 @@ def caterpillar_newick(n: int) -> str:
 
 
 def run_cli(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
-    """Invoke the CLI in-process; returns (exit_code, stdout, stderr)."""
+    """Invoke the CLI in-process; returns (exit_code, stdout, stderr).
+    ``stdin`` reaches the CLI as UTF-8 bytes under a text stream, as a
+    child's standard input does."""
     from cographkit.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# CLI children: each imports the cographkit that this process imported
+# ---------------------------------------------------------------------------
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment for a child Python: ``PYTHONPATH`` is the
+    parent directory of the imported cographkit, and ``PYTHONUNBUFFERED``
+    is dropped, so the child's stdout is block-buffered as by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cographkit.__file__))
+    return env
+
+
+def imported_package(argv: list[str]) -> str | None:
+    """The ``cographkit/__init__.py`` that the Python child ``argv`` imports
+    under ``child_env()``, read from the import log that ``PYTHONVERBOSE``
+    writes on stderr; None when the child cannot start or imports none."""
+    try:
+        proc = subprocess.run(argv, env=dict(child_env(), PYTHONVERBOSE="1"), stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=120)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    for line in proc.stderr.splitlines():
+        # "# code object from '<pyc>'" for a cached module, "... from <source>" for one compiled now
+        if line.startswith("# code object from "):
+            path = line.removeprefix("# code object from ").strip("'")
+            with contextlib.suppress(ValueError):  # a .pyc outside __pycache__ has no source
+                path = importlib.util.source_from_cache(path) if path.endswith(".pyc") else path
+                if path.endswith(os.path.join(os.sep + "cographkit", "__init__.py")):
+                    return path
+    return None
+
+
+@functools.cache
+def cli_command() -> tuple[str, ...]:
+    """The argv prefix of a ``cographkit`` child: the console script on
+    ``PATH`` when it imports the very cographkit this process imported
+    (an installed package and its script), else ``python -m
+    cographkit.cli``, so a stale script is never run in its place."""
+    script = shutil.which("cographkit")
+    if script is not None and imported_package([script, "--help"]) == cographkit.__file__:
+        return (script,)
+    return (sys.executable, "-m", "cographkit.cli")
 
 
 # ---------------------------------------------------------------------------

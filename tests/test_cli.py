@@ -3,6 +3,7 @@ and byte-exact artifact round trips."""
 
 import contextlib
 import errno
+import functools
 import io
 import json
 import os
@@ -39,6 +40,8 @@ from cographkit.graph import MAX_VERTICES
 from helpers import (
     alternating_threshold,
     caterpillar_newick,
+    child_env,
+    cli_command,
     reference_format_edge_list,
     reference_graph_to_json,
     reference_validate,
@@ -933,17 +936,16 @@ def test_negative_node_budget_exits_two(text):
     assert code == (3 if text == P4_TEXT else 0)
 
 
-def _run_cli_process(argv: list[str], stdout) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter with the given stdout file or fd,
-    block-buffered as it is by default."""
-    import cographkit
-
-    src = os.path.dirname(os.path.dirname(cographkit.__file__))
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = src
-    code = "import sys; from cographkit.cli import main; sys.exit(main())"
+def _run_cli_process(
+    argv: list[str], stdout, stderr=subprocess.PIPE, close: int | None = None, **options
+) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter with the given stdout and stderr files
+    or fds, block-buffered as it is by default; ``close`` is a standard fd
+    that the child starts without, as a shell's ``<&-`` leaves it."""
+    preexec = None if close is None else functools.partial(os.close, close)
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
+        [*cli_command(), *argv], stdout=stdout, stderr=stderr, env=child_env(), timeout=120, preexec_fn=preexec,
+        **options,
     )
 
 
@@ -970,12 +972,66 @@ def test_closed_stdout_pipe_exits_two(argv):
     _assert_unwritable_report(proc, os.strerror(errno.EPIPE))
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+
+
+@NEEDS_DEV_FULL
 @pytest.mark.parametrize("argv", UNWRITABLE_REPORTS)
 def test_full_device_stdout_exits_two(argv):
     with open("/dev/full", "wb") as full:
         proc = _run_cli_process(argv, full)
     _assert_unwritable_report(proc, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_REPORTS)
+def test_closed_stdout_exits_two(argv):
+    proc = _run_cli_process(argv, None, close=1)
+    _assert_unwritable_report(proc, os.strerror(errno.EBADF))
+
+
+# a stderr that cannot be written loses the summary or the error line, not
+# the exit code, which would otherwise read 1, a negative verdict
+@pytest.mark.parametrize("sink", ["closed", pytest.param("full", marks=NEEDS_DEV_FULL)])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["recognize", "p3.txt"], 0), (["hypercube", "3"], 0), (["recognize", "missing.txt"], 2)],
+    ids=["recognize", "hypercube", "missing-file"],
+)
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, sink, tmp_path):
+    (tmp_path / "p3.txt").write_text("3 2\n0 1\n1 2\n")
+    with open(os.devnull if sink == "closed" else "/dev/full", "wb") as err:
+        proc = _run_cli_process(argv, subprocess.PIPE, err, close=2 if sink == "closed" else None, cwd=tmp_path)
+    assert proc.returncode == code
+    if code:
+        assert proc.stdout == b""
+    else:  # the report alone: a summary never lands on stdout
+        assert json.loads(proc.stdout)["argv"] == argv
+
+
+def test_closed_stdin_is_an_input_error():
+    proc = _run_cli_process(["recognize", "-"], subprocess.PIPE, close=0)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"error: cannot read -: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.parametrize(
+    "data, code",
+    [
+        (b"3 2\r\n0 1\r\n1 2\r\n", 0),
+        (b"3 2\r0 1\r1 2\r", 2),  # a line ends at \n alone
+        (b"\xff", 2),
+        (b"3 2\n0 1\n1 \xff\n", 2),
+    ],
+    ids=["crlf", "cr", "not-utf8-header", "not-utf8-edge"],
+)
+def test_a_file_and_stdin_give_the_same_outcome(data, code, tmp_path):
+    (tmp_path / "g.txt").write_bytes(data)
+    from_file = _run_cli_process(["recognize", "g.txt"], subprocess.PIPE, cwd=tmp_path)
+    from_stdin = _run_cli_process(["recognize", "-"], subprocess.PIPE, input=data)
+    assert from_file.returncode == from_stdin.returncode == code
+    assert from_file.stderr.decode().replace("error: g.txt: ", "error: -: ") == from_stdin.stderr.decode()
+    if code == 0:
+        assert json.loads(from_file.stdout)["payload"] == json.loads(from_stdin.stdout)["payload"]
 
 
 DECOMP, GADGETS, SYMBOLIC = "cographkit.decomp", "cographkit.gadgets", "cographkit.symbolic"
@@ -998,9 +1054,6 @@ def test_each_command_imports_only_the_modules_it_runs(argv, stdin, loaded, abse
     """A fresh ``python -B`` child runs one command (or only imports the
     package) and reports the modules it loaded: a top-level import that
     pulls in an unused module would show here."""
-    import cographkit
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cographkit.__file__)))
     run = f"from cographkit.cli import main; code = main({argv!r})" if argv else "import cographkit; code = 0"
     script = (
         "import io, json, sys\n"
@@ -1009,7 +1062,7 @@ def test_each_command_imports_only_the_modules_it_runs(argv, stdin, loaded, abse
         "out.write(json.dumps([code, sorted(sys.modules)]))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", script], input=stdin, capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-B", "-c", script], input=stdin, capture_output=True, text=True, env=child_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
@@ -1035,13 +1088,12 @@ def test_each_export_loads_only_its_module_and_the_modules_it_imports(name, load
     """A fresh ``python -B`` child reads one exported name: ``cotree`` imports
     ``graph``, ``decomp`` and ``symbolic`` import both, ``gadgets`` imports
     ``graph``, and no other submodule is loaded."""
-    import cographkit
-
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cographkit.__file__)))
     script = (
         f"import json, sys, cographkit; cographkit.{name}; "
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cographkit.'))))"
     )
-    proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", script], capture_output=True, text=True, env=child_env(), timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [f"cographkit.{m}" for m in loaded]
