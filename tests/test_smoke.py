@@ -3,7 +3,9 @@ a shell would, in an empty directory holding the row's input files.
 
 A word ``cographkit`` starts the CLI through ``helpers.cli_command``: the
 console script when the one on ``PATH`` imports the package under test,
-else ``python -m cographkit.cli``.  A word ``python`` starts this
+else ``python -m cographkit.cli``; an installed package (one outside the
+checkout's ``src/``) must be run through its script, or the import test
+fails.  A word ``python`` starts this
 interpreter.  Every child gets ``helpers.child_env()``.  The full suite
 runs this module against the package it imports; CI also runs it alone
 after ``pip install``, against the installed package and script.  Many
@@ -14,7 +16,9 @@ entry point, the interpreter's own streams and the exit code.
 from __future__ import annotations
 
 import json
+import os
 import random
+import shutil
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -51,7 +55,8 @@ class Case:
     not hold, ``err_is`` its whole stderr and ``err_max`` a bound on the
     bytes of stderr.  ``canonical`` asks that stdout be the JSON that
     ``json.dumps(..., indent=2)`` writes, with one newline after it.
-    ``timeout`` is each child's wall-clock ceiling in seconds.
+    ``payload`` makes the items that the ``payload`` of stdout's JSON must
+    hold.  ``timeout`` is each child's wall-clock ceiling in seconds.
     """
 
     id: str
@@ -65,6 +70,7 @@ class Case:
     err_is: str | None = None
     err_max: int | None = None
     canonical: bool = False
+    payload: Callable[[], dict] | None = None
     timeout: float = 120
 
 
@@ -84,10 +90,16 @@ def map300() -> bytes:
     return format_symbolic_map(tree_to_map(random_labeled_tree(300, 4, random.Random(1)), 4)).encode()
 
 
+def clause_graph() -> dict:
+    """The order and edges of the formula graph of ``CLAUSE``, as JSON decodes them."""
+    g = build_formula_graph(parse_formula(CLAUSE.decode())).graph
+    return json.loads(json.dumps({"n": g.n, "edges": g.edges}))
+
+
 def overlap() -> bytes:
     """The formula graph of ``CLAUSE`` with its whole edge set in both classes."""
-    g = build_formula_graph(parse_formula(CLAUSE.decode())).graph
-    return json.dumps({"mode": "partition", "k": 2, "n": g.n, "classes": [g.edges, g.edges]}).encode()
+    g = clause_graph()
+    return json.dumps({"mode": "partition", "k": 2, "n": g["n"], "classes": [g["edges"], g["edges"]]}).encode()
 
 
 LAZY_IMPORT = (
@@ -164,7 +176,8 @@ CASES = [
          files={"c5one.json": b'{"mode": "partition", "k": 1, "n": 5, "classes": '
                               b'[[[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]]}'},
          code=1, out=('"verdict": "invalid"',)),
-    Case("reduce-to-graph", cli("reduce", "to-graph", "clause.nae"), files={"clause.nae": CLAUSE}),
+    Case("reduce-to-graph", cli("reduce", "to-graph", "clause.nae"), files={"clause.nae": CLAUSE}, canonical=True,
+         payload=clause_graph),
     Case("from-partition-overlap", cli("reduce", "from-partition", "--formula", "clause.nae", "overlap.json"),
          files={"clause.nae": CLAUSE, "overlap.json": overlap}, code=1,
          out=('"verdict": "extraction-failed"',), err=("overlap",), err_max=300),
@@ -212,8 +225,16 @@ def test_smoke(case, tmp_path):
         assert len(proc.stderr) <= case.err_max, err
     if case.canonical:
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+    if case.payload is not None:
+        expected = case.payload()
+        payload = json.loads(out)["payload"]
+        assert {key: payload[key] for key in expected} == expected
 
 
 def test_children_import_the_package_under_test():
     assert imported_package([*cli_command(), "--help"]) == cographkit.__file__
+    # an installed package must be run through its own console script
+    checkout_src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "")
+    if not os.path.abspath(cographkit.__file__).startswith(checkout_src):
+        assert cli_command() == (shutil.which("cographkit"),)
     assert imported_package([sys.executable, "-c", "import cographkit"]) == cographkit.__file__
