@@ -169,12 +169,6 @@ def _class_witness(adj: dict[int, int]) -> P4Witness | None:
 # ---------------------------------------------------------------------------
 
 
-def _free_color(taken: int) -> int:
-    """Smallest color c >= 1 whose bit is clear in ``taken``."""
-    taken |= 1
-    return (~taken & (taken + 1)).bit_length() - 1
-
-
 def vizing_partition(g: Graph) -> Decomposition:
     """Partition into at most max_degree + 1 matchings via proper edge coloring.
 
@@ -183,21 +177,29 @@ def vizing_partition(g: Graph) -> Decomposition:
     Misra-Gries fan/rotation step, so the bound holds for every input.
     Each color class is a matching and therefore a cograph.
     An edgeless graph yields the single empty class, keeping k total.
-    Classes come out in ascending color order.
+    Classes come out in ascending color order and hold the host's own
+    edge tuples; the per-vertex color maps are freed before the classes
+    are built.
     """
     if not g.edges:
         return Decomposition(g, ((),), PARTITION)
     palette = g.max_degree() + 1
-    at: list[dict[int, int]] = [dict() for _ in range(g.n)]  # color -> neighbor
+    # color -> the host's tuple of the edge with that color at v; the
+    # other end of edge e at v is e[0] + e[1] - v
+    at: list[dict[int, Edge]] = [dict() for _ in range(g.n)]
     used = [0] * g.n  # bit c set when color c (1..palette) is taken at v
 
-    for u, v in g.edges:
-        c = _free_color(used[u] | used[v])
+    for e in g.edges:
+        u, v = e
+        # the lowest clear bit of taken is the lowest free color c >= 1;
+        # bit 0 is never a color
+        taken = used[u] | used[v] | 1
+        bit = ~taken & (taken + 1)
+        c = bit.bit_length() - 1
         if c <= palette:  # a color free at both ends needs no fan
-            at[u][c] = v
-            at[v][c] = u
-            used[u] |= 1 << c
-            used[v] |= 1 << c
+            at[u][c] = at[v][c] = e
+            used[u] |= bit
+            used[v] |= bit
             continue
         # maximal fan of u starting at v: each next fan edge's color is
         # free at the previous fan vertex; the lowest such color wins
@@ -213,55 +215,59 @@ def vizing_partition(g: Graph) -> Decomposition:
             avail ^= low
             col = low.bit_length() - 1
             fan_colors.append(col)
-            last = at_u[col]
-        c = _free_color(used[u])
-        d = _free_color(used[last])
+            f = at_u[col]
+            last = f[0] + f[1] - u
+        taken = used[u] | 1
+        c = (~taken & (taken + 1)).bit_length() - 1
+        taken = used[last] | 1
+        d = (~taken & (taken + 1)).bit_length() - 1
         assert max(c, d) <= palette, "palette exhausted"
         if d != c and used[u] >> d & 1:
             # swap d and c on the maximal alternating d/c path starting at u;
             # interior path vertices keep both colors, only the two ends flip
-            x, y = u, at_u.pop(d)
-            at_u[c] = y
-            a, b = d, c  # edge x-y was colored a and is now colored b
+            f = at_u.pop(d)
+            at_u[c] = f
+            y = f[0] + f[1] - u
+            a, b = d, c  # edge f, ending at y, was colored a and is now colored b
             while True:
                 at_y = at[y]
-                z = at_y.get(b)
-                at_y[b] = x
-                if z is None:
+                h = at_y.get(b)
+                at_y[b] = f
+                if h is None:
                     del at_y[a]
                     break
-                at_y[a] = z
-                x, y, a, b = y, z, b, a
+                at_y[a] = h
+                f, y, a, b = h, h[0] + h[1] - y, b, a
             used[u] ^= 1 << c | 1 << d
             used[y] ^= 1 << c | 1 << d
             # of the edges at u, only its former d-edge changed color
             if d in fan_colors:
                 fan_colors[fan_colors.index(d)] = c
         # rotate up to the first fan vertex w with d free: each fan edge
-        # passes its color to the edge before it, then u-w takes d
-        w = v
+        # passes its color to the edge before it, then u-w (edge f) takes d
+        w, f = v, e
         for col in fan_colors:
             if not used[w] >> d & 1:
                 break
             assert not used[w] >> col & 1, "prefix is still a fan"
-            x = at_u[col]
-            at_u[col] = w
-            at[w][col] = u
+            h = at_u[col]
+            x = h[0] + h[1] - u
+            at_u[col] = at[w][col] = f
             used[w] |= 1 << col
             del at[x][col]
             used[x] ^= 1 << col
-            w = x
+            w, f = x, h
         assert not used[w] >> d & 1, "fan rotation target must exist"
-        at_u[d] = w
-        at[w][d] = u
+        at_u[d] = at[w][d] = f
         used[w] |= 1 << d
         used[u] |= 1 << d
 
     buckets: dict[int, list[Edge]] = {}
-    for x in range(g.n):
-        for col, y in at[x].items():
-            if x < y:
-                buckets.setdefault(col, []).append((x, y))
+    for x, at_x in enumerate(at):
+        for col, e in at_x.items():
+            if e[0] == x:  # each edge once, from its lower end
+                buckets.setdefault(col, []).append(e)
+    del at
     return Decomposition(g, [buckets[col] for col in sorted(buckets)], PARTITION)
 
 

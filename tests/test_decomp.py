@@ -1223,6 +1223,9 @@ def test_built_and_read_classes_hold_the_host_tuples():
         coarsen(singletons),
         coarsen(exact_min_partition(g, 3).decomposition),
         decomposition_from_json(read),
+        # five of the complete graph's edges take the fan, two with a Kempe swap
+        vizing_partition(complete_graph(9)),
+        greedy_partition(g),
     ]
     for d in built:
         assert validate(d) is None
