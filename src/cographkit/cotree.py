@@ -23,7 +23,7 @@ import random
 from itertools import repeat
 from typing import Iterator, Union
 
-from .graph import MAX_VERTICES, Graph, P4Witness, _excerpt, _first_component, _induced_p4s, _is_int
+from .graph import MAX_VERTICES, Graph, P4Witness, _excerpt, _first_component, _induced_p4s, _is_int, _p4_start
 
 __all__ = [
     "Cotree",
@@ -183,7 +183,10 @@ def _split(splitters, mask: int) -> Cotree | int:
     one vertex is its last component and a leaf, found with no component
     search.  A part {u < v} needs no search either: a splitter divides it
     exactly when ``adj[u]`` has bit v clear (set, in complement), and its
-    node and two leaves are appended at once, with no stack frame.
+    node and two leaves are appended at once, with no stack frame.  Nor
+    does a rest {u < v}: one bit of the splitter that divided its node
+    says whether it is one part (the splitter joins u and v) or the two
+    leaves u and v, appended at once.
     """
     parent: list[int] = []
     children: list = []  # a list per inner node, () per leaf
@@ -231,7 +234,7 @@ def _split(splitters, mask: int) -> Cotree | int:
         while stack:
             top = stack[-1]
             par, skip, rest, left = top
-            if left > 1:
+            if left > 2:
                 _, adj, in_complement = splitters[skip]
                 part = _first_component(adj, rest, in_complement)
                 size = part.bit_count()
@@ -239,7 +242,21 @@ def _split(splitters, mask: int) -> Cotree | int:
                 top[3] = left - size
                 break
             stack.pop()
-            if left:
+            if left == 2:
+                v = rest.bit_length() - 1
+                u = (rest ^ 1 << v).bit_length() - 1
+                _, adj, in_complement = splitters[skip]
+                if (adj[u] >> v & 1) != in_complement:
+                    part = rest
+                    size = 2
+                    break
+                idx = len(parent)
+                parent += (par, par)
+                children[par] += (idx, idx + 1)
+                children += ((), ())
+                label += (None, None)
+                leaf_vertex += (u, v)
+            elif left:
                 part = rest
                 size = 1
                 break
@@ -260,14 +277,18 @@ def _cotree_or_witness(adj, mask: int) -> Cotree | P4Witness:
     induced P4; the witness is the lexicographically first one inside the
     first such part.  ``adj[v]`` is the adjacency bitmask of each v in
     ``mask`` (list, tuple or dict).
+
+    The witness's first vertex comes from ``_p4_start``, at most one
+    component search per start up to it, and the scan runs from there: the
+    starts below it end no induced path, so the scan would find none there.
     """
     result = _split(((0, adj, False), (1, adj, True)), mask)
     if isinstance(result, Cotree):
         return result
-    witness = next(_induced_p4s(adj, result), None)
-    if witness is None:
+    start = _p4_start(adj, result)
+    if start is None:
         raise AssertionError("irreducible subgraph without an induced path")
-    return witness
+    return next(_induced_p4s(adj, result, start))
 
 
 def recognize(g: Graph) -> Cotree | P4Witness:

@@ -281,11 +281,13 @@ def hypercube(d: int) -> Graph:
     return Graph(n, edges)
 
 
-def _induced_p4s(adj, part: int) -> Iterator[P4Witness]:
+def _induced_p4s(adj, part: int, start: int = 0) -> Iterator[P4Witness]:
     """Induced paths a-b-c-d of the subgraph induced on the bitmask ``part``,
     yielded lazily as canonical quadruples with a < d in lexicographic order;
-    ``adj[v]`` is the adjacency bitmask of each v in ``part`` (list, tuple or dict)."""
-    for a in _bits(part):
+    ``adj[v]`` is the adjacency bitmask of each v in ``part`` (list, tuple or dict).
+    Only the paths with ``a >= start`` are scanned: from ``_p4_start(adj, part)``
+    the first one yielded is the first of the whole part."""
+    for a in _bits(part >> start << start):
         for b in _bits(adj[a] & part):
             # c adjacent to b, not adjacent or equal to a
             for c in _bits(adj[b] & part & ~adj[a] & ~(1 << a)):
@@ -294,6 +296,39 @@ def _induced_p4s(adj, part: int) -> Iterator[P4Witness]:
                 dmask &= -1 << (a + 1)
                 for d in _bits(dmask):
                     yield P4Witness(a, b, c, d)
+
+
+def _p4_start(adj, part: int) -> int | None:
+    """Lowest vertex of ``part`` that ends an induced path a-b-c-d of the
+    subgraph induced on ``part``, or None if that subgraph is a cograph;
+    ``adj`` as for ``_induced_p4s``.
+
+    A vertex a ends such a path exactly when some neighbour b of a in the
+    part is adjacent to some, but not all, of a component K of the part
+    minus N[a]: K, being connected, then holds an edge cd with c in N(b)
+    and d not.  With OR and AND the union and intersection of the masks of
+    K's members, b is such a neighbour when it lies in OR ^ AND (AND lies
+    within OR).  The members reached so far lie in K, so the test is made
+    after each frontier, and each start costs at most one component search
+    of the part minus N[a].  The lowest such vertex is the a of the
+    lexicographically first canonical path, whose other end lies above it."""
+    for a in _bits(part):
+        near = adj[a] & part
+        left = part ^ near ^ 1 << a  # the part minus N[a], not yet searched
+        while near and left:
+            union, common = 0, -1
+            frontier = left & -left
+            while frontier:
+                left ^= frontier
+                while frontier:
+                    v = frontier.bit_length() - 1
+                    frontier ^= 1 << v
+                    union |= adj[v]
+                    common &= adj[v]
+                if near & (union ^ common):
+                    return a
+                frontier = union & left
+    return None
 
 
 def enumerate_induced_p4(g: Graph) -> list[P4Witness]:
@@ -327,13 +362,17 @@ def _first_component(adj, subset: int, in_complement: bool) -> int:
     subgraph induced on ``subset``, or in its complement with ``in_complement``;
     ``adj[v]`` is the adjacency bitmask of each v in ``subset`` (list, tuple or dict).
 
-    A vertex joins in the complement when some frontier vertex misses it,
-    that is when it lies outside the AND of the frontier's masks; ANDing
-    the masks builds no negative integer ``~adj[v]`` per vertex.  Each
-    frontier is walked from its highest vertex, which is cleared by one
-    XOR with no mask of the lowest bit built first; the union and the AND
-    do not depend on the order."""
-    comp = frontier = subset & -subset
+    The search carries ``left``, the vertices of ``subset`` not yet reached,
+    so each round takes the new frontier from ``left`` and removes it with
+    one XOR, and the component is ``subset ^ left`` at the end.  A vertex
+    joins in the complement when some frontier vertex misses it, that is
+    when it lies outside the AND of the frontier's masks, taken as
+    ``left ^ (left & common)``: no negative integer ``~adj[v]`` or ``~comp``
+    is built.  Each frontier is walked from its highest vertex, which is
+    cleared by one XOR with no mask of the lowest bit built first; the
+    union and the AND do not depend on the order."""
+    frontier = subset & -subset
+    left = subset ^ frontier
     while frontier:
         if in_complement:
             common = -1
@@ -341,16 +380,16 @@ def _first_component(adj, subset: int, in_complement: bool) -> int:
                 v = frontier.bit_length() - 1
                 common &= adj[v]
                 frontier ^= 1 << v
-            frontier = subset & ~(common | comp)
+            frontier = left ^ (left & common)
         else:
             grow = 0
             while frontier:
                 v = frontier.bit_length() - 1
                 grow |= adj[v]
                 frontier ^= 1 << v
-            frontier = grow & subset & ~comp
-        comp |= frontier
-    return comp
+            frontier = grow & left
+        left ^= frontier
+    return subset ^ left
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:

@@ -80,6 +80,30 @@ def alternating_threshold(order: list[int]) -> tuple[Graph, Cotree]:
     return Graph(len(order), edges), Cotree(tree)
 
 
+def two_vertex_rest_tree(rng, num_symbols: int, depth: int) -> Cotree:
+    """Random canonical tree, labels drawn from ``num_symbols`` (at least 2)
+    symbols, whose leaves are numbered in preorder, so each node's children
+    come in the order they were drawn.  Every inner node ends in two leaves
+    after one or two other children, or in a child over two leaves: the
+    split's last rest at that node is then two vertices, two components of
+    its splitter or one."""
+    ids = iter(range(1 << 30))
+
+    def other(lab):
+        return rng.choice([m for m in range(num_symbols) if m != lab])
+
+    def build(parent_label, depth: int):
+        lab = other(parent_label)
+        kids = [build(lab, depth - 1) if depth and rng.random() < 0.6 else next(ids) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            kids += [next(ids), next(ids)]
+        else:
+            kids.append((other(lab), [next(ids), next(ids)]))
+        return (lab, kids)
+
+    return Cotree(build(None, depth))
+
+
 def caterpillar_newick(n: int) -> str:
     """Newick of the alternating caterpillar on leaves 0..n-1 (depth n - 1):
     leaf y joins the tree of the leaves below it under label y % 2."""

@@ -29,7 +29,7 @@ from cographkit import (
 from cographkit import cotree
 from cographkit.cotree import _split, check_structure
 from cographkit.decomp import PARTITION, Decomposition, coarsen
-from cographkit.graph import _bits, first_induced_p4
+from cographkit.graph import _bits, _induced_p4s, _p4_start, first_induced_p4
 from cographkit.symbolic import build_representation
 from helpers import (
     _Prime,
@@ -42,6 +42,7 @@ from helpers import (
     reference_component_masks,
     reference_split,
     reference_to_newick,
+    two_vertex_rest_tree,
 )
 
 
@@ -337,9 +338,24 @@ def _small_part_graphs() -> list[Graph]:
     return graphs
 
 
+def _two_vertex_rest_graphs() -> list[Graph]:
+    """Cographs of ``two_vertex_rest_tree`` and their complements, so that
+    rests of two vertices come under both splitters, as one part or as two
+    leaves, plus each with a flipped pair, which puts a prime part among them."""
+    rng = random.Random(73)
+    graphs = []
+    for _ in range(60):
+        g = cotree_to_graph(two_vertex_rest_tree(rng, 2, rng.randint(0, 4)))
+        for h in (g, complement(g)):
+            flip = tuple(sorted(rng.sample(range(h.n), 2)))
+            graphs += [h, Graph(h.n, set(h.edges) ^ {flip})]
+    return graphs
+
+
 def test_split_matches_recursive_reference():
     # the same tree, or the same first prime part and hence the same witness
     graphs = [g for n in range(1, 6) for g in all_graphs(n)] + _seeded_split_graphs() + _small_part_graphs()
+    graphs += _two_vertex_rest_graphs()
     for g in graphs:
         full = (1 << g.n) - 1
         want = _split_outcome(reference_split, g._adj, full)
@@ -376,6 +392,49 @@ def test_witness_is_first_induced_path_of_the_prime_part():
         else:
             assert isinstance(recognize(g), Cotree)
     assert primes == 28_038  # the non-cographs among the graphs
+
+
+def test_start_test_finds_the_first_path_of_each_part():
+    # 4,000 seeded graphs on 1-11 vertices, each on the whole vertex set and
+    # on three random parts, with tuple and {vertex: mask} adjacency: the
+    # start is the a of the scan's first path, and the scan from it yields
+    # that path first
+    rng = random.Random(79)
+    pairs = 0
+    for _ in range(4000):
+        n = rng.randint(1, 11)
+        g = random_graph(n, rng.uniform(0.1, 0.9), rng)
+        for part in [(1 << n) - 1] + [rng.getrandbits(n) for _ in range(3)]:
+            in_part = {v: g._adj[v] for v in _bits(part)}
+            for adj in (g._adj, in_part):
+                want = next(_induced_p4s(adj, part), None)
+                start = _p4_start(adj, part)
+                if want is None:
+                    assert start is None, (g.edges, part)
+                else:
+                    assert start == want.a, (g.edges, part)
+                    assert next(_induced_p4s(adj, part, start)) == want
+            pairs += 1
+    assert pairs == 16_000
+
+
+def test_witness_of_a_large_prime_part_reads_few_masks():
+    # the 800-vertex alternating threshold graph with (399, 402) flipped:
+    # its first prime part has 403 vertices, and scanning from every start
+    # below 400 reads the masks 16,643,002 times
+    g, _ = alternating_threshold(list(range(800)))
+    g = Graph(800, set(g.edges) ^ {(399, 402)})
+    reads = 0
+
+    class Counting(dict):
+        def __getitem__(self, v):
+            nonlocal reads
+            reads += 1
+            return dict.__getitem__(self, v)
+
+    adj = Counting(enumerate(g._adj))
+    assert cotree._cotree_or_witness(adj, (1 << g.n) - 1) == P4Witness(400, 401, 399, 402)
+    assert reads < 1_000_000
 
 
 def test_split_matches_recursive_reference_on_coarsen_unions(monkeypatch):

@@ -41,6 +41,7 @@ from helpers import (
     reference_search_separating_delta,
     reference_set_partitions,
     run_cli,
+    two_vertex_rest_tree,
 )
 
 
@@ -334,6 +335,8 @@ def test_representation_matches_per_node_split_reference():
             for depth, lab in reversed(list(enumerate(labels))):
                 node = (lab, [depth, node])
             maps.append(tree_to_map(Cotree(node)))
+    # rests of two vertices, one part or two leaves, under three to five symbols
+    maps += [tree_to_map(two_vertex_rest_tree(rng, k, rng.randint(0, 2))) for k in (3, 4, 5) for _ in range(20)]
     for d in maps:
         assert build_representation(d) == reference_build_representation(d), d.pair_symbols
 
