@@ -5,7 +5,8 @@ verdict, payload, statistics) and a short human summary on stderr.
 The exit code follows the verdict: 1 for ``not-cograph``,
 ``not-ultrametric``, ``infeasible``, ``invalid`` and ``extraction-failed``,
 3 for ``timeout`` (node budget exhausted), 0 for every other verdict.
-A usage or input error exits 2 and an internal error 4, with no report.
+A usage or input error exits 2 and an internal error 4, with no report;
+running out of memory is not a fault of the program and exits 2 too.
 A line that stderr cannot take is dropped, and the exit code stays.
 """
 
@@ -33,6 +34,7 @@ from .graph import (
 
 EXIT_USAGE = 2
 EXIT_INTERNAL = 4
+OUT_OF_MEMORY = "error: out of memory"
 # exit code per verdict; a verdict not listed exits 0
 _VERDICT_EXIT = {
     **dict.fromkeys(("not-cograph", "not-ultrametric", "infeasible", "invalid", "extraction-failed"), 1),
@@ -392,6 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
+    except MemoryError:
+        _note(OUT_OF_MEMORY)
+        return EXIT_USAGE
     except Exception as exc:
         _note(f"internal error: {type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
@@ -411,6 +416,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _discard(1)
         _note(f"error: cannot write report: {exc.strerror or exc}")
+        return EXIT_USAGE
+    except MemoryError:
+        _note(OUT_OF_MEMORY)
         return EXIT_USAGE
     _note(summary)
     return _VERDICT_EXIT.get(verdict, 0)

@@ -176,6 +176,23 @@ def test_internal_error_exits_four_without_report(monkeypatch):
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_out_of_memory_in_a_handler_exits_two_without_report(monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_recognize", exhausted)
+    assert run_cli(["recognize", "-"], stdin=K3_TEXT) == (2, "", "error: out of memory\n")
+
+
+def test_out_of_memory_while_writing_the_report_exits_two(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.json, "dump", exhausted)
+    code, _, err = run_cli(["recognize", "-"], stdin=K3_TEXT)
+    assert (code, err) == (2, "error: out of memory\n")
+
+
 def test_recognize_threshold_graph_of_600_vertices():
     g, tree = alternating_threshold(random.Random(67).sample(range(600), 600))
     code, out, _ = run_cli(["recognize", "-"], stdin=format_edge_list(g))

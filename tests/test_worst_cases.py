@@ -1,6 +1,8 @@
-"""tools/worst_cases.py on tiny inputs: every row runs as a child and is
-recorded with its size, figures, item and target."""
+"""tools/worst_cases.py on tiny inputs: every row runs as a child to the
+exit code it has at full size, and is recorded with its size, figures,
+item and target."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -31,3 +33,26 @@ def test_worst_case_table_on_tiny_inputs(tmp_path):
     assert rows["decompose_exact_budget1_c5"]["exit_code"] == 3
     assert rows["criterion7_refutation"]["figures"]["nodes"] == 441
     assert rows["cotree_complete_2000"]["command"] == ["-m", "cographkit.cli", "cotree", "tree.nwk"]
+    # rows whose figures the CLI reports run the CLI, to the exit codes they have at full size
+    converted = {"exact_partition_g30_budget45000": (3, "nodes"), "exact_cover_g30_budget45000": (3, "nodes"),
+                 "exact_partition_g160_k1": (1, "nodes"), "exact_partition_g120_k1": (1, "nodes"),
+                 "coarsen_vizing_g80": (0, "unions_tested"), "coarsen_vizing_g40": (0, "unions_tested"),
+                 "represent_flipped_threshold_map_200": (1, "elapsed_s")}
+    for name, (code, figure) in converted.items():
+        row = rows[name]
+        assert row["command"][:2] == ["-m", "cographkit.cli"] and row["exit_code"] == code and figure in row["figures"]
+    cli_rows = [row for row in rows.values() if row["command"][:2] == ["-m", "cographkit.cli"]]
+    assert len(cli_rows) == 18
+    assert all("elapsed_s" in row["figures"] for row in cli_rows)
+
+
+def test_figures_of_a_report_larger_than_the_tail_read_back():
+    spec = importlib.util.spec_from_file_location("worst_cases", ROOT / "tools" / "worst_cases.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    stats = {"elapsed_s": 0.5, "nodes": 2, "nodes_per_k": [2]}
+    report = {"command": "p4s", "payload": {"witnesses": [["stats"]] * 20_000}, "stats": stats}
+    text = json.dumps(report, indent=2).encode()
+    assert len(text) > 4 * tool.TAIL_BYTES
+    assert tool._read_figures(["-m", "cographkit.cli"], text[-tool.TAIL_BYTES:]) == stats
+    assert tool._read_figures(["-m", "cographkit.cli"], b"") == {}

@@ -1,22 +1,24 @@
 """The worst-case input table: each adversarial input of ROADMAP's State
 table run once as a fresh child, with the owning item and its target.
 
-    python3 tools/worst_cases.py --out BENCH_38.json [--tiny]
+    python3 tools/worst_cases.py --out BENCH_<pr>.json [--tiny]
 
 A row is a CLI call (``python -m cographkit.cli ...``) on an input file
-written here by a seeded generator, or a ``python -c`` snippet for a figure
-taken in-process; such a snippet prints one JSON object of figures as its
-last line (``inner_s`` is the time of the call the row is about).  Each
-row records the input's size, the child's wall time, its peak RSS from
-``os.wait4`` (``ru_maxrss``, read by a small launcher process that starts
-the child), its exit code, the owning ROADMAP item and that item's target,
-and whether the target is ``met`` (None for a row that has no target).
-Each child runs under a wall-clock ceiling of ``TIMEOUT_S``, and a row
-whose known peak is above 2 GB under an ``RLIMIT_AS`` ceiling of
-``CEILING_MB``; a child that hits either is recorded as over target.  ``--tiny`` shrinks every input, for a quick check that each row
-runs.  The table is stored under ``"worst_cases"`` in the output file,
-next to any ``bench_pairs`` entries there.  Standard library and the
-package under ``src/`` only.
+written here by a seeded generator, whose figures are its report's
+``stats``, or a ``python -c`` snippet that times one call in-process and
+prints its figures as one JSON object on its last line (``inner_s`` is the
+time of that call).  Each row records the input's size, the child's wall
+time, its peak RSS from ``os.wait4`` (``ru_maxrss``, read by a small
+launcher process that starts the child), its exit code, the owning ROADMAP
+item and that item's target, and whether the target is ``met`` (None for
+a row that has no target).  Each child runs under a wall-clock ceiling of
+``TIMEOUT_S``, and a row whose known peak is above 2 GB under an
+``RLIMIT_AS`` ceiling of ``CEILING_MB``; a child that hits either is
+recorded as over target.  ``--tiny`` shrinks every input, for a quick
+check that each row runs to the exit code it has at full size.  The table
+is stored under ``"worst_cases"`` in the output file, next to any
+``bench_pairs`` entries there.  Standard library and the package under
+``src/`` only.
 """
 
 from __future__ import annotations
@@ -36,15 +38,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from cographkit import (  # noqa: E402
+    Graph,
+    decomposition_to_json,
+    delta_from_graph,
     format_edge_list,
     format_symbolic_map,
     random_graph,
     random_labeled_tree,
     tree_to_map,
+    vizing_partition,
 )
 
 CEILING_MB = 2048  # RLIMIT_AS of a child whose known peak is above 2 GB
 TIMEOUT_S = 120  # wall-clock ceiling of each child
+TINY_BUDGET = 20  # --budget-nodes of a tiny exact row that has one: below its host's constraints, so exit 3
+TAIL_BYTES = 1 << 16  # the end of a child's stdout that is read back
 
 
 class Row(NamedTuple):
@@ -71,7 +79,7 @@ def _snippet(body: str, work: Path, **values) -> list[str]:
     one JSON line, with ``values`` bound as globals first; they go through a
     JSON file in ``work``, since one argument holds at most 128 KiB."""
     path = _write(work, "values.json", json.dumps(values))
-    return ["-c", f"import json, random, time\nglobals().update(json.load(open({path!r})))\n{body}"]
+    return ["-c", f"import json, time\nglobals().update(json.load(open({path!r})))\n{body}"]
 
 
 def _write(work: Path, name: str, text: str) -> str:
@@ -88,6 +96,10 @@ def _edge_file(work: Path, n: int, edges: list[tuple[int, int]]) -> tuple[str, d
 
 def _figures(key: str, limit: float) -> Callable[[dict], bool]:
     return lambda rec: rec["figures"].get(key, limit + 1) <= limit
+
+
+def _nodes_per_s(rate: float) -> Callable[[dict], bool]:
+    return lambda rec: rec["figures"].get("nodes", 0) >= rate * rec["figures"].get("elapsed_s", float("inf"))
 
 
 def _within(wall_s: float | None = None, peak_rss_mb: float | None = None) -> Callable[[dict], bool]:
@@ -108,34 +120,6 @@ g = Graph(n, [tuple(e) for e in edges])
 t = time.perf_counter()
 w = recognize(g)
 print(json.dumps({"inner_s": time.perf_counter() - t, "witness": w}))
-"""
-
-FLIPPED_REPRESENT = """from cographkit import Graph, NotUltrametricError, build_representation, delta_from_graph
-d = delta_from_graph(Graph(n, [tuple(e) for e in edges]))
-t = time.perf_counter()
-try:
-    build_representation(d)
-    v = None
-except NotUltrametricError as e:
-    v = e.violation
-print(json.dumps({"inner_s": time.perf_counter() - t, "violation": v}))
-"""
-
-EXACT = """from cographkit import exact_min_cover, exact_min_partition, random_graph
-g = random_graph(n, p, random.Random(seed))
-solve = exact_min_partition if mode == "partition" else exact_min_cover
-t = time.perf_counter()
-r = solve(g, k_max, budget)
-s = time.perf_counter() - t
-print(json.dumps({"inner_s": s, "status": r.status, "nodes": r.nodes, "nodes_per_s": r.nodes / s}))
-"""
-
-COARSEN = """from cographkit import coarsen, random_graph, vizing_partition
-d = vizing_partition(random_graph(n, p, random.Random(seed)))
-stats = {}
-t = time.perf_counter()
-c = coarsen(d, stats)
-print(json.dumps({"inner_s": time.perf_counter() - t, "k_before": d.k, "k_after": c.k, **stats}))
 """
 
 BUILD = """from cographkit import Graph
@@ -196,16 +180,19 @@ def _recognize_flipped(tiny: bool, work: Path):
 
 def _represent_flipped(tiny: bool, work: Path):
     n = 12 if tiny else 200
-    edges = _flipped_threshold(n, (n - 5, n - 2))
-    return _snippet(FLIPPED_REPRESENT, work, n=n, edges=edges), {"n": n, "pairs": n * (n - 1) // 2}
+    text = format_symbolic_map(delta_from_graph(Graph(n, _flipped_threshold(n, (n - 5, n - 2)))))
+    return _cli("ultrametric", "check", _write(work, "map.txt", text)), {"n": n, "pairs": n * (n - 1) // 2}
 
 
 def _exact(mode: str, n: int, p: float, seed: int, k_max: int, budget: int | None, tiny_n: int):
+    """``decompose --strategy exact`` on G(n, p); a row with no ``budget``
+    runs under the CLI's default, and a tiny row with one runs out of it."""
     def make(tiny: bool, work: Path):
         size = tiny_n if tiny else n
-        cap = 2_000 if tiny else budget
+        cap = TINY_BUDGET if tiny and budget else budget
         g = random_graph(size, p, random.Random(seed))
-        return (_snippet(EXACT, work, n=size, p=p, seed=seed, mode=mode, k_max=k_max, budget=cap),
+        flags = ["--mode", mode, "--k-max", str(k_max)] + ([] if cap is None else ["--budget-nodes", str(cap)])
+        return (_cli("decompose", "--strategy", "exact", *flags, _write(work, "graph.txt", format_edge_list(g))),
                 {"n": size, "m": g.m, "k_max": k_max, "budget": cap})
     return make
 
@@ -213,7 +200,9 @@ def _exact(mode: str, n: int, p: float, seed: int, k_max: int, budget: int | Non
 def _coarsen(n: int, p: float, tiny_n: int):
     def make(tiny: bool, work: Path):
         size = tiny_n if tiny else n
-        return _snippet(COARSEN, work, n=size, p=p, seed=1), {"n": size, "m": random_graph(size, p, random.Random(1)).m}
+        g = random_graph(size, p, random.Random(1))
+        text = json.dumps(decomposition_to_json(vizing_partition(g)))
+        return _cli("coarsen", _write(work, "partition.json", text)), {"n": size, "m": g.m}
     return make
 
 
@@ -269,23 +258,22 @@ def _refutation(tiny: bool, work: Path):
 
 
 def _phase_seconds(rec: dict) -> bool:
-    stats = rec["figures"].get("stats", {})
-    return any(k.endswith("_s") and k != "elapsed_s" for k in stats)
+    return any(k.endswith("_s") and k != "elapsed_s" for k in rec["figures"])
 
 
 ROWS = [
     Row("recognize_flipped_threshold_800", "2", "under 0.5 s in-process; witness (400, 401, 399, 402)", 50,
         _recognize_flipped, _figures("inner_s", 0.5)),
     Row("represent_flipped_threshold_map_200", "13", "under 0.5 s in-process", 50,
-        _represent_flipped, _figures("inner_s", 0.5)),
+        _represent_flipped, _figures("elapsed_s", 0.5), exit_code=1),
     Row("exact_partition_g30_budget45000", "11", "3x the 3,429 nodes/s of re-anchor 7", 50,
-        _exact("partition", 30, 0.5, 6, 3, 45_000, 8), lambda rec: rec["figures"].get("nodes_per_s", 0) >= 3 * 3_429),
+        _exact("partition", 30, 0.5, 6, 3, 45_000, 8), _nodes_per_s(3 * 3_429), exit_code=3),
     Row("exact_cover_g30_budget45000", "11", "3x the 4,353 nodes/s of re-anchor 7", 50,
-        _exact("cover", 30, 0.5, 6, 3, 45_000, 8), lambda rec: rec["figures"].get("nodes_per_s", 0) >= 3 * 4_353),
+        _exact("cover", 30, 0.5, 6, 3, 45_000, 8), _nodes_per_s(3 * 4_353), exit_code=3),
     Row("exact_partition_g160_k1", "20", "under 2 s and 100 MB", 1_281,
-        _exact("partition", 160, 0.3, 1, 1, None, 12), _within(2.0, 100)),
+        _exact("partition", 160, 0.3, 1, 1, None, 12), _within(2.0, 100), exit_code=1),
     Row("exact_partition_g120_k1", "20", "under 2 s and 100 MB (the G(160) target)", 392,
-        _exact("partition", 120, 0.3, 1, 1, None, 12), _within(2.0, 100)),
+        _exact("partition", 120, 0.3, 1, 1, None, 12), _within(2.0, 100), exit_code=1),
     Row("coarsen_vizing_g80", "12", "at most 1,000 unions tested", 50,
         _coarsen(80, 0.3, 12), _figures("unions_tested", 1_000)),
     Row("coarsen_vizing_g40", "12", "at most 450 unions tested", 50,
@@ -354,8 +342,8 @@ def run_child(args: list[str], work: Path, timeout: float, ceiling_mb: int | Non
     """Run ``python args`` from the repository root with ``src/`` on the
     path, through ``LAUNCHER``; return its wall time, peak RSS (``os.wait4``,
     ``ru_maxrss`` in KiB on Linux), exit code, whether it timed out, the
-    size of its stdout and the stdout itself when under 64 KiB, and the
-    tail of its stderr."""
+    size of its stdout and its last ``TAIL_BYTES``, and the tail of its
+    stderr."""
     out_path, err_path = work / "stdout", work / "stderr"
     spec = {"argv": [sys.executable, *args], "cwd": str(ROOT), "env": dict(os.environ, PYTHONPATH=str(ROOT / "src")),
             "stdout": str(out_path), "stderr": str(err_path), "timeout": timeout,
@@ -363,22 +351,25 @@ def run_child(args: list[str], work: Path, timeout: float, ceiling_mb: int | Non
     launched = subprocess.run([sys.executable, "-c", LAUNCHER, json.dumps(spec)], capture_output=True, text=True,
                               timeout=timeout + 60, check=True)
     out_bytes = out_path.stat().st_size
-    return {**json.loads(launched.stdout), "out_bytes": out_bytes,
-            "stdout": out_path.read_bytes() if out_bytes < 1 << 16 else b"",
+    with open(out_path, "rb") as out:
+        out.seek(max(0, out_bytes - TAIL_BYTES))
+        tail = out.read()
+    return {**json.loads(launched.stdout), "out_bytes": out_bytes, "stdout_tail": tail,
             "stderr_tail": err_path.read_text(encoding="utf-8", errors="replace")[-300:]}
 
 
-def _read_figures(row_args: list[str], stdout: bytes) -> dict:
-    """A snippet's last line, or a CLI report's ``stats``; ``stdout`` is
-    empty when the report was too large to read back."""
-    text = stdout.decode("utf-8", errors="replace").strip()
-    if not text:
-        return {}
+STATS_KEY = '\n  "stats": '  # the last key of a CLI report, as the CLI indents it
+
+
+def _read_figures(row_args: list[str], tail: bytes) -> dict:
+    """A snippet's last line, or a CLI report's ``stats``, from the tail of
+    the child's stdout; empty when the child wrote neither."""
+    text = tail.decode("utf-8", errors="replace")
     try:
         if row_args[0] == "-c":
-            return json.loads(text.splitlines()[-1])
-        return {"stats": json.loads(text).get("stats", {})}
-    except (ValueError, AttributeError):
+            return json.loads(text.strip().splitlines()[-1])
+        return json.JSONDecoder().raw_decode(text, text.rindex(STATS_KEY) + len(STATS_KEY))[0]
+    except (ValueError, IndexError):
         return {}
 
 
@@ -389,11 +380,11 @@ def run_row(row: Row, tiny: bool) -> dict:
         ceiling = CEILING_MB if row.known_peak_mb > 2000 else None
         child = run_child(args, work, TIMEOUT_S, ceiling)
         command = [arg.replace(f"{work}{os.sep}", "") for arg in args]  # input files by name
-    stdout = child.pop("stdout")
+    tail = child.pop("stdout_tail")
     rec = {"name": row.name, "item": row.item, "target": row.target, "size": size,
            "command": command, "ceiling_mb": ceiling,
            "known_peak_mb": row.known_peak_mb, **child,
-           "figures": _read_figures(args, stdout)}
+           "figures": _read_figures(args, tail)}
     completed = not child["timed_out"] and child["exit_code"] == row.exit_code
     rec["completed"] = completed
     rec["met"] = None if row.met is None else completed and bool(row.met(rec))
